@@ -20,10 +20,15 @@
 //!    correction.
 
 use crate::frontend::FeatureExtractor;
-use crate::model::{with_session_scratch, AsvScore, CohortUtterance, SpeakerModel, UbmBackend};
+use crate::model::{
+    enroll_frames, with_session_scratch, AsvScore, CohortUtterance, EnrollError, SpeakerModel,
+    UbmBackend,
+};
 use magshield_dsp::frame::{FrameMatrix, FrameSource, FrameSourceMut};
 use magshield_ml::codec::{self, BinaryCodec, ByteReader, ByteWriter, CodecError};
-use magshield_ml::gmm::{llr_score_prepared, llr_score_quantized, DiagonalGmm};
+use magshield_ml::gmm::{
+    llr_score_prepared, llr_score_quantized, DiagonalGmm, Responsibilities, ScoreScratch,
+};
 use magshield_ml::pca::Pca;
 
 /// Relevance factor damping low-evidence components in the supervector.
@@ -104,12 +109,15 @@ impl SessionSubspace {
     ///
     /// The utterance's supervector offset is projected onto the subspace;
     /// the projected per-component offsets are subtracted from each frame
-    /// in proportion to the frame's component responsibilities.
+    /// in proportion to the frame's component responsibilities. One
+    /// responsibility matrix over the uncompensated frames serves both
+    /// the supervector and the per-frame correction.
     pub fn compensate<F: FrameSourceMut + ?Sized>(&self, ubm: &DiagonalGmm, frames: &mut F) {
         if frames.num_frames() == 0 || self.basis.is_empty() {
             return;
         }
-        let sv = supervector(ubm, frames);
+        let resp = ubm.responsibility_matrix(&*frames);
+        let sv = supervector_from(ubm, &*frames, &resp);
         // Projection onto the basis.
         let mut offset = vec![0.0; sv.len()];
         for b in &self.basis {
@@ -119,12 +127,9 @@ impl SessionSubspace {
             }
         }
         // Subtract responsibility-weighted per-component offsets.
-        let mut log_w = Vec::new();
-        ubm.log_weights_into(&mut log_w);
-        let mut r = Vec::new();
         for i in 0..frames.num_frames() {
+            let r = resp.row(i);
             let f = frames.frame_mut(i);
-            ubm.responsibilities_into(f, &log_w, &mut r);
             for d in 0..self.dim {
                 let mut corr = 0.0;
                 for (c, &rc) in r.iter().enumerate().take(self.num_components) {
@@ -139,16 +144,22 @@ impl SessionSubspace {
 /// Relevance-weighted centered supervector of an utterance: for each UBM
 /// component, `w_c · (E_c[x] − m_c)` with `w_c = n_c / (n_c + τ)`.
 pub fn supervector<F: FrameSource + ?Sized>(ubm: &DiagonalGmm, frames: &F) -> Vec<f64> {
+    supervector_from(ubm, frames, &ubm.responsibility_matrix(frames))
+}
+
+/// [`supervector`] from the frames' responsibilities under `ubm`.
+fn supervector_from<F: FrameSource + ?Sized>(
+    ubm: &DiagonalGmm,
+    frames: &F,
+    resp: &Responsibilities,
+) -> Vec<f64> {
     let k = ubm.num_components();
     let dim = ubm.dim();
-    let mut log_w = Vec::new();
-    ubm.log_weights_into(&mut log_w);
-    let mut r = Vec::new();
     let mut nk = vec![0.0; k];
     let mut sum = vec![0.0; k * dim];
     for i in 0..frames.num_frames() {
         let x = frames.frame(i);
-        ubm.responsibilities_into(x, &log_w, &mut r);
+        let r = resp.row(i);
         for c in 0..k {
             nk[c] += r[c];
             let row = &mut sum[c * dim..(c + 1) * dim];
@@ -187,7 +198,7 @@ impl IsvBackend {
     /// Builds an ISV backend over an existing UBM backend; the backend's
     /// Z-norm cohort (if any) is re-used with compensation applied.
     pub fn new(ubm_backend: UbmBackend, subspace: SessionSubspace) -> Self {
-        let mut buf = Vec::new();
+        let mut scratch = ScoreScratch::new();
         let cohort = ubm_backend
             .cohort()
             .iter()
@@ -196,7 +207,7 @@ impl IsvBackend {
                 subspace.compensate(&ubm_backend.ubm, &mut frames);
                 let ubm_mean_ll = ubm_backend
                     .prepared_ubm()
-                    .mean_log_likelihood(&frames, &mut buf);
+                    .mean_log_likelihood(&frames, &mut scratch);
                 CohortUtterance {
                     frames,
                     ubm_mean_ll,
@@ -219,8 +230,20 @@ impl IsvBackend {
     ///
     /// # Panics
     ///
-    /// Panics if no feature frames can be extracted.
+    /// Panics if no feature frames can be extracted; [`Self::try_enroll`]
+    /// returns that refusal instead.
     pub fn enroll(&self, speaker_id: u32, utterances: &[&[f64]]) -> SpeakerModel {
+        self.try_enroll(speaker_id, utterances)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Enrolls a speaker on compensated features, refusing a set that
+    /// yields no feature frames.
+    pub fn try_enroll(
+        &self,
+        speaker_id: u32,
+        utterances: &[&[f64]],
+    ) -> Result<SpeakerModel, EnrollError> {
         let per_utt: Vec<FrameMatrix> = utterances
             .iter()
             .map(|audio| {
@@ -229,19 +252,13 @@ impl IsvBackend {
                 f
             })
             .collect();
-        let mut frames = FrameMatrix::default();
-        for f in &per_utt {
-            frames.extend_rows(f);
-        }
-        assert!(!frames.is_empty(), "enrollment produced no frames");
-        let gmm = self
-            .ubm_backend
-            .ubm
-            .map_adapt_means(&frames, crate::model::RELEVANCE_FACTOR);
-        let znorm = crate::model::znorm_stats(&gmm, &self.cohort);
-        let genuine_ref =
-            crate::model::genuine_reference(&self.ubm_backend.ubm, &per_utt, &self.cohort);
-        SpeakerModel::new(speaker_id, gmm, znorm, genuine_ref)
+        enroll_frames(
+            &self.ubm_backend.ubm,
+            self.ubm_backend.prepared_ubm(),
+            speaker_id,
+            &per_utt,
+            &self.cohort,
+        )
     }
 
     /// Scores audio against a model on compensated features (exact,

@@ -18,9 +18,11 @@ use crate::frontend::{FeatureExtractor, FrontendScratch};
 use magshield_dsp::frame::{FrameMatrix, FrameSource};
 use magshield_ml::codec::{self, BinaryCodec, ByteReader, ByteWriter, CodecError};
 use magshield_ml::gmm::{
-    llr_score_prepared, llr_score_quantized, DiagonalGmm, PreparedGmm, QuantizedGmm, ScoreScratch,
+    llr_score_prepared, llr_score_quantized, DiagonalGmm, PreparedGmm, QuantizedGmm,
+    Responsibilities, ScoreScratch,
 };
 use std::cell::RefCell;
+use std::fmt;
 use std::sync::OnceLock;
 
 /// MAP relevance factor (Reynolds' classic value).
@@ -204,14 +206,14 @@ impl UbmBackend {
     /// subsequent enrollment.
     pub fn with_cohort(mut self, utterances: &[&[f64]]) -> Self {
         let prepared = PreparedGmm::new(&self.ubm);
-        let mut buf = Vec::new();
+        let mut scratch = ScoreScratch::new();
         self.cohort = utterances
             .iter()
             .take(MAX_COHORT)
             .map(|audio| self.extractor.extract(audio))
             .filter(|f| !f.is_empty())
             .map(|frames| {
-                let ubm_mean_ll = prepared.mean_log_likelihood(&frames, &mut buf);
+                let ubm_mean_ll = prepared.mean_log_likelihood(&frames, &mut scratch);
                 CohortUtterance {
                     frames,
                     ubm_mean_ll,
@@ -235,21 +237,31 @@ impl UbmBackend {
     ///
     /// # Panics
     ///
-    /// Panics if no feature frames can be extracted.
+    /// Panics if no feature frames can be extracted; [`Self::try_enroll`]
+    /// returns that refusal instead.
     pub fn enroll(&self, speaker_id: u32, utterances: &[&[f64]]) -> SpeakerModel {
+        self.try_enroll(speaker_id, utterances)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Enrolls a speaker from one or more utterances, refusing a set that
+    /// yields no feature frames.
+    pub fn try_enroll(
+        &self,
+        speaker_id: u32,
+        utterances: &[&[f64]],
+    ) -> Result<SpeakerModel, EnrollError> {
         let per_utt: Vec<FrameMatrix> = utterances
             .iter()
             .map(|audio| self.extractor.extract(audio))
             .collect();
-        let mut frames = FrameMatrix::default();
-        for f in &per_utt {
-            frames.extend_rows(f);
-        }
-        assert!(!frames.is_empty(), "enrollment produced no frames");
-        let gmm = self.ubm.map_adapt_means(&frames, RELEVANCE_FACTOR);
-        let znorm = znorm_stats(&gmm, &self.cohort);
-        let genuine_ref = genuine_reference(&self.ubm, &per_utt, &self.cohort);
-        SpeakerModel::new(speaker_id, gmm, znorm, genuine_ref)
+        enroll_frames(
+            &self.ubm,
+            self.prepared_ubm(),
+            speaker_id,
+            &per_utt,
+            &self.cohort,
+        )
     }
 
     /// Verification score of `audio` against `model`: Z-normalized average
@@ -337,41 +349,83 @@ impl UbmBackend {
     }
 }
 
+/// Why an enrollment was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EnrollError {
+    /// No utterance yielded a feature frame: each was empty or shorter
+    /// than one analysis frame.
+    NoFrames,
+}
+
+impl fmt::Display for EnrollError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::NoFrames => f.write_str(
+                "enrollment produced no frames: every utterance is shorter than one feature frame",
+            ),
+        }
+    }
+}
+
+impl std::error::Error for EnrollError {}
+
+/// Enrolls `speaker_id` from per-utterance feature frames (compensated
+/// first, for ISV): the MAP-adapted model, its Z-norm statistics against
+/// `cohort`, and the leave-one-out genuine reference.
+///
+/// Each utterance's UBM responsibilities are computed once and shared by
+/// the full adaptation and every leave-one-out adaptation. Utterances, and
+/// the frames within each, are visited in order, so the model is
+/// bit-identical to adapting on the concatenated frames.
+pub(crate) fn enroll_frames(
+    ubm: &DiagonalGmm,
+    ubm_prepared: &PreparedGmm,
+    speaker_id: u32,
+    per_utt: &[FrameMatrix],
+    cohort: &[CohortUtterance],
+) -> Result<SpeakerModel, EnrollError> {
+    if per_utt.iter().all(|f| f.is_empty()) {
+        return Err(EnrollError::NoFrames);
+    }
+    let resp: Vec<Responsibilities> = per_utt
+        .iter()
+        .map(|f| ubm.responsibility_matrix(f))
+        .collect();
+    let gmm = ubm.map_adapt_means_with(per_utt.iter().zip(&resp), RELEVANCE_FACTOR);
+    let mut scratch = ScoreScratch::new();
+    let znorm = znorm_stats(&PreparedGmm::new(&gmm), cohort, &mut scratch);
+    let genuine_ref = genuine_reference(ubm, ubm_prepared, per_utt, &resp, cohort, &mut scratch);
+    Ok(SpeakerModel::new(speaker_id, gmm, znorm, genuine_ref))
+}
+
 /// Leave-one-out genuine-score estimate: each enrollment utterance is
 /// scored (normalized) against a model adapted from the *other*
-/// utterances. Needs at least two utterances; returns the mean LOO score.
-pub fn genuine_reference(
+/// utterances, reusing their UBM responsibilities `resp`. Needs at least
+/// two non-empty utterances; returns the mean LOO score.
+fn genuine_reference(
     ubm: &DiagonalGmm,
-    per_utterance_frames: &[FrameMatrix],
+    ubm_prepared: &PreparedGmm,
+    per_utt: &[FrameMatrix],
+    resp: &[Responsibilities],
     cohort: &[CohortUtterance],
+    scratch: &mut ScoreScratch,
 ) -> Option<f64> {
-    let usable: Vec<&FrameMatrix> = per_utterance_frames
-        .iter()
-        .filter(|f| !f.is_empty())
+    let usable: Vec<usize> = (0..per_utt.len())
+        .filter(|&i| !per_utt[i].is_empty())
         .collect();
     if usable.len() < 2 {
         return None;
     }
-    let ubm_prepared = PreparedGmm::new(ubm);
-    let mut buf = Vec::new();
-    // The held-out utterance's UBM term never changes across iterations.
-    let utt_ubm_ll: Vec<f64> = usable
-        .iter()
-        .map(|f| ubm_prepared.mean_log_likelihood(*f, &mut buf))
-        .collect();
-    let mut rest = FrameMatrix::default();
     let mut scores = Vec::new();
-    for i in 0..usable.len() {
-        rest.reset(usable[0].cols());
-        for (j, f) in usable.iter().enumerate() {
-            if j != i {
-                rest.extend_rows(f);
-            }
-        }
-        let sub = ubm.map_adapt_means(&rest, RELEVANCE_FACTOR);
-        let sub_prepared = PreparedGmm::new(&sub);
-        let raw = sub_prepared.mean_log_likelihood(usable[i], &mut buf) - utt_ubm_ll[i];
-        let z = match znorm_stats_prepared(&sub_prepared, cohort, &mut buf) {
+    for &i in &usable {
+        let rest = usable
+            .iter()
+            .filter(|&&j| j != i)
+            .map(|&j| (&per_utt[j], &resp[j]));
+        let sub = PreparedGmm::new(&ubm.map_adapt_means_with(rest, RELEVANCE_FACTOR));
+        let raw = sub.mean_log_likelihood(&per_utt[i], scratch)
+            - ubm_prepared.mean_log_likelihood(&per_utt[i], scratch);
+        let z = match znorm_stats(&sub, cohort, scratch) {
             Some((mu, sigma)) => (raw - mu) / sigma,
             None => raw,
         };
@@ -383,14 +437,6 @@ pub fn genuine_reference(
         return None;
     }
     Some(scores.iter().sum::<f64>() / scores.len() as f64)
-}
-
-/// Computes Z-norm statistics of a model against cohort utterances. The
-/// UBM half of each cohort LLR comes from [`CohortUtterance::ubm_mean_ll`];
-/// only the speaker side is evaluated here.
-pub fn znorm_stats(model: &DiagonalGmm, cohort: &[CohortUtterance]) -> Option<(f64, f64)> {
-    let mut buf = Vec::new();
-    znorm_stats_prepared(&PreparedGmm::new(model), cohort, &mut buf)
 }
 
 /// Encodes a [`FrameMatrix`] as `cols, rows, row-major f64s`.
@@ -538,14 +584,17 @@ impl BinaryCodec for UbmBackend {
     }
 }
 
-fn znorm_stats_prepared(
+/// Z-norm statistics of a model against cohort utterances. The UBM half
+/// of each cohort LLR comes from [`CohortUtterance::ubm_mean_ll`]; only the
+/// speaker side is evaluated here.
+fn znorm_stats(
     model: &PreparedGmm,
     cohort: &[CohortUtterance],
-    buf: &mut Vec<f64>,
+    scratch: &mut ScoreScratch,
 ) -> Option<(f64, f64)> {
     let scores: Vec<f64> = cohort
         .iter()
-        .map(|c| model.mean_log_likelihood(&c.frames, buf) - c.ubm_mean_ll)
+        .map(|c| model.mean_log_likelihood(&c.frames, scratch) - c.ubm_mean_ll)
         .filter(|s| s.is_finite())
         .collect();
     if scores.len() < 3 {

@@ -97,7 +97,9 @@ mod tests {
         assert_eq!(ubm.dim(), fx.dim());
         // The UBM should assign reasonable likelihood to corpus frames.
         let frames = fx.extract(&corpus.utterances[0].audio);
-        assert!(ubm.mean_log_likelihood(&frames).is_finite());
+        let ll = magshield_ml::gmm::PreparedGmm::new(&ubm)
+            .mean_log_likelihood(&frames, &mut magshield_ml::gmm::ScoreScratch::new());
+        assert!(ll.is_finite());
     }
 
     #[test]

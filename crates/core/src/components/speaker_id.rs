@@ -8,7 +8,7 @@ use crate::config::DefenseConfig;
 use crate::session::SessionData;
 use crate::verdict::{Component, ComponentResult};
 use magshield_asv::isv::IsvBackend;
-use magshield_asv::model::{AsvScore, SpeakerModel, UbmBackend};
+use magshield_asv::model::{AsvScore, EnrollError, SpeakerModel, UbmBackend};
 use magshield_ml::codec::{self, BinaryCodec, ByteReader, ByteWriter, CodecError};
 
 /// Which verification technique to run — the two rows of Table I.
@@ -22,10 +22,26 @@ pub enum AsvEngine {
 
 impl AsvEngine {
     /// Enrolls a speaker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no feature frames can be extracted; [`Self::try_enroll`]
+    /// returns that refusal instead.
     pub fn enroll(&self, speaker_id: u32, utterances: &[&[f64]]) -> SpeakerModel {
+        self.try_enroll(speaker_id, utterances)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Enrolls a speaker, refusing utterances that yield no feature
+    /// frames.
+    pub fn try_enroll(
+        &self,
+        speaker_id: u32,
+        utterances: &[&[f64]],
+    ) -> Result<SpeakerModel, EnrollError> {
         match self {
-            AsvEngine::Ubm(b) => b.enroll(speaker_id, utterances),
-            AsvEngine::Isv(b) => b.enroll(speaker_id, utterances),
+            AsvEngine::Ubm(b) => b.try_enroll(speaker_id, utterances),
+            AsvEngine::Isv(b) => b.try_enroll(speaker_id, utterances),
         }
     }
 

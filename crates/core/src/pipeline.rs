@@ -186,13 +186,16 @@ impl DefenseSystem {
     /// publishes it, so the returned generation survives a crash; a
     /// journaling failure is returned and nothing is published. Without a
     /// store this just enrolls into the in-memory registry.
+    ///
+    /// Utterances that yield no feature frames are refused with
+    /// [`StoreError::Enroll`]; nothing is journaled or published.
     pub fn try_enroll_speaker(
         &self,
         speaker_id: u32,
         utterances: &[&[f64]],
     ) -> Result<u64, StoreError> {
         let snapshot = self.registry.snapshot();
-        let model = snapshot.engine.enroll(speaker_id, utterances);
+        let model = snapshot.engine.try_enroll(speaker_id, utterances)?;
         let generation = match &self.durable {
             Some(store) => store.journal_enroll(&self.registry, model)?,
             None => self.registry.enroll(model),

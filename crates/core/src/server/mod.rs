@@ -75,6 +75,7 @@ use crate::cascade::ExecutionPolicy;
 use crate::pipeline::DefenseSystem;
 use crate::queue::WorkQueue;
 use crate::session::SessionData;
+use crate::store::StoreError;
 use crate::stream::{
     SessionChunk, StreamConfig, StreamEvent, StreamOpenInfo, StreamingVerification,
 };
@@ -517,7 +518,11 @@ fn handle_job(
                 }
                 Err(e) => {
                     shared.protocol_errors.inc();
-                    protocol::encode_error(request_id, &format!("enrollment not journaled: {e}"))
+                    let message = match e {
+                        StoreError::Enroll(_) => e.to_string(),
+                        _ => format!("enrollment not journaled: {e}"),
+                    };
+                    protocol::encode_error(request_id, &message)
                 }
             }
         }

@@ -62,6 +62,7 @@ pub use durable::{DurableStore, RecoveredState, StoreMetrics};
 pub use wal::{GoldenBase, TailStatus, WalHeader, WalOp, WalRecord, WalScan};
 
 use crate::config::ConfigError;
+use magshield_asv::model::EnrollError;
 use magshield_ml::codec::CodecError;
 use magshield_ml::delta::DeltaError;
 use std::error::Error;
@@ -85,6 +86,9 @@ pub enum StoreError {
     Codec(CodecError),
     /// A replayed bundle or snapshot failed semantic validation.
     Config(ConfigError),
+    /// An enrollment was refused before anything was journaled or
+    /// published (its utterances yielded no feature frames).
+    Enroll(EnrollError),
     /// A delta record refused to reconstruct (wrong UBM fingerprint or
     /// shape) — the WAL and base disagree about the engine.
     Delta(DeltaError),
@@ -133,6 +137,7 @@ impl fmt::Display for StoreError {
             Self::Io(e) => write!(f, "store I/O failure: {e}"),
             Self::Codec(e) => write!(f, "store artifact failure: {e}"),
             Self::Config(e) => write!(f, "store replayed an invalid model set: {e}"),
+            Self::Enroll(e) => write!(f, "enrollment refused: {e}"),
             Self::Delta(e) => write!(f, "store delta record failure: {e}"),
             Self::CorruptHeader { path, source } => {
                 write!(f, "corrupt WAL header in {}: {source}", path.display())
@@ -160,6 +165,7 @@ impl Error for StoreError {
             Self::Io(e) => Some(e),
             Self::Codec(e) => Some(e),
             Self::Config(e) => Some(e),
+            Self::Enroll(e) => Some(e),
             Self::Delta(e) => Some(e),
             Self::CorruptHeader { source, .. } => Some(source),
             _ => None,
@@ -182,6 +188,12 @@ impl From<CodecError> for StoreError {
 impl From<ConfigError> for StoreError {
     fn from(e: ConfigError) -> Self {
         Self::Config(e)
+    }
+}
+
+impl From<EnrollError> for StoreError {
+    fn from(e: EnrollError) -> Self {
+        Self::Enroll(e)
     }
 }
 

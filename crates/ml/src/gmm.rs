@@ -91,7 +91,9 @@ impl DiagonalGmm {
         &self.variances
     }
 
-    /// Log density of one frame under component `c`.
+    /// Log density of one frame under component `c` — the reference
+    /// arithmetic that [`Self::responsibility_matrix`] reproduces lane by
+    /// lane.
     fn component_log_pdf(&self, c: usize, x: &[f64]) -> f64 {
         let mut acc = 0.0;
         for ((&m, &v), &xi) in self.means[c].iter().zip(&self.variances[c]).zip(x) {
@@ -116,53 +118,66 @@ impl DiagonalGmm {
         log_sum_exp(&logs)
     }
 
-    /// Mean per-frame log-likelihood of a set of frames.
+    /// Posterior responsibilities of each component for one frame.
     ///
-    /// Accepts either frame layout via [`FrameSource`]; log-weights and the
-    /// per-component buffer are hoisted out of the frame loop, so the value
-    /// is identical to averaging [`Self::log_pdf`] but without per-frame
-    /// recomputation.
-    pub fn mean_log_likelihood<F: FrameSource + ?Sized>(&self, frames: &F) -> f64 {
-        let n = frames.num_frames();
-        if n == 0 {
-            return f64::NEG_INFINITY;
-        }
-        let k = self.num_components();
+    /// This is the per-frame reference (the test oracle) for
+    /// [`Self::responsibility_matrix`], which every training and
+    /// enrollment pass runs.
+    pub fn responsibilities(&self, x: &[f64]) -> Vec<f64> {
+        let logs: Vec<f64> = (0..self.num_components())
+            .map(|c| self.weights[c].max(1e-300).ln() + self.component_log_pdf(c, x))
+            .collect();
+        let total = log_sum_exp(&logs);
+        logs.iter().map(|l| (l - total).exp()).collect()
+    }
+
+    /// [`Self::responsibilities`] of every frame, as a frame-major `n × k`
+    /// matrix, together with each frame's mixture log-likelihood.
+    ///
+    /// Frames are scored [`FRAME_BLOCK`] at a time per component pass on
+    /// the transposed block. `ln 2π + ln v` is computed once per model:
+    /// the per-frame `component_log_pdf` evaluates that sum first, so
+    /// hoisting it changes no rounding, and each lane then accumulates
+    /// `−½ (ln 2π + ln v + (x − μ)² / v)` in ascending dimension order.
+    /// Every row is therefore bit-identical to the per-frame reference.
+    pub fn responsibility_matrix<F: FrameSource + ?Sized>(&self, frames: &F) -> Responsibilities {
+        let (k, dim, n) = (self.num_components(), self.dim(), frames.num_frames());
         let mut log_w = Vec::with_capacity(k);
         self.log_weights_into(&mut log_w);
-        let mut logs = vec![0.0; k];
-        let mut sum = 0.0;
-        for i in 0..n {
-            let x = frames.frame(i);
+        let norm: Vec<f64> = self
+            .variances
+            .iter()
+            .flatten()
+            .map(|v| LOG_2PI + v.ln())
+            .collect();
+        let mut post = vec![0.0; n * k];
+        let mut xt = Vec::new();
+        let mut start = 0;
+        while start < n {
+            let count = FRAME_BLOCK.min(n - start);
+            transpose_block(frames, start, count, dim, &mut xt);
             for c in 0..k {
-                logs[c] = log_w[c] + self.component_log_pdf(c, x);
+                let lanes = block_log_pdf(
+                    &xt,
+                    &self.means[c],
+                    &self.variances[c],
+                    &norm[c * dim..(c + 1) * dim],
+                );
+                for (bi, &l) in lanes.iter().enumerate().take(count) {
+                    post[(start + bi) * k + c] = log_w[c] + l;
+                }
             }
-            sum += log_sum_exp(&logs);
+            start += count;
         }
-        sum / n as f64
-    }
-
-    /// Posterior responsibilities of each component for one frame.
-    pub fn responsibilities(&self, x: &[f64]) -> Vec<f64> {
-        let mut log_w = Vec::new();
-        self.log_weights_into(&mut log_w);
-        let mut out = Vec::new();
-        self.responsibilities_into(x, &log_w, &mut out);
-        out
-    }
-
-    /// [`Self::responsibilities`] into a caller-owned buffer, with the
-    /// log-weights precomputed once by the caller (see
-    /// [`Self::log_weights_into`]).
-    pub fn responsibilities_into(&self, x: &[f64], log_weights: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            (0..self.num_components()).map(|c| log_weights[c] + self.component_log_pdf(c, x)),
-        );
-        let total = log_sum_exp(out);
-        for l in out.iter_mut() {
-            *l = (*l - total).exp();
+        let mut log_lik = Vec::with_capacity(n);
+        for row in post.chunks_exact_mut(k) {
+            let total = log_sum_exp(row);
+            for l in row.iter_mut() {
+                *l = (*l - total).exp();
+            }
+            log_lik.push(total);
         }
+        Responsibilities { k, post, log_lik }
     }
 
     /// Trains a GMM with `k` components on `data` via k-means init + EM.
@@ -219,32 +234,24 @@ impl DiagonalGmm {
             variances,
         };
 
-        // EM iterations. Log-weights are computed once per iteration (they
-        // only change in the M step) and the per-component buffer is reused
-        // across frames.
+        // EM iterations. The E step reads the responsibility matrix one
+        // bounded chunk of frames at a time and accumulates in frame order.
         let mut prev_ll = f64::NEG_INFINITY;
-        let mut log_w = vec![0.0; k];
-        let mut logs = vec![0.0; k];
         for _ in 0..max_iters {
             let mut nk = vec![0.0; k];
             let mut sum = vec![vec![0.0; dim]; k];
             let mut sumsq = vec![vec![0.0; dim]; k];
             let mut ll = 0.0;
-            for (lw, w) in log_w.iter_mut().zip(&gmm.weights) {
-                *lw = w.max(1e-300).ln();
-            }
-            for x in data {
-                for c in 0..k {
-                    logs[c] = log_w[c] + gmm.component_log_pdf(c, x);
-                }
-                let total = log_sum_exp(&logs);
-                ll += total;
-                for c in 0..k {
-                    let r = (logs[c] - total).exp();
-                    nk[c] += r;
-                    for d in 0..dim {
-                        sum[c][d] += r * x[d];
-                        sumsq[c][d] += r * x[d] * x[d];
+            for chunk in data.chunks(EM_CHUNK) {
+                let resp = gmm.responsibility_matrix(chunk);
+                for (i, x) in chunk.iter().enumerate() {
+                    ll += resp.log_lik[i];
+                    for (c, &r) in resp.row(i).iter().enumerate() {
+                        nk[c] += r;
+                        for ((s, sq), &xd) in sum[c].iter_mut().zip(&mut sumsq[c]).zip(x) {
+                            *s += r * xd;
+                            *sq += r * xd * xd;
+                        }
                     }
                 }
             }
@@ -279,20 +286,40 @@ impl DiagonalGmm {
     /// Returns the adapted model; weights and variances are kept from the
     /// prior (standard practice for speaker adaptation).
     pub fn map_adapt_means<F: FrameSource + ?Sized>(&self, data: &F, relevance: f64) -> Self {
+        let resp = self.responsibility_matrix(data);
+        self.map_adapt_means_with([(data, &resp)], relevance)
+    }
+
+    /// [`Self::map_adapt_means`] toward several frame sets taken in order,
+    /// as if concatenated, each with its responsibilities under `self`
+    /// already computed by [`Self::responsibility_matrix`]. Enrollment
+    /// computes each utterance's matrix once and adapts both the full model
+    /// and every leave-one-out model from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a matrix does not match its frames or this mixture.
+    pub fn map_adapt_means_with<'a, F: FrameSource + ?Sized + 'a>(
+        &self,
+        parts: impl IntoIterator<Item = (&'a F, &'a Responsibilities)>,
+        relevance: f64,
+    ) -> Self {
         let k = self.num_components();
         let dim = self.dim();
         let mut nk = vec![0.0; k];
         let mut sum = vec![vec![0.0; dim]; k];
-        let mut log_w = Vec::with_capacity(k);
-        self.log_weights_into(&mut log_w);
-        let mut r = Vec::with_capacity(k);
-        for i in 0..data.num_frames() {
-            let x = data.frame(i);
-            self.responsibilities_into(x, &log_w, &mut r);
-            for c in 0..k {
-                nk[c] += r[c];
-                for d in 0..dim {
-                    sum[c][d] += r[c] * x[d];
+        for (frames, resp) in parts {
+            assert!(
+                resp.k == k && resp.num_frames() == frames.num_frames(),
+                "responsibilities do not match the frames"
+            );
+            for i in 0..frames.num_frames() {
+                let x = frames.frame(i);
+                for (c, &r) in resp.row(i).iter().enumerate() {
+                    nk[c] += r;
+                    for (s, &xd) in sum[c].iter_mut().zip(x) {
+                        *s += r * xd;
+                    }
                 }
             }
         }
@@ -429,24 +456,42 @@ impl PreparedGmm {
 
     /// Log density of one frame under the full mixture, using `buf` as
     /// scratch. Matches [`DiagonalGmm::log_pdf`] to 1e-9.
+    ///
+    /// The per-frame reference (the test oracle) for
+    /// [`Self::mean_log_likelihood`].
     pub fn log_pdf(&self, x: &[f64], buf: &mut Vec<f64>) -> f64 {
         self.weighted_log_pdfs_into(x, buf);
         log_sum_exp(buf)
     }
 
-    /// Mean per-frame log-likelihood over `frames`, using `buf` as scratch.
+    /// Mean per-frame log-likelihood over `frames`, with buffers from
+    /// `scratch`.
+    ///
+    /// Frames run through the batched verification kernel
+    /// (`weighted_block_ll`, as in [`llr_score_prepared`]), then one
+    /// log-sum-exp per row, summed in frame order. Per lane that
+    /// is the arithmetic of [`Self::log_pdf`], so the mean is bit-identical
+    /// to averaging it.
     pub fn mean_log_likelihood<F: FrameSource + ?Sized>(
         &self,
         frames: &F,
-        buf: &mut Vec<f64>,
+        scratch: &mut ScoreScratch,
     ) -> f64 {
         let n = frames.num_frames();
         if n == 0 {
             return f64::NEG_INFINITY;
         }
+        let ScoreScratch { ubm_block, xt, .. } = scratch;
         let mut sum = 0.0;
-        for i in 0..n {
-            sum += self.log_pdf(frames.frame(i), buf);
+        let mut start = 0;
+        while start < n {
+            let count = FRAME_BLOCK.min(n - start);
+            transpose_block(frames, start, count, self.dim, xt);
+            self.weighted_block_ll(xt, count, ubm_block);
+            for row in ubm_block.chunks_exact(self.k) {
+                sum += log_sum_exp(row);
+            }
+            start += count;
         }
         sum / n as f64
     }
@@ -483,10 +528,61 @@ impl PreparedGmm {
 /// (`dim × 8` doubles) stays well inside L1.
 pub const FRAME_BLOCK: usize = 8;
 
+/// Frames per E-step chunk of [`DiagonalGmm::train`]: bounds the
+/// responsibility matrix a UBM training pass holds (`EM_CHUNK × k`). The
+/// chunking moves no bit, since every row is computed independently and
+/// the statistics accumulate in frame order across chunks.
+const EM_CHUNK: usize = 1024;
+
+/// Frame-major posteriors of a frame set under one mixture, from
+/// [`DiagonalGmm::responsibility_matrix`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Responsibilities {
+    k: usize,
+    /// Responsibilities, `n × k`, row `i` for frame `i`.
+    post: Vec<f64>,
+    /// Mixture log-likelihood of each frame (the row's log-sum-exp).
+    log_lik: Vec<f64>,
+}
+
+impl Responsibilities {
+    /// Frames covered.
+    pub fn num_frames(&self) -> usize {
+        self.log_lik.len()
+    }
+
+    /// Responsibilities of every component for frame `i`.
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.post[i * self.k..(i + 1) * self.k]
+    }
+
+    /// Mixture log-likelihood of each frame, in frame order.
+    pub fn log_likelihoods(&self) -> &[f64] {
+        &self.log_lik
+    }
+}
+
+/// One component's reference log-densities over a transposed frame block:
+/// for each of the [`FRAME_BLOCK`] lanes, `Σ_d −½ (norm_d + (x_d − μ_d)² / v_d)`
+/// accumulated in ascending-`d` order with `norm_d = ln 2π + ln v_d`. That
+/// is the operation sequence of [`DiagonalGmm::component_log_pdf`], so each
+/// lane is bit-identical to it.
+#[inline]
+fn block_log_pdf(xt: &[f64], m: &[f64], v: &[f64], norm: &[f64]) -> [f64; FRAME_BLOCK] {
+    let mut acc = [0.0f64; FRAME_BLOCK];
+    for (col, ((&mi, &vi), &ni)) in xt.chunks_exact(FRAME_BLOCK).zip(m.iter().zip(v).zip(norm)) {
+        for (a, &xi) in acc.iter_mut().zip(col) {
+            *a += -0.5 * (ni + (xi - mi) * (xi - mi) / vi);
+        }
+    }
+    acc
+}
+
 /// Reusable buffers for [`llr_score_prepared`]. One per scoring thread.
 #[derive(Debug, Clone, Default)]
 pub struct ScoreScratch {
-    /// Frame-major UBM weighted log-densities for one block (`nb × k`).
+    /// Frame-major UBM weighted log-densities for one block (`nb × k`);
+    /// the mixture's own when [`PreparedGmm::mean_log_likelihood`] runs.
     ubm_block: Vec<f64>,
     /// Frame-major speaker weighted log-densities (exact mode, `nb × k`).
     spk_block: Vec<f64>,
@@ -1196,6 +1292,12 @@ impl BinaryCodec for QuantizedGmm {
 mod tests {
     use super::*;
 
+    /// Mean per-frame log-likelihood on the reference arithmetic.
+    fn mean_ll<F: FrameSource + ?Sized>(gmm: &DiagonalGmm, frames: &F) -> f64 {
+        let lls = gmm.responsibility_matrix(frames);
+        lls.log_likelihoods().iter().sum::<f64>() / lls.num_frames() as f64
+    }
+
     fn two_cluster_data(rng: &SimRng, n: usize) -> Vec<Vec<f64>> {
         let mut r = rng.fork("gmm-data");
         let mut data = Vec::new();
@@ -1244,7 +1346,7 @@ mod tests {
         let short = DiagonalGmm::train(&data, 4, 1, 0.0, &rng);
         let long = DiagonalGmm::train(&data, 4, 30, 0.0, &rng);
         assert!(
-            long.mean_log_likelihood(&data) >= short.mean_log_likelihood(&data) - 1e-9,
+            mean_ll(&long, &data) >= mean_ll(&short, &data) - 1e-9,
             "more EM must not reduce likelihood"
         );
     }
@@ -1318,9 +1420,13 @@ mod tests {
     fn empty_frames_score_neg_infinity() {
         let g = DiagonalGmm::from_parameters(vec![1.0], vec![vec![0.0]], vec![vec![1.0]]);
         let empty: Vec<Vec<f64>> = Vec::new();
-        assert_eq!(g.mean_log_likelihood(&empty), f64::NEG_INFINITY);
+        assert_eq!(g.responsibility_matrix(&empty).num_frames(), 0);
         assert_eq!(g.llr_score(&g, &empty), f64::NEG_INFINITY);
         let p = PreparedGmm::new(&g);
+        assert_eq!(
+            p.mean_log_likelihood(&empty, &mut ScoreScratch::new()),
+            f64::NEG_INFINITY
+        );
         let b = llr_score_prepared(&p, &p, &empty, 0, &mut ScoreScratch::new());
         assert_eq!(b.score, f64::NEG_INFINITY);
         assert_eq!(b.frames, 0);
@@ -1338,6 +1444,7 @@ mod tests {
         let gmm = DiagonalGmm::from_parameters(weights.clone(), means.clone(), variances.clone());
         let prepared = PreparedGmm::new(&gmm);
         let mut buf = Vec::new();
+        let mut scratch = ScoreScratch::new();
         for x in [[0.1, 0.2], [-2.0, 0.5], [5.0, -3.0], [0.0, 0.0]] {
             let longhand: Vec<f64> = (0..3)
                 .map(|c| {
@@ -1353,8 +1460,8 @@ mod tests {
             assert!((gmm.log_pdf(&x) - expected).abs() < 1e-9);
             assert!((prepared.log_pdf(&x, &mut buf) - expected).abs() < 1e-9);
             let one = vec![x.to_vec()];
-            assert!((gmm.mean_log_likelihood(&one) - expected).abs() < 1e-9);
-            assert!((prepared.mean_log_likelihood(&one, &mut buf) - expected).abs() < 1e-9);
+            assert!((mean_ll(&gmm, &one) - expected).abs() < 1e-9);
+            assert!((prepared.mean_log_likelihood(&one, &mut scratch) - expected).abs() < 1e-9);
         }
     }
 
@@ -1424,8 +1531,8 @@ mod tests {
         let gmm = DiagonalGmm::train(&data, 3, 15, 1e-6, &rng);
         let matrix = magshield_dsp::FrameMatrix::from_rows(&data);
         assert_eq!(
-            gmm.mean_log_likelihood(&data),
-            gmm.mean_log_likelihood(&matrix)
+            gmm.responsibility_matrix(&data),
+            gmm.responsibility_matrix(&matrix)
         );
         assert_eq!(gmm.llr_score(&gmm, &data), gmm.llr_score(&gmm, &matrix));
         let a = gmm.map_adapt_means(&data, 16.0);
@@ -1538,10 +1645,7 @@ mod tests {
             let data = two_cluster_data(&rng, 150);
             let gmm = DiagonalGmm::train(&data, 3, 10, 1e-6, &rng);
             let back = DiagonalGmm::from_bytes(&gmm.to_bytes()).unwrap();
-            assert_eq!(
-                gmm.mean_log_likelihood(&data),
-                back.mean_log_likelihood(&data)
-            );
+            assert_eq!(mean_ll(&gmm, &data), mean_ll(&back, &data));
         }
 
         #[test]

@@ -4,6 +4,7 @@
 //! UBM training pipelines.
 
 use magshield_simkit::rng::SimRng;
+use std::cmp::Ordering;
 
 /// Result of a k-means run.
 #[derive(Debug, Clone)]
@@ -21,6 +22,22 @@ pub struct KMeansResult {
 /// Squared Euclidean distance.
 fn dist2(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum()
+}
+
+/// Index of the centre nearest to `p`, computing each distance once. Ties
+/// go to the lowest index and a NaN distance panics once there are two
+/// centres to compare, as `(0..k).min_by(partial_cmp().unwrap())` does.
+fn nearest_center(p: &[f64], centers: &[Vec<f64>]) -> usize {
+    let mut best = 0;
+    let mut best_d = dist2(p, &centers[0]);
+    for (c, center) in centers.iter().enumerate().skip(1) {
+        let d = dist2(p, center);
+        if best_d.partial_cmp(&d).expect("k-means distance is NaN") == Ordering::Greater {
+            best = c;
+            best_d = d;
+        }
+    }
+    best
 }
 
 /// Runs k-means++ followed by Lloyd iterations.
@@ -73,13 +90,7 @@ pub fn kmeans(data: &[Vec<f64>], k: usize, max_iters: usize, rng: &SimRng) -> KM
         iterations = it + 1;
         let mut changed = false;
         for (i, p) in data.iter().enumerate() {
-            let best = (0..k)
-                .min_by(|&a, &b| {
-                    dist2(p, &centers[a])
-                        .partial_cmp(&dist2(p, &centers[b]))
-                        .unwrap()
-                })
-                .unwrap();
+            let best = nearest_center(p, &centers);
             if assignments[i] != best {
                 assignments[i] = best;
                 changed = true;

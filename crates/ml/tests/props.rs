@@ -12,6 +12,7 @@ use magshield_ml::scaler::StandardScaler;
 use magshield_ml::svm::{LinearSvm, SvmConfig};
 use magshield_simkit::prop::prelude::*;
 use magshield_simkit::rng::SimRng;
+use std::cmp::Ordering;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -256,5 +257,253 @@ proptest! {
         let ni: Vec<f64> = genuine.iter().map(|s| -s).collect();
         let e2 = equal_error_rate(&ng, &ni);
         prop_assert!((e1 - e2).abs() < 0.15, "EER {e1} vs swapped {e2}");
+    }
+}
+
+/// Frame counts around the 8-frame block edge: none, one, a short block,
+/// a full block, a full block plus one, and `8m + 3` (which crosses the
+/// EM chunk size for large `m`).
+fn block_edge_count(pick: usize, m: usize) -> usize {
+    [0, 1, 7, 8, 9, 8 * m + 3][pick]
+}
+
+/// A random valid mixture and `n` random frames in its dimension.
+fn random_mixture_and_frames(seed: u64, k: usize, n: usize) -> (DiagonalGmm, Vec<Vec<f64>>) {
+    let dim = 1 + (seed % 4) as usize;
+    let mut r = SimRng::from_seed(seed);
+    let raw: Vec<f64> = (0..k).map(|_| r.uniform(0.1, 1.0)).collect();
+    let total: f64 = raw.iter().sum();
+    let gmm = DiagonalGmm::from_parameters(
+        raw.iter().map(|w| w / total).collect(),
+        (0..k)
+            .map(|_| (0..dim).map(|_| r.gauss(0.0, 3.0)).collect())
+            .collect(),
+        (0..k)
+            .map(|_| (0..dim).map(|_| r.uniform(1e-3, 4.0)).collect())
+            .collect(),
+    );
+    let frames = (0..n)
+        .map(|_| (0..dim).map(|_| r.gauss(0.0, 4.0)).collect())
+        .collect();
+    (gmm, frames)
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+fn mixture_bits(g: &DiagonalGmm) -> Vec<u64> {
+    let means = g.means().iter().flatten();
+    let vars = g.variances().iter().flatten();
+    g.weights()
+        .iter()
+        .chain(means)
+        .chain(vars)
+        .map(|x| x.to_bits())
+        .collect()
+}
+
+/// MAP adaptation of the means, accumulated one frame at a time from the
+/// per-frame reference responsibilities: the oracle for
+/// `map_adapt_means` and `map_adapt_means_with`.
+fn map_adapt_oracle(ubm: &DiagonalGmm, frames: &[Vec<f64>], relevance: f64) -> DiagonalGmm {
+    let (k, dim) = (ubm.num_components(), ubm.dim());
+    let mut nk = vec![0.0; k];
+    let mut sum = vec![vec![0.0; dim]; k];
+    for x in frames {
+        let r = ubm.responsibilities(x);
+        for c in 0..k {
+            nk[c] += r[c];
+            for d in 0..dim {
+                sum[c][d] += r[c] * x[d];
+            }
+        }
+    }
+    let mut means = ubm.means().to_vec();
+    for c in 0..k {
+        if nk[c] < 1e-10 {
+            continue;
+        }
+        let alpha = nk[c] / (nk[c] + relevance);
+        for d in 0..dim {
+            means[c][d] = alpha * (sum[c][d] / nk[c]) + (1.0 - alpha) * ubm.means()[c][d];
+        }
+    }
+    DiagonalGmm::from_parameters(ubm.weights().to_vec(), means, ubm.variances().to_vec())
+}
+
+/// `iters` EM iterations from `init`, with a per-frame E step: the oracle
+/// for `DiagonalGmm::train`'s frame-major E step. `1e-4` is the variance
+/// floor `train` applies.
+fn em_oracle(init: &DiagonalGmm, data: &[Vec<f64>], iters: usize) -> DiagonalGmm {
+    let (k, dim, n) = (init.num_components(), init.dim(), data.len() as f64);
+    let mut gmm = init.clone();
+    for _ in 0..iters {
+        let mut nk = vec![0.0; k];
+        let mut sum = vec![vec![0.0; dim]; k];
+        let mut sumsq = vec![vec![0.0; dim]; k];
+        for x in data {
+            let r = gmm.responsibilities(x);
+            for c in 0..k {
+                nk[c] += r[c];
+                for d in 0..dim {
+                    sum[c][d] += r[c] * x[d];
+                    sumsq[c][d] += r[c] * x[d] * x[d];
+                }
+            }
+        }
+        let mut weights = gmm.weights().to_vec();
+        let mut means = gmm.means().to_vec();
+        let mut variances = gmm.variances().to_vec();
+        for c in 0..k {
+            if nk[c] < 1e-8 {
+                continue;
+            }
+            weights[c] = nk[c] / n;
+            for d in 0..dim {
+                let m = sum[c][d] / nk[c];
+                means[c][d] = m;
+                variances[c][d] = (sumsq[c][d] / nk[c] - m * m).max(1e-4);
+            }
+        }
+        let wsum: f64 = weights.iter().sum();
+        for w in &mut weights {
+            *w /= wsum;
+        }
+        gmm = DiagonalGmm::from_parameters(weights, means, variances);
+    }
+    gmm
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every row of the frame-major responsibility matrix, and each
+    /// frame's log-likelihood, is bit-identical to the per-frame reference
+    /// in both frame layouts.
+    #[test]
+    fn responsibility_matrix_is_bit_identical_to_per_frame(
+        seed in 0u64..10_000,
+        k in 1usize..6,
+        pick in 0usize..6,
+        m in 1usize..140,
+    ) {
+        let n = block_edge_count(pick, m);
+        let (gmm, frames) = random_mixture_and_frames(seed, k, n);
+        let resp = gmm.responsibility_matrix(&frames);
+        prop_assert_eq!(resp.num_frames(), n);
+        for (i, x) in frames.iter().enumerate() {
+            prop_assert_eq!(bits(resp.row(i)), bits(&gmm.responsibilities(x)), "frame {}", i);
+            prop_assert_eq!(
+                resp.log_likelihoods()[i].to_bits(),
+                gmm.log_pdf(x).to_bits(),
+                "frame {}", i
+            );
+        }
+        prop_assert!(gmm.responsibility_matrix(&FrameMatrix::from_rows(&frames)) == resp);
+    }
+
+    /// MAP adaptation, on one frame set or on several sharing precomputed
+    /// responsibilities, is bit-identical to per-frame accumulation over
+    /// the concatenated frames.
+    #[test]
+    fn map_adaptation_is_bit_identical_to_per_frame(
+        seed in 0u64..10_000,
+        k in 1usize..6,
+        pick in 0usize..6,
+        m in 1usize..140,
+        cut in 0usize..1000,
+        relevance in 4.0f64..32.0,
+    ) {
+        let n = block_edge_count(pick, m);
+        let (ubm, frames) = random_mixture_and_frames(seed, k, n);
+        let oracle = mixture_bits(&map_adapt_oracle(&ubm, &frames, relevance));
+        prop_assert_eq!(&mixture_bits(&ubm.map_adapt_means(&frames, relevance)), &oracle);
+        // Three parts, one possibly empty, as enrollment utterances.
+        let a = cut % (n + 1);
+        let parts = [&frames[..a], &frames[a..a], &frames[a..]];
+        let resp: Vec<_> = parts.iter().map(|p| ubm.responsibility_matrix(*p)).collect();
+        let shared = ubm.map_adapt_means_with(parts.iter().copied().zip(&resp), relevance);
+        prop_assert_eq!(&mixture_bits(&shared), &oracle);
+    }
+
+    /// Two EM iterations of `train` are bit-identical to the same
+    /// iterations with a per-frame E step, from the same k-means start.
+    #[test]
+    fn em_training_is_bit_identical_to_per_frame(
+        seed in 0u64..10_000,
+        k in 1usize..6,
+        pick in 0usize..6,
+        m in 1usize..140,
+    ) {
+        let n = block_edge_count(pick, m).max(k);
+        let (_, data) = random_mixture_and_frames(seed, k, n);
+        let rng = SimRng::from_seed(seed ^ 0xE11);
+        let init = DiagonalGmm::train(&data, k, 0, 0.0, &rng);
+        let trained = DiagonalGmm::train(&data, k, 2, 0.0, &rng);
+        prop_assert_eq!(mixture_bits(&trained), mixture_bits(&em_oracle(&init, &data, 2)));
+    }
+
+    /// The batched mean log-likelihood is bit-identical to averaging the
+    /// per-frame `log_pdf`, and reuses one scratch across frame sets.
+    #[test]
+    fn mean_log_likelihood_is_bit_identical_to_per_frame(
+        seed in 0u64..10_000,
+        k in 1usize..6,
+        pick in 0usize..6,
+        m in 1usize..140,
+    ) {
+        let n = block_edge_count(pick, m);
+        let (gmm, frames) = random_mixture_and_frames(seed, k, n);
+        let prepared = PreparedGmm::new(&gmm);
+        let mut buf = Vec::new();
+        let oracle = if n == 0 {
+            f64::NEG_INFINITY
+        } else {
+            let mut sum = 0.0;
+            for x in &frames {
+                sum += prepared.log_pdf(x, &mut buf);
+            }
+            sum / n as f64
+        };
+        let mut scratch = ScoreScratch::new();
+        for _ in 0..2 {
+            let got = prepared.mean_log_likelihood(&frames, &mut scratch);
+            prop_assert_eq!(got.to_bits(), oracle.to_bits(), "batched {} vs per-frame {}", got, oracle);
+        }
+    }
+
+    /// On data full of duplicated points (so distances tie), k-means
+    /// assigns each point to the first nearest centre, exactly as
+    /// `(0..k).min_by(partial_cmp)` picks it. The final centres are the
+    /// ones the last assignment saw when the run converged, or when every
+    /// centre coincides (one distinct point: empty clusters are reseeded
+    /// onto it on every iteration).
+    #[test]
+    fn kmeans_assignment_keeps_the_first_minimum(
+        seed in 0u64..10_000,
+        k in 1usize..6,
+        n in 8usize..40,
+        grid in 1usize..4,
+    ) {
+        let mut r = SimRng::from_seed(seed);
+        let data: Vec<Vec<f64>> = (0..n)
+            .map(|_| vec![r.index(grid) as f64, r.index(grid) as f64])
+            .collect();
+        let res = kmeans(&data, k, 100, &SimRng::from_seed(seed ^ 0x4B));
+        prop_assume!(res.iterations < 100 || res.centers.windows(2).all(|w| w[0] == w[1]));
+        let dist2 = |a: &[f64], b: &[f64]| -> f64 {
+            a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum()
+        };
+        for (p, &got) in data.iter().zip(&res.assignments) {
+            let want = (0..k)
+                .min_by(|&a, &b| {
+                    dist2(p, &res.centers[a])
+                        .partial_cmp(&dist2(p, &res.centers[b]))
+                        .unwrap_or(Ordering::Equal)
+                })
+                .unwrap();
+            prop_assert_eq!(got, want);
+        }
     }
 }

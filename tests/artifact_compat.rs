@@ -14,9 +14,15 @@
 //!   must re-encode byte-identically, which is the determinism gate for
 //!   the *current* layout.
 //!
-//! Both were produced by the `train_bundle` example:
-//! `cargo run --example train_bundle -- --tiny --seed 424242
-//!  --notes "golden artifact vN" --out results/golden_bundle_vN.bin`.
+//! Both were first written by the `train_bundle` example
+//! (`cargo run --example train_bundle -- --tiny --seed 424242
+//! --notes "golden artifact vN" --out results/golden_bundle_vN.bin`), but
+//! that command no longer reproduces them: the generators and trainer have
+//! moved since, and it now writes a different bundle (603,810 B against
+//! the committed 573,026 B for v2, first differing at byte 6). Treat both
+//! as frozen decode/re-encode fixtures. Regenerating them waits for the
+//! one-command results regeneration (`scripts/regen_results.sh`, ROADMAP
+//! item 1).
 //!
 //! A third golden covers the durable store's on-disk format:
 //!
@@ -27,15 +33,21 @@
 //!    --bundle results/golden_bundle_v2.bin` (then commit `DIR/wal.log`).
 //!   It must keep replaying to the pinned generation and speaker set,
 //!   and re-encoding every record must reproduce the file byte for byte.
+//!
+//! A fourth gate pins what training and enrollment *produce* rather than
+//! what the codec accepts: `pinned_training_and_enrollment_bytes` trains
+//! tiny GMM–UBM and ISV bundles at a fixed seed, enrolls two speakers on
+//! each, and checks the FNV-1a/64 of every bundle and model.
 
 use magshield::core::artifact::ModelBundle;
 use magshield::core::pipeline::DefenseSystem;
 use magshield::core::registry::ModelRegistry;
+use magshield::core::scenario::UserContext;
 use magshield::core::store::admin::{DEMO_SEED, DEMO_SPEAKERS};
 use magshield::core::store::wal::scan_wal;
 use magshield::core::store::{GoldenBase, TailStatus, BASE_FILE, WAL_FILE};
-use magshield::core::trainer::TRAINER_PRODUCER;
-use magshield::ml::codec::BinaryCodec;
+use magshield::core::trainer::{BootstrapConfig, Trainer, TRAINER_PRODUCER};
+use magshield::ml::codec::{fnv1a_64, BinaryCodec};
 
 const GOLDEN_V1: &[u8] = include_bytes!(concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -168,4 +180,80 @@ fn golden_wal_reencodes_byte_identically() {
         reencoded, GOLDEN_WAL,
         "encoder no longer reproduces the committed WAL layout"
     );
+}
+
+/// Newcomer enrollment material shaped like the serving benchmark's:
+/// `speakers` synthetic voices, two takes each of one passphrase.
+fn newcomer_utterances(seed: u64, speakers: usize) -> Vec<Vec<Vec<f64>>> {
+    use magshield::voice::profile::SpeakerProfile;
+    use magshield::voice::synth::{FormantSynthesizer, SessionEffects};
+    let root = magshield::simkit::rng::SimRng::from_seed(seed).fork("pinned-enroll");
+    let synth = FormantSynthesizer::default();
+    (0..speakers)
+        .map(|k| {
+            let profile =
+                SpeakerProfile::sample(5000 + k as u32, &root.fork_indexed("who", k as u64));
+            (0..2u64)
+                .map(|take| {
+                    synth.render_digits(
+                        &profile,
+                        "582931",
+                        SessionEffects::neutral(),
+                        &root.fork_indexed("take", k as u64 * 2 + take),
+                    )
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// FNV-1a/64 of a freshly trained bundle, then of each of two speaker
+/// models enrolled on its engine.
+fn training_fingerprints(cfg: BootstrapConfig, seed: u64) -> Vec<u64> {
+    let rng = magshield::simkit::rng::SimRng::from_seed(seed);
+    let user = UserContext::sample(&rng.fork("user"));
+    let bundle = Trainer::new(cfg).train(&user, &rng.fork("bootstrap"));
+    let mut prints = vec![fnv1a_64(&bundle.to_bytes())];
+    for (k, takes) in newcomer_utterances(seed, 2).iter().enumerate() {
+        let refs: Vec<&[f64]> = takes.iter().map(|u| u.as_slice()).collect();
+        let model = bundle.engine.enroll(60_000 + k as u32, &refs);
+        prints.push(fnv1a_64(&model.to_bytes()));
+    }
+    prints
+}
+
+/// Pins what training and enrollment produce, bit for bit: the UBM's EM
+/// and k-means, the ISV subspace, the Z-norm cohort terms, MAP adaptation
+/// and the leave-one-out genuine reference all feed these bytes. The
+/// constants were captured on the scalar per-frame reference kernels
+/// before the frame-major training and enrollment kernels replaced them;
+/// a kernel change that moves any float lands here.
+#[test]
+fn pinned_training_and_enrollment_bytes() {
+    let isv = BootstrapConfig {
+        use_isv: true,
+        ..BootstrapConfig::tiny()
+    };
+    let cases = [
+        (
+            "tiny",
+            BootstrapConfig::tiny(),
+            [0xd8c8735c1e20ac23, 0xe2fadbb2f3d3d2db, 0xfdce56bc220b1c83],
+        ),
+        (
+            "tiny+isv",
+            isv,
+            [0xf329c7e37cce98d0, 0xb747cf809412c391, 0xc79ea1da4c9a5956],
+        ),
+    ];
+    for (name, cfg, want) in cases {
+        let got = training_fingerprints(cfg, 424_242);
+        let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
+        assert_eq!(
+            got,
+            want,
+            "{name}: trained bundle / enrolled model bytes moved: [{}]",
+            hex.join(", ")
+        );
+    }
 }

@@ -4,7 +4,8 @@
 use magshield::core::pipeline::{BootstrapConfig, DefenseSystem};
 use magshield::core::scenario::{bootstrap_with, ScenarioBuilder, UserContext};
 use magshield::core::server::protocol::{decode_frame, encode_request, Message};
-use magshield::core::server::{VerificationServer, PANIC_FRAME};
+use magshield::core::server::{ClientError, VerificationServer, PANIC_FRAME};
+use magshield::core::store::StoreError;
 use magshield::simkit::rng::SimRng;
 use magshield::simkit::vec3::Vec3;
 use std::sync::OnceLock;
@@ -197,5 +198,43 @@ fn server_survives_hostile_then_valid_traffic() {
         .map(|i| m.counter(&format!("server.worker.{i}.processed")).get())
         .sum();
     assert_eq!(processed, 1);
+    server.shutdown();
+}
+
+#[test]
+fn too_short_enrollment_is_refused_without_a_worker_panic() {
+    let (system, user) = fixture();
+    // Two 100-sample takes: non-empty, so the server's framing guard
+    // admits them, but shorter than one feature frame.
+    let take = genuine_session(13).audio[..100].to_vec();
+    let generation = system.generation();
+    assert!(matches!(
+        system.try_enroll_speaker(4242, &[take.as_slice()]),
+        Err(StoreError::Enroll(_))
+    ));
+
+    let server = VerificationServer::spawn(system.with_fresh_obs(), 2);
+    let client = server.client();
+    match client.enroll(4242, &[take.clone(), take]) {
+        Err(ClientError::Server(message)) => {
+            assert!(message.contains("no frames"), "unexpected error: {message}");
+        }
+        other => panic!("expected an enrollment refusal, got {other:?}"),
+    }
+    let m = server.metrics();
+    assert_eq!(m.counter("server.worker.panics").get(), 0);
+    assert_eq!(m.counter("server.protocol.errors").get(), 1);
+    assert_eq!(
+        system.generation(),
+        generation,
+        "a refused enrollment publishes nothing"
+    );
+    assert!(!system.is_enrolled(4242));
+    // The worker that refused it still serves.
+    let session = ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(14));
+    let verdict = client
+        .verify(&session)
+        .expect("worker alive after the refusal");
+    assert!(verdict.results().count() >= 4, "all components ran");
     server.shutdown();
 }
