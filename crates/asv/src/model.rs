@@ -11,8 +11,10 @@
 //! The scoring hot path is allocation-free: features land in a reusable
 //! [`FrameMatrix`], both mixtures are lazily folded into [`PreparedGmm`]
 //! constants, and the model-independent UBM half of every cohort
-//! utterance's LLR is cached at cohort-attach time, so Z-norm and
-//! leave-one-out enrollment never re-score the cohort against the UBM.
+//! utterance's LLR is cached at cohort-attach time, so Z-norm never
+//! re-scores the cohort against the UBM. Enrollment scores the cohort
+//! once, against the served model; the leave-one-out genuine reference
+//! reuses those statistics.
 
 use crate::frontend::{FeatureExtractor, FrontendScratch};
 use magshield_dsp::frame::{FrameMatrix, FrameSource};
@@ -43,10 +45,14 @@ pub struct SpeakerModel {
     /// Z-norm statistics `(mean, std)` of the model's impostor-cohort raw
     /// scores; `None` when no cohort was available (raw scores returned).
     pub znorm: Option<(f64, f64)>,
-    /// Expected genuine score (normalized units), estimated at enrollment
-    /// by leave-one-out scoring of the enrollment utterances. Per-user
-    /// threshold calibration — standard practice for text-dependent voice
-    /// authentication — anchors the operating point to this value.
+    /// Expected genuine score, estimated at enrollment by leave-one-out
+    /// scoring of the enrollment utterances and Z-normalized with this
+    /// model's own `znorm` (the units of [`SpeakerModel::normalize`]).
+    /// Models stored before the reference took these units (the committed
+    /// golden bundles and golden WAL among them) keep their old value
+    /// until they are re-enrolled. Per-user threshold calibration —
+    /// standard practice for text-dependent voice authentication — anchors
+    /// the operating point to this value.
     pub genuine_ref: Option<f64>,
     prepared: OnceLock<PreparedGmm>,
     quantized: OnceLock<QuantizedGmm>,
@@ -394,20 +400,23 @@ pub(crate) fn enroll_frames(
     let gmm = ubm.map_adapt_means_with(per_utt.iter().zip(&resp), RELEVANCE_FACTOR);
     let mut scratch = ScoreScratch::new();
     let znorm = znorm_stats(&PreparedGmm::new(&gmm), cohort, &mut scratch);
-    let genuine_ref = genuine_reference(ubm, ubm_prepared, per_utt, &resp, cohort, &mut scratch);
+    let genuine_ref = genuine_reference(ubm, ubm_prepared, per_utt, &resp, znorm, &mut scratch);
     Ok(SpeakerModel::new(speaker_id, gmm, znorm, genuine_ref))
 }
 
 /// Leave-one-out genuine-score estimate: each enrollment utterance is
-/// scored (normalized) against a model adapted from the *other*
-/// utterances, reusing their UBM responsibilities `resp`. Needs at least
-/// two non-empty utterances; returns the mean LOO score.
+/// scored against a model adapted from the *other* utterances, reusing
+/// their UBM responsibilities `resp`. Each raw score is Z-normalized with
+/// the served model's `znorm` (kept raw when there is none), so the mean
+/// is in the units [`SpeakerModel::normalize`] gives the verification
+/// score it is compared with. Needs at least two non-empty utterances;
+/// returns the mean LOO score.
 fn genuine_reference(
     ubm: &DiagonalGmm,
     ubm_prepared: &PreparedGmm,
     per_utt: &[FrameMatrix],
     resp: &[Responsibilities],
-    cohort: &[CohortUtterance],
+    znorm: Option<(f64, f64)>,
     scratch: &mut ScoreScratch,
 ) -> Option<f64> {
     let usable: Vec<usize> = (0..per_utt.len())
@@ -425,7 +434,7 @@ fn genuine_reference(
         let sub = PreparedGmm::new(&ubm.map_adapt_means_with(rest, RELEVANCE_FACTOR));
         let raw = sub.mean_log_likelihood(&per_utt[i], scratch)
             - ubm_prepared.mean_log_likelihood(&per_utt[i], scratch);
-        let z = match znorm_stats(&sub, cohort, scratch) {
+        let z = match znorm {
             Some((mu, sigma)) => (raw - mu) / sigma,
             None => raw,
         };
@@ -708,6 +717,44 @@ mod tests {
         let enroll: Vec<&[f64]> = utts[..2].iter().map(|u| u.audio.as_slice()).collect();
         let model = bare.enroll(sp.id, &enroll);
         assert!(model.znorm.is_none());
+    }
+
+    #[test]
+    fn genuine_ref_is_in_the_served_models_znorm_units() {
+        // `calibrated_threshold` is compared with `normalize(raw)`, so the
+        // leave-one-out reference must be normalized with the served
+        // model's cohort statistics, not those of each leave-one-out model.
+        let (backend, corpus) = small_setup();
+        let sp = &corpus.speakers[0];
+        let utts = corpus.of_speaker(sp.id);
+        let enroll: Vec<&[f64]> = utts[..3].iter().map(|u| u.audio.as_slice()).collect();
+        let model = backend.enroll(sp.id, &enroll);
+        assert!(model.znorm.is_some(), "cohort attached → znorm computed");
+        let frames: Vec<FrameMatrix> = enroll
+            .iter()
+            .map(|a| backend.extractor.extract(a))
+            .collect();
+        let mut scratch = ScoreScratch::new();
+        let mut sum = 0.0;
+        for (i, held_out) in frames.iter().enumerate() {
+            let mut rest = FrameMatrix::new(held_out.cols());
+            for (_, f) in frames.iter().enumerate().filter(|&(j, _)| j != i) {
+                rest.extend_rows(f);
+            }
+            let sub = PreparedGmm::new(&backend.ubm.map_adapt_means(&rest, RELEVANCE_FACTOR));
+            let raw = sub.mean_log_likelihood(held_out, &mut scratch)
+                - backend
+                    .prepared_ubm()
+                    .mean_log_likelihood(held_out, &mut scratch);
+            sum += model.normalize(raw);
+        }
+        let want = sum / frames.len() as f64;
+        assert_eq!(
+            model.genuine_ref.map(f64::to_bits),
+            Some(want.to_bits()),
+            "genuine_ref {:?} vs served-unit mean {want}",
+            model.genuine_ref
+        );
     }
 
     #[test]

@@ -21,7 +21,10 @@ pub struct Circle {
 /// Fits a circle to 2-D points by the Kåsa linear least-squares method.
 ///
 /// Solves `x² + y² = 2cx·x + 2cy·y + (r² − cx² − cy²)` in the least-squares
-/// sense via the 3×3 normal equations.
+/// sense via the 3×3 normal equations, on points taken relative to their
+/// centroid. Centring keeps the sums on the scale of the radius: far from
+/// the origin the raw power sums would dwarf it and cancel
+/// catastrophically, so the radius would depend on where the arc lies.
 ///
 /// Returns `None` for degenerate input: fewer than 3 points or (near-)
 /// collinear points.
@@ -30,9 +33,12 @@ pub fn fit_circle(points: &[(f64, f64)]) -> Option<Circle> {
         return None;
     }
     let n = points.len() as f64;
+    let mx = points.iter().map(|p| p.0).sum::<f64>() / n;
+    let my = points.iter().map(|p| p.1).sum::<f64>() / n;
+    let centred = || points.iter().map(|&(x, y)| (x - mx, y - my));
     let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0, 0.0, 0.0);
     let (mut sxz, mut syz, mut sz) = (0.0, 0.0, 0.0);
-    for &(x, y) in points {
+    for (x, y) in centred() {
         let z = x * x + y * y;
         sx += x;
         sy += y;
@@ -47,25 +53,24 @@ pub fn fit_circle(points: &[(f64, f64)]) -> Option<Circle> {
     let m = [[sxx, sxy, sx], [sxy, syy, sy], [sx, sy, n]];
     let rhs = [sxz, syz, sz];
     let sol = solve3(m, rhs)?;
-    let cx = sol[0] / 2.0;
-    let cy = sol[1] / 2.0;
-    let r2 = sol[2] + cx * cx + cy * cy;
+    // Centre relative to the centroid.
+    let (ux, uy) = (sol[0] / 2.0, sol[1] / 2.0);
+    let r2 = sol[2] + ux * ux + uy * uy;
     if !r2.is_finite() || r2 <= 0.0 {
         return None;
     }
     let radius = r2.sqrt();
-    let rms = (points
-        .iter()
-        .map(|&(x, y)| {
-            let d = ((x - cx).powi(2) + (y - cy).powi(2)).sqrt();
+    let rms = (centred()
+        .map(|(x, y)| {
+            let d = ((x - ux).powi(2) + (y - uy).powi(2)).sqrt();
             (d - radius).powi(2)
         })
         .sum::<f64>()
         / n)
         .sqrt();
     Some(Circle {
-        cx,
-        cy,
+        cx: ux + mx,
+        cy: uy + my,
         radius,
         rms_residual: rms,
     })
