@@ -163,7 +163,7 @@ thread_local! {
 }
 
 /// Runs `f` with this thread's shared [`SessionScratch`]. The batch
-/// engine's workers are OS threads, so stage-major batches naturally share
+/// engine's workers are OS threads, so the sessions a worker runs share
 /// one scratch per worker. `f` must not call back into this function.
 pub fn with_session_scratch<R>(f: impl FnOnce(&mut SessionScratch) -> R) -> R {
     SESSION_SCRATCH.with(|s| f(&mut s.borrow_mut()))

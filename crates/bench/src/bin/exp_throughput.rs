@@ -235,7 +235,6 @@ fn measure_once(
         BatchConfig {
             workers,
             queue_capacity: 256,
-            max_batch: 8,
             policy: ExecutionPolicy::ShortCircuit,
             admission: AdmissionPolicy::Backpressure,
             batch_deadline: None,

@@ -1,32 +1,34 @@
-//! Batched, backpressured verification throughput engine.
+//! Backpressured verification engine: the crate's one worker pool.
 //!
 //! The ROADMAP north star is a service absorbing heavy traffic, and the
 //! paper's defense runs per-authentication (§VII reports per-stage
 //! runtimes) — so throughput and tail latency under load are first-class
-//! correctness properties. This module layers a batch execution engine on
-//! the PR-2 cascade:
+//! correctness properties. [`BatchEngine`] is the only pool that runs
+//! verification work: in-process callers submit sessions to it, and the
+//! [`VerificationServer`](crate::server::VerificationServer) submits its
+//! wire frames to it. Each queued item is one job — verify one session,
+//! or serve one frame (decode, handle, encode the reply) — and a worker
+//! runs one item at a time, in arrival order.
 //!
-//! - **Stage-major execution** ([`Cascade::run_batch`]): a worker pulls a
-//!   micro-batch off the queue and runs the *cheapest* cascade stages
-//!   across the whole batch before the expensive ASV stage, so under
-//!   [`ExecutionPolicy::ShortCircuit`] the loudspeaker/distance
-//!   rejections prune the ASV workload. Decisions are bit-identical to
-//!   sequential per-session runs (same per-stage code path; asserted by
-//!   property tests below).
 //! - **Admission control** ([`AdmissionGate`]): a bounded queue depth
 //!   with a per-engine [`AdmissionPolicy`] — [`Backpressure`] blocks the
 //!   submitter until there is room, [`Shed`] refuses immediately with
 //!   [`ShedReason::QueueFull`]. Accounting is RAII ([`QueueSlot`] /
 //!   [`InflightSlot`]), so the depth gauge cannot leak on any exit path,
 //!   including unwinding.
-//! - **Deadlines**: an optional per-batch deadline; sessions whose
+//! - **Deadlines**: an optional per-item deadline; sessions whose
 //!   processing has not *started* by the deadline are shed with
 //!   [`ShedReason::DeadlineExceeded`] instead of burning compute on an
 //!   answer nobody is waiting for.
+//! - **Panic containment**: every item runs under its own
+//!   `catch_unwind`. A panic is counted in `server.worker.panics` and the
+//!   worker takes the next item. A panicking session's [`Ticket`]
+//!   resolves to [`ShedReason::ShuttingDown`]; the server answers a
+//!   panicking frame with an error frame.
 //! - **Graceful shutdown**: [`BatchEngine::shutdown`] stops admission
 //!   (late submitters see [`ShedReason::ShuttingDown`]) and then drains —
-//!   every session that was accepted still gets exactly one verdict.
-//!   Nothing is ever silently dropped: every [`Ticket`] resolves.
+//!   every item that was accepted is still run and answered. Nothing is
+//!   ever silently dropped: every [`Ticket`] resolves.
 //! - **Streaming admission** ([`BatchEngine::open_stream`]): chunk-fed
 //!   verification ([`crate::stream`]) runs through the *same* admission
 //!   gate as batch submissions — every chunk claims a queue slot, honors
@@ -35,15 +37,17 @@
 //!   coherent backpressure story.
 //!
 //! Observability (shared registry with the
-//! [`DefenseSystem`], see DESIGN.md §9):
-//! `batch.size.sessions` and `batch.queue.wait.seconds` histograms,
-//! `batch.queue.depth` / `batch.inflight` gauges, `batch.verdicts` and
-//! `batch.shed` (+ per-reason) counters, `batch.compute.seconds` per
-//! micro-batch.
+//! [`DefenseSystem`], see DESIGN.md §9): under the engine's metric prefix
+//! `<p>` (`batch` for [`BatchEngine::spawn`], `server` for the server's
+//! pool), the `<p>.queue.wait.seconds` (enqueue → pickup) and
+//! `<p>.compute.seconds` (one sample per verification) histograms and the
+//! `<p>.queue.depth` / `<p>.inflight` gauges. Whatever the prefix, the
+//! `batch.verdicts` and `batch.shed` (+ per-reason) counters, which feed
+//! the SLO engine's shed guard, and `server.worker.panics`, which feeds
+//! its panic guard.
 //!
 //! [`Backpressure`]: AdmissionPolicy::Backpressure
 //! [`Shed`]: AdmissionPolicy::Shed
-//! [`Cascade::run_batch`]: crate::cascade::Cascade::run_batch
 
 use crate::cascade::ExecutionPolicy;
 use crate::pipeline::DefenseSystem;
@@ -57,6 +61,7 @@ use magshield_obs::labels::Labels;
 use magshield_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use magshield_obs::sync::{lock, wait};
 use magshield_obs::trace::PipelineTrace;
+use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -135,14 +140,12 @@ impl BatchOutcome {
 pub struct BatchConfig {
     /// Worker threads sharing the trained system.
     pub workers: usize,
-    /// Bound on sessions queued (admitted but not yet picked up by a
+    /// Bound on items queued (admitted but not yet picked up by a
     /// worker). The admission policy decides what happens at the bound.
     pub queue_capacity: usize,
-    /// Most sessions a worker folds into one stage-major micro-batch.
-    pub max_batch: usize,
-    /// Cascade execution policy. [`ExecutionPolicy::ShortCircuit`] is the
-    /// point of stage-major batching (early stages prune the ASV stage),
-    /// but [`ExecutionPolicy::FullEvaluation`] is supported for workloads
+    /// Cascade execution policy. [`ExecutionPolicy::ShortCircuit`] lets
+    /// early stages spare the ASV stage sessions they already rejected;
+    /// [`ExecutionPolicy::FullEvaluation`] is supported for workloads
     /// that need re-thresholdable scores.
     pub policy: ExecutionPolicy,
     /// What happens to submitters when the queue is full.
@@ -159,7 +162,6 @@ impl Default for BatchConfig {
         Self {
             workers: 4,
             queue_capacity: 256,
-            max_batch: 16,
             policy: ExecutionPolicy::ShortCircuit,
             admission: AdmissionPolicy::Backpressure,
             batch_deadline: None,
@@ -190,10 +192,10 @@ struct GateInner {
 /// capacity; at capacity it blocks ([`AdmissionPolicy::Backpressure`]) or
 /// refuses ([`AdmissionPolicy::Shed`]). Slots decrement their counts on
 /// drop — on *any* exit path, including a panicking worker unwinding with
-/// the slot in hand — so the depth gauge can never leak. Both the
-/// [`BatchEngine`] and the
-/// [`VerificationServer`](crate::server::VerificationServer) queue sit
-/// behind one of these.
+/// the slot in hand — so the depth gauge can never leak. Every item of a
+/// [`BatchEngine`]'s queue, the
+/// [`VerificationServer`](crate::server::VerificationServer)'s frames
+/// included, holds one of its slots.
 pub struct AdmissionGate {
     inner: Arc<GateInner>,
 }
@@ -331,18 +333,21 @@ impl Drop for InflightSlot {
 
 // ---------- engine ----------
 
+/// One queued unit of work: verifying one session, or serving one wire
+/// frame. It runs on a pool thread, which hands it the item's [`Worker`]
+/// context.
+pub(crate) type Job = Box<dyn FnOnce(&Worker<'_>) + Send>;
+
 struct WorkItem {
-    session: Arc<SessionData>,
-    reply: mpsc::Sender<BatchOutcome>,
+    slot: QueueSlot,
     enqueued: Instant,
     deadline: Option<Instant>,
-    slot: Option<QueueSlot>,
+    job: Job,
 }
 
 struct EngineObs {
     registry: Registry,
     queue_wait: Histogram,
-    batch_size: Histogram,
     compute: Histogram,
     verdicts: Counter,
     shed: Counter,
@@ -352,18 +357,18 @@ struct EngineObs {
     /// path (already under pressure by definition) never re-interns:
     /// `batch.shed{policy,shed_reason}`.
     shed_labeled: [Counter; 3],
+    panics: Counter,
 }
 
 impl EngineObs {
-    fn new(registry: Registry, policy: ExecutionPolicy) -> Self {
+    fn new(registry: Registry, policy: ExecutionPolicy, prefix: &str) -> Self {
         let base = Labels::new().policy(policy.name());
         let shed_for = |reason: ShedReason| {
             registry.counter_with("batch.shed", &base.clone().shed_reason(reason.name()))
         };
         Self {
-            queue_wait: registry.histogram("batch.queue.wait.seconds"),
-            batch_size: registry.histogram("batch.size.sessions"),
-            compute: registry.histogram("batch.compute.seconds"),
+            queue_wait: registry.histogram(&format!("{prefix}.queue.wait.seconds")),
+            compute: registry.histogram(&format!("{prefix}.compute.seconds")),
             verdicts: registry.counter("batch.verdicts"),
             shed: registry.counter("batch.shed"),
             verdicts_labeled: registry.counter_with("batch.verdicts", &base),
@@ -372,8 +377,14 @@ impl EngineObs {
                 shed_for(ShedReason::DeadlineExceeded),
                 shed_for(ShedReason::ShuttingDown),
             ],
+            panics: registry.counter("server.worker.panics"),
             registry,
         }
+    }
+
+    fn record_verdict(&self) {
+        self.verdicts.inc();
+        self.verdicts_labeled.inc();
     }
 
     fn record_shed(&self, reason: ShedReason) {
@@ -390,12 +401,111 @@ impl EngineObs {
     }
 }
 
+/// The submitting half of an engine: admission, the queue and the
+/// engine's metrics. Shared by the [`BatchEngine`], its workers and the
+/// server's clients; it outlives the workers, so a submit after shutdown
+/// is refused rather than lost.
+pub(crate) struct Intake {
+    queue: WorkQueue<WorkItem>,
+    gate: AdmissionGate,
+    obs: EngineObs,
+    batch_deadline: Option<Duration>,
+}
+
+impl Intake {
+    /// Admits `job` with the configured deadline, starting now.
+    pub(crate) fn submit(&self, job: Job) -> Result<(), ShedReason> {
+        self.push(job, self.batch_deadline.map(|d| Instant::now() + d))
+    }
+
+    fn push(&self, job: Job, deadline: Option<Instant>) -> Result<(), ShedReason> {
+        let slot = self
+            .gate
+            .admit()
+            .inspect_err(|&r| self.obs.record_shed(r))?;
+        let item = WorkItem {
+            slot,
+            enqueued: Instant::now(),
+            deadline,
+            job,
+        };
+        self.queue.push(item).map_err(|_| {
+            // Shutdown raced the admit; the item (and its slot) just
+            // dropped, keeping the books straight.
+            self.obs.record_shed(ShedReason::ShuttingDown);
+            ShedReason::ShuttingDown
+        })
+    }
+
+    /// Admits one session; its ticket resolves when a worker has run it.
+    fn push_session(
+        &self,
+        session: Arc<SessionData>,
+        deadline: Option<Instant>,
+    ) -> Result<Ticket, ShedReason> {
+        let (reply, rx) = mpsc::channel();
+        let job: Job = Box::new(move |w| {
+            // The submitter may have given up; ignore send errors.
+            let _ = reply.send(w.verify_in_time(&session));
+        });
+        self.push(job, deadline)?;
+        Ok(Ticket { rx })
+    }
+}
+
+/// What a [`Job`] sees of the pool thread running it.
+pub(crate) struct Worker<'a> {
+    /// The worker's index, `0..workers`.
+    pub(crate) id: usize,
+    /// The trained system the pool shares.
+    pub(crate) system: &'a DefenseSystem,
+    policy: ExecutionPolicy,
+    deadline: Option<Instant>,
+    obs: &'a EngineObs,
+}
+
+impl Worker<'_> {
+    /// Verifies one session under the engine's policy: one compute
+    /// sample, one verdict counted.
+    pub(crate) fn verify(&self, session: &SessionData) -> DefenseVerdict {
+        let t0 = Instant::now();
+        let verdict = self.system.verify_with_policy(session, self.policy);
+        self.record_verdict(t0.elapsed());
+        verdict
+    }
+
+    /// [`Worker::verify`], unless the item's deadline passed before this
+    /// session started: then it is shed with
+    /// [`ShedReason::DeadlineExceeded`] and nothing is computed.
+    pub(crate) fn verify_in_time(&self, session: &SessionData) -> BatchOutcome {
+        if self.deadline.is_some_and(|d| Instant::now() > d) {
+            self.obs.record_shed(ShedReason::DeadlineExceeded);
+            return BatchOutcome::Shed(ShedReason::DeadlineExceeded);
+        }
+        BatchOutcome::Verdict(self.verify(session))
+    }
+
+    /// Records a verdict reached outside [`Worker::verify`] (a stream's
+    /// terminal chunk) and the compute it took.
+    pub(crate) fn record_verdict(&self, compute: Duration) {
+        self.obs.compute.record(compute);
+        self.obs.record_verdict();
+    }
+
+    /// Records compute that reached no verdict yet (a stream chunk that
+    /// left the stream open).
+    pub(crate) fn record_compute(&self, compute: Duration) {
+        self.obs.compute.record(compute);
+    }
+}
+
 /// A handle resolving to the [`BatchOutcome`] of one submitted session.
 ///
 /// Every ticket resolves exactly once: with the verdict, with the shed
 /// record, or — if the engine is torn down non-gracefully with the
-/// session still queued — with [`ShedReason::ShuttingDown`]. It cannot
-/// hang and it cannot be silently dropped.
+/// session still queued, or the session's job panicked — with
+/// [`ShedReason::ShuttingDown`]. It cannot hang and it cannot be silently
+/// dropped.
 pub struct Ticket {
     rx: mpsc::Receiver<BatchOutcome>,
 }
@@ -476,8 +586,7 @@ impl EngineStream {
             .histogram("batch.stream.compute.seconds")
             .record(t0.elapsed());
         if !matches!(event, StreamEvent::Progress(_)) {
-            self.obs.verdicts.inc();
-            self.obs.verdicts_labeled.inc();
+            self.obs.record_verdict();
         }
         Ok(event)
     }
@@ -501,8 +610,7 @@ impl EngineStream {
             .registry
             .histogram("batch.stream.compute.seconds")
             .record(t0.elapsed());
-        self.obs.verdicts.inc();
-        self.obs.verdicts_labeled.inc();
+        self.obs.record_verdict();
         Ok(out)
     }
 
@@ -513,8 +621,8 @@ impl EngineStream {
     }
 }
 
-/// The batch verification engine: a worker pool pulling stage-major
-/// micro-batches off a bounded, admission-controlled queue.
+/// The verification engine: a worker pool pulling items one at a time
+/// off a bounded, admission-controlled queue.
 ///
 /// ```no_run
 /// use magshield_core::batch::{BatchConfig, BatchEngine};
@@ -533,13 +641,11 @@ impl EngineStream {
 /// engine.shutdown();
 /// ```
 pub struct BatchEngine {
-    /// Shared with the workers. A paused engine (tests) holds its queued
-    /// items here until it is dropped, which resolves their tickets.
-    queue: Arc<WorkQueue<WorkItem>>,
+    /// Shared with the workers and the server's clients. A paused engine
+    /// (tests) holds its queued items here until it is dropped, which
+    /// resolves their tickets.
+    intake: Arc<Intake>,
     workers: Vec<JoinHandle<()>>,
-    gate: AdmissionGate,
-    obs: EngineObs,
-    batch_deadline: Option<Duration>,
     /// Shared with the workers; streaming chunks run against the same
     /// trained system on the submitting thread.
     system: Arc<DefenseSystem>,
@@ -554,11 +660,16 @@ impl BatchEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.workers`, `cfg.queue_capacity` or `cfg.max_batch`
-    /// is zero.
+    /// Panics if `cfg.workers` or `cfg.queue_capacity` is zero.
     pub fn spawn(system: DefenseSystem, cfg: BatchConfig) -> Self {
+        Self::spawn_as(system, cfg, "batch")
+    }
+
+    /// [`BatchEngine::spawn`] with its queue and compute metrics named
+    /// `<metric_prefix>.*` (the server's pool reports as `server`).
+    pub(crate) fn spawn_as(system: DefenseSystem, cfg: BatchConfig, metric_prefix: &str) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
-        Self::spawn_inner(system, cfg, cfg.workers)
+        Self::spawn_inner(system, cfg, cfg.workers, metric_prefix)
     }
 
     /// An engine with a live queue but **no workers**: submissions are
@@ -566,43 +677,46 @@ impl BatchEngine {
     /// queue-full and shutdown tests.
     #[doc(hidden)]
     pub fn spawn_paused(system: DefenseSystem, cfg: BatchConfig) -> Self {
-        Self::spawn_inner(system, cfg, 0)
+        Self::spawn_inner(system, cfg, 0, "batch")
     }
 
-    fn spawn_inner(system: DefenseSystem, cfg: BatchConfig, workers: usize) -> Self {
+    fn spawn_inner(
+        system: DefenseSystem,
+        cfg: BatchConfig,
+        workers: usize,
+        metric_prefix: &str,
+    ) -> Self {
         assert!(cfg.queue_capacity > 0, "need queue capacity > 0");
-        assert!(cfg.max_batch > 0, "need max_batch > 0");
         let registry = system.metrics().clone();
-        let gate = AdmissionGate::new(
-            cfg.queue_capacity,
-            cfg.admission,
-            registry.gauge("batch.queue.depth"),
-            registry.gauge("batch.inflight"),
-        );
-        let obs = EngineObs::new(registry, cfg.policy);
+        let intake = Arc::new(Intake {
+            queue: WorkQueue::new(),
+            gate: AdmissionGate::new(
+                cfg.queue_capacity,
+                cfg.admission,
+                registry.gauge(&format!("{metric_prefix}.queue.depth")),
+                registry.gauge(&format!("{metric_prefix}.inflight")),
+            ),
+            obs: EngineObs::new(registry, cfg.policy, metric_prefix),
+            batch_deadline: cfg.batch_deadline,
+        });
         let system = Arc::new(system);
-        let queue = Arc::new(WorkQueue::new());
         let handles = (0..workers)
-            .map(|_| {
-                let queue = Arc::clone(&queue);
+            .map(|id| {
+                let intake = Arc::clone(&intake);
                 let system = Arc::clone(&system);
-                let obs = EngineObs::new(system.metrics().clone(), cfg.policy);
-                let policy = cfg.policy;
-                let max_batch = cfg.max_batch;
-                let workers = cfg.workers;
-                std::thread::spawn(move || {
-                    worker_loop(&queue, &system, &obs, policy, max_batch, workers)
-                })
+                std::thread::spawn(move || worker_loop(id, &intake, &system, cfg.policy))
             })
             .collect();
         Self {
-            queue,
+            intake,
             workers: handles,
-            gate,
-            obs,
-            batch_deadline: cfg.batch_deadline,
             system,
         }
+    }
+
+    /// The submitting half, for the server's clients.
+    pub(crate) fn intake(&self) -> &Arc<Intake> {
+        &self.intake
     }
 
     /// Submits one session for verification, applying admission control.
@@ -615,36 +729,8 @@ impl BatchEngine {
     /// pointer clone instead of deep-copying megabytes of audio and IMU
     /// samples per submission.
     pub fn submit(&self, session: impl Into<Arc<SessionData>>) -> Result<Ticket, ShedReason> {
-        let deadline = self.batch_deadline.map(|d| Instant::now() + d);
-        self.submit_with_deadline(session.into(), deadline)
-    }
-
-    fn submit_with_deadline(
-        &self,
-        session: Arc<SessionData>,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, ShedReason> {
-        let slot = self
-            .gate
-            .admit()
-            .inspect_err(|&r| self.obs.record_shed(r))?;
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let item = WorkItem {
-            session,
-            reply: reply_tx,
-            enqueued: Instant::now(),
-            deadline,
-            slot: Some(slot),
-        };
-        match self.queue.push(item) {
-            Ok(()) => Ok(Ticket { rx: reply_rx }),
-            Err(_) => {
-                // Shutdown raced the admit; the item (and its slot) just
-                // dropped, keeping the books straight.
-                self.obs.record_shed(ShedReason::ShuttingDown);
-                Err(ShedReason::ShuttingDown)
-            }
-        }
+        let deadline = self.intake.batch_deadline.map(|d| Instant::now() + d);
+        self.intake.push_session(session.into(), deadline)
     }
 
     /// Verifies a whole batch, preserving input order. Sessions refused
@@ -653,10 +739,10 @@ impl BatchEngine {
     /// [`BatchConfig::batch_deadline`] is set, the deadline is anchored
     /// at the start of the call — one budget for the whole batch.
     pub fn verify_batch(&self, sessions: Vec<SessionData>) -> Vec<BatchOutcome> {
-        let deadline = self.batch_deadline.map(|d| Instant::now() + d);
+        let deadline = self.intake.batch_deadline.map(|d| Instant::now() + d);
         let tickets: Vec<Result<Ticket, ShedReason>> = sessions
             .into_iter()
-            .map(|s| self.submit_with_deadline(Arc::new(s), deadline))
+            .map(|s| self.intake.push_session(Arc::new(s), deadline))
             .collect();
         tickets
             .into_iter()
@@ -684,36 +770,36 @@ impl BatchEngine {
         info: &StreamOpenInfo,
         stream: StreamConfig,
     ) -> Result<EngineStream, ShedReason> {
-        if self.gate.is_closed() {
-            self.obs.record_shed(ShedReason::ShuttingDown);
+        if self.intake.gate.is_closed() {
+            self.intake.obs.record_shed(ShedReason::ShuttingDown);
             return Err(ShedReason::ShuttingDown);
         }
         let inner = self.system.open_stream(info, stream);
         Ok(EngineStream {
             inner,
             system: Arc::clone(&self.system),
-            gate: self.gate.clone(),
-            obs: EngineObs::new(self.system.metrics().clone(), stream.policy),
-            chunk_deadline: self.batch_deadline,
+            gate: self.intake.gate.clone(),
+            obs: EngineObs::new(self.system.metrics().clone(), stream.policy, "batch"),
+            chunk_deadline: self.intake.batch_deadline,
         })
     }
 
-    /// Blocks until every admitted session has its outcome delivered.
+    /// Blocks until every admitted item has run and answered.
     pub fn drain(&self) {
-        self.gate.wait_idle();
+        self.intake.gate.wait_idle();
     }
 
     /// Stops admission without waiting: subsequent submits shed with
     /// [`ShedReason::ShuttingDown`]; already-admitted work keeps flowing
     /// to the workers. Idempotent.
     pub fn initiate_shutdown(&self) {
-        self.gate.close();
-        self.queue.close(false);
+        self.intake.gate.close();
+        self.intake.queue.close();
     }
 
-    /// Graceful shutdown: closes admission, drains every admitted
-    /// session through the cascade, and joins the workers. Every
-    /// accepted session gets exactly one verdict.
+    /// Graceful shutdown: closes admission, runs every admitted item,
+    /// and joins the workers. Every accepted session gets exactly one
+    /// verdict, every accepted frame one reply.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -721,12 +807,12 @@ impl BatchEngine {
     /// The engine's admission gate (shared-state view for tests and
     /// monitoring).
     pub fn gate(&self) -> &AdmissionGate {
-        &self.gate
+        &self.intake.gate
     }
 
     /// The metrics registry (shared with the system's pipeline metrics).
     pub fn metrics(&self) -> &Registry {
-        &self.obs.registry
+        &self.intake.obs.registry
     }
 
     fn stop_and_join(&mut self) {
@@ -743,78 +829,25 @@ impl Drop for BatchEngine {
     }
 }
 
-/// Worker body: pull a micro-batch, shed the expired, run the rest
-/// stage-major, reply to every item.
-fn worker_loop(
-    queue: &WorkQueue<WorkItem>,
-    system: &DefenseSystem,
-    obs: &EngineObs,
-    policy: ExecutionPolicy,
-    max_batch: usize,
-    workers: usize,
-) {
-    let queue_depth = obs.registry.gauge("batch.queue.depth");
-    loop {
-        // Blocking for the first item; `None` means "closed and empty",
-        // i.e. the drain is complete.
-        let Some(first) = queue.pop() else {
-            break;
+/// Worker body: run items in arrival order until the queue is closed
+/// and empty.
+fn worker_loop(id: usize, intake: &Intake, system: &DefenseSystem, policy: ExecutionPolicy) {
+    while let Some(item) = intake.queue.pop() {
+        // The queue slot converts to an in-flight claim before the job
+        // runs, so admission capacity frees up while `wait_idle` still
+        // sees the work.
+        let _inflight = item.slot.start();
+        intake.obs.queue_wait.record(item.enqueued.elapsed());
+        let worker = Worker {
+            id,
+            system,
+            policy,
+            deadline: item.deadline,
+            obs: &intake.obs,
         };
-        // Grab at most a fair share of the visible backlog on top of the
-        // blocking item. A greedy drain up to `max_batch` would let one
-        // worker swallow everything a light load has queued and process
-        // it serially while its peers sit idle; dividing by the worker
-        // count keeps micro-batching for deep queues (where amortization
-        // pays) without starving parallelism for shallow ones. The depth
-        // gauge still counts `first` (its slot converts below), hence the
-        // `- 1`; the reading is racy, which a scheduling hint tolerates.
-        let backlog = (queue_depth.get() - 1).max(0) as usize;
-        let fair_extra = (backlog / workers.max(1)).min(max_batch - 1);
-        let mut batch = vec![first];
-        while batch.len() <= fair_extra {
-            match queue.try_pop() {
-                Some(item) => batch.push(item),
-                None => break,
-            }
-        }
-        obs.batch_size.record_secs(batch.len() as f64);
-        // Queue slots convert to in-flight claims before processing so
-        // admission capacity frees up while `wait_idle` still sees the
-        // work.
-        let _inflight: Vec<InflightSlot> = batch
-            .iter_mut()
-            .filter_map(|item| item.slot.take())
-            .map(QueueSlot::start)
-            .collect();
-        for item in &batch {
-            obs.queue_wait.record(item.enqueued.elapsed());
-        }
-        let now = Instant::now();
-        let (live, expired): (Vec<WorkItem>, Vec<WorkItem>) = batch
-            .into_iter()
-            .partition(|item| item.deadline.is_none_or(|d| now <= d));
-        for item in expired {
-            obs.record_shed(ShedReason::DeadlineExceeded);
-            let _ = item
-                .reply
-                .send(BatchOutcome::Shed(ShedReason::DeadlineExceeded));
-        }
-        if live.is_empty() {
-            continue;
-        }
-        let sessions: Vec<&SessionData> = live.iter().map(|item| &*item.session).collect();
-        let t0 = Instant::now();
-        let results =
-            system
-                .cascade()
-                .with_policy(policy)
-                .run_batch(&sessions, &system.config, system.obs());
-        obs.compute.record(t0.elapsed());
-        obs.verdicts.add(live.len() as u64);
-        obs.verdicts_labeled.add(live.len() as u64);
-        for (item, (verdict, _trace)) in live.into_iter().zip(results) {
-            // The submitter may have given up; ignore send errors.
-            let _ = item.reply.send(BatchOutcome::Verdict(verdict));
+        let job = item.job;
+        if std::panic::catch_unwind(AssertUnwindSafe(|| job(&worker))).is_err() {
+            intake.obs.panics.inc();
         }
     }
 }
@@ -847,7 +880,6 @@ mod tests {
         BatchConfig {
             workers: 2,
             queue_capacity: 64,
-            max_batch: 8,
             ..BatchConfig::default()
         }
     }
@@ -867,7 +899,7 @@ mod tests {
         let m = engine.metrics().snapshot();
         assert_eq!(m.counters["batch.verdicts"], 6);
         assert_eq!(m.histograms["batch.queue.wait.seconds"].count, 6);
-        assert!(m.histograms["batch.size.sessions"].count >= 1);
+        assert_eq!(m.histograms["batch.compute.seconds"].count, 6);
         assert_eq!(m.gauges["batch.queue.depth"], 0, "queue drained");
         assert_eq!(m.gauges["batch.inflight"], 0, "nothing left in flight");
         assert!(!m.counters.contains_key("batch.shed.queue_full"));
@@ -948,7 +980,6 @@ mod tests {
             BatchConfig {
                 workers: 1,
                 queue_capacity: 1,
-                max_batch: 2,
                 admission: AdmissionPolicy::Backpressure,
                 ..BatchConfig::default()
             },

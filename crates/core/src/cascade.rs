@@ -468,34 +468,6 @@ impl<'a> Cascade<'a> {
         state.finish(obs)
     }
 
-    /// Runs the cascade over a whole batch of sessions **stage-major**:
-    /// the cheapest stage evaluates every session before the next stage
-    /// starts, so under [`ExecutionPolicy::ShortCircuit`] the early
-    /// magnetometer/trajectory rejections prune the batch before the
-    /// expensive ASV stage touches it.
-    ///
-    /// Stages are pure functions of `(session, config)` and the per-stage
-    /// step is the same code path as [`Cascade::run`], so the verdicts —
-    /// decisions, scores, skip records — are bit-identical to running
-    /// each session through [`Cascade::run`] sequentially, under either
-    /// execution policy. Results are returned in input order.
-    pub fn run_batch(
-        &self,
-        sessions: &[&SessionData],
-        config: &DefenseConfig,
-        obs: &PipelineObs,
-    ) -> Vec<(DefenseVerdict, PipelineTrace)> {
-        let mut states: Vec<SessionRun> = sessions.iter().map(|s| self.begin(s, obs)).collect();
-        for stage in &self.stages {
-            for (state, session) in states.iter_mut().zip(sessions) {
-                if !state.invalid {
-                    self.step(stage.as_ref(), session, config, obs, state);
-                }
-            }
-        }
-        states.into_iter().map(|s| s.finish(obs)).collect()
-    }
-
     /// Starts a session's run, planning its speech pass for the parts
     /// every enabled stage that applies to the session reads.
     fn begin<'s>(&self, session: &'s SessionData, obs: &PipelineObs) -> SessionRun<'s> {
@@ -507,10 +479,7 @@ impl<'a> Cascade<'a> {
         SessionRun::begin(SessionAnalysis::new(session, planned), obs, self.policy)
     }
 
-    /// One (stage, session) step — the single code path shared by
-    /// session-major [`Cascade::run`] and stage-major
-    /// [`Cascade::run_batch`], which is what makes their verdicts
-    /// identical by construction.
+    /// One stage of one session's run.
     fn step(
         &self,
         stage: &(dyn CascadeStage + Send + Sync),
@@ -584,9 +553,8 @@ impl<'a> Cascade<'a> {
     }
 }
 
-/// In-flight execution state of one session walking the cascade. Owned by
-/// [`Cascade::run`] for a single session and by [`Cascade::run_batch`]
-/// once per batch entry; the per-stage transition is `Cascade::step`.
+/// In-flight execution state of one session walking the cascade, owned by
+/// [`Cascade::run`]; the per-stage transition is `Cascade::step`.
 struct SessionRun<'s> {
     /// The speech-band analysis the session's stages share.
     analysis: SessionAnalysis<'s>,
@@ -829,35 +797,27 @@ mod tests {
         let snap = sys.models();
         let sessions = mixed_sessions();
         assert!(sessions[1].audio2.is_some(), "the SLD stage must run");
-        let refs: Vec<&crate::session::SessionData> = sessions.iter().collect();
         for policy in [
             ExecutionPolicy::FullEvaluation,
             ExecutionPolicy::ShortCircuit,
         ] {
             let cascade = Cascade::standard(&snap.sound_field, &snap.engine, &snap.speakers)
                 .with_policy(policy);
-            let batch = cascade.run_batch(&refs, &sys.config, sys.obs());
-            for (s, (batched, _)) in sessions.iter().zip(&batch) {
+            for s in &sessions {
                 let (single, _) = cascade.run(s, &sys.config, sys.obs());
-                assert_eq!(single.stages.len(), batched.stages.len());
                 for stage in &cascade.stages {
                     let component = stage.component();
-                    let (Some(a), Some(b)) =
-                        (single.result_of(component), batched.result_of(component))
-                    else {
-                        assert!(batched.result_of(component).is_none(), "{component:?}");
+                    let Some(shared) = single.result_of(component) else {
                         continue;
                     };
                     let mut alone = stage.run(s, &sys.config);
                     alone.attack_score /= sys.config.stage_boundaries.get(component);
-                    for shared in [a, b] {
-                        assert_eq!(
-                            shared.attack_score.to_bits(),
-                            alone.attack_score.to_bits(),
-                            "{component:?} under {policy:?}"
-                        );
-                        assert_eq!(shared.detail, alone.detail, "{component:?}");
-                    }
+                    assert_eq!(
+                        shared.attack_score.to_bits(),
+                        alone.attack_score.to_bits(),
+                        "{component:?} under {policy:?}"
+                    );
+                    assert_eq!(shared.detail, alone.detail, "{component:?}");
                 }
             }
         }
@@ -944,8 +904,6 @@ mod tests {
                 ] {
                     let v = sys.verify_with_policy(&s, policy);
                     assert!(!v.accepted(), "{what} under {policy:?}");
-                    let batch = sys.verify_batch_with_policy(&[&s], policy);
-                    assert!(!batch[0].accepted(), "{what} batched under {policy:?}");
                     // Top-C pruning ranks components by log-likelihood.
                     let cascade = sys.cascade().with_policy(policy);
                     let pruned = cascade.run(&s, &pruned_cfg, sys.obs()).0;
@@ -961,11 +919,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// End-to-end decision identity of the fast path: at the default
-        /// top-C the cascade's verdict is identical between sequential and
-        /// stage-major batch execution under both policies; and pruned
-        /// acceptance is one-sided — the pruned score lower-bounds the
-        /// exact score, so a session accepted with pruning is always
-        /// accepted exactly (pruning can never introduce a false accept).
+        /// top-C the cascade's decision equals the exact-scoring run under
+        /// both policies; and pruned acceptance is one-sided — the pruned
+        /// score lower-bounds the exact score, so a session accepted with
+        /// pruning is always accepted exactly (pruning can never introduce
+        /// a false accept).
         #[test]
         fn pruned_cascade_decisions_are_identical_and_one_sided(
             seed in 0u64..5000,
@@ -980,16 +938,9 @@ mod tests {
             let exact_cfg = DefenseConfig { asv_top_c: 0, ..sys.config };
             let pruned_cfg = DefenseConfig { asv_top_c: 4, ..sys.config };
             for policy in [ExecutionPolicy::FullEvaluation, ExecutionPolicy::ShortCircuit] {
-                // Default config (top-C = component count here → exact):
-                // batch and sequential agree with the exact-config run.
+                // The default config (top-C = component count here, so
+                // exact) agrees with the exact-config run.
                 let seq = sys.cascade().with_policy(policy).run(&s, &sys.config, sys.obs()).0;
-                let batch = sys
-                    .cascade()
-                    .with_policy(policy)
-                    .run_batch(&[&s], &sys.config, sys.obs())
-                    .remove(0)
-                    .0;
-                prop_assert_eq!(seq.decision, batch.decision);
                 let exact = sys.cascade().with_policy(policy).run(&s, &exact_cfg, sys.obs()).0;
                 prop_assert_eq!(seq.decision, exact.decision, "default C = k must be exact");
                 // Aggressive pruning: acceptance implies exact acceptance.

@@ -205,8 +205,8 @@ impl DefenseSystem {
     }
 
     /// Atomically replaces every served model with `bundle`'s, returning
-    /// the new generation. In-flight verifications (including whole
-    /// batches) finish on the generation they pinned; no verification
+    /// the new generation. In-flight verifications finish on the
+    /// generation they pinned; no verification
     /// ever mixes models from two generations.
     ///
     /// An invalid bundle is refused with [`StoreError::Config`]. When a
@@ -329,8 +329,8 @@ impl DefenseSystem {
     /// Customize with [`CascadeSession::with_mask`] /
     /// [`CascadeSession::with_policy`] and run via [`CascadeSession::run`].
     ///
-    /// Everything run through one session — including a whole batch — is
-    /// scored against that single pinned snapshot, even if an enrollment
+    /// Everything run through one session is scored against that single
+    /// pinned snapshot, even if an enrollment
     /// or bundle swap lands mid-flight.
     pub fn cascade(&self) -> CascadeSession {
         let (generation, snapshot) = self.registry.load();
@@ -389,27 +389,6 @@ impl DefenseSystem {
             .0
     }
 
-    /// Verifies a batch of sessions stage-major under `policy`: each
-    /// cascade stage runs across the whole batch before the next stage
-    /// starts, so under [`ExecutionPolicy::ShortCircuit`] the cheap
-    /// magnetometer stages prune the expensive ASV workload. Verdicts are
-    /// bit-identical to sequential [`DefenseSystem::verify_with_policy`]
-    /// calls and preserve input order (the whole batch is scored against
-    /// one pinned generation). For a pooled, admission-controlled
-    /// deployment of this, see [`crate::batch::BatchEngine`].
-    pub fn verify_batch_with_policy(
-        &self,
-        sessions: &[&SessionData],
-        policy: ExecutionPolicy,
-    ) -> Vec<DefenseVerdict> {
-        self.cascade()
-            .with_policy(policy)
-            .run_batch(sessions, &self.config, &self.obs)
-            .into_iter()
-            .map(|(verdict, _trace)| verdict)
-            .collect()
-    }
-
     /// Runs only the stages in `mask` at the nominal thresholds — real
     /// ablation: masked-out stages never execute and are omitted from the
     /// verdict (used by `exp_ablation`).
@@ -443,7 +422,7 @@ impl DefenseSystem {
 ///
 /// Produced by [`DefenseSystem::cascade`]. Owns an
 /// `Arc<ModelSnapshot>`, so the models it scores against cannot change
-/// under it — a hot-swap mid-batch only affects *later* sessions. Every
+/// under it — a hot-swap mid-run only affects *later* sessions. Every
 /// verdict it produces carries [`DefenseVerdict::generation`] naming the
 /// pinned generation.
 pub struct CascadeSession {
@@ -515,22 +494,6 @@ impl CascadeSession {
         let (mut verdict, trace) = self.build().run(session, config, obs);
         verdict.generation = Some(self.generation);
         (verdict, trace)
-    }
-
-    /// Runs the cascade over a whole batch stage-major (see
-    /// [`Cascade::run_batch`]); every verdict is stamped with the single
-    /// pinned generation.
-    pub fn run_batch(
-        &self,
-        sessions: &[&SessionData],
-        config: &DefenseConfig,
-        obs: &PipelineObs,
-    ) -> Vec<(DefenseVerdict, PipelineTrace)> {
-        let mut out = self.build().run_batch(sessions, config, obs);
-        for (verdict, _trace) in &mut out {
-            verdict.generation = Some(self.generation);
-        }
-        out
     }
 }
 

@@ -1,11 +1,7 @@
-//! The one work queue behind both worker pools.
-//!
-//! [`BatchEngine`](crate::batch::BatchEngine) and
-//! [`VerificationServer`](crate::server::VerificationServer) feed their
-//! workers through a [`WorkQueue`]: a `Mutex<VecDeque>` plus a `Condvar`
-//! with a close operation. Closing refuses later pushes and lets the
-//! workers drain what is queued; the server additionally discards the
-//! leftovers at shutdown so their submitters see a disconnect at once.
+//! The work queue behind [`BatchEngine`](crate::batch::BatchEngine)'s
+//! worker pool: a `Mutex<VecDeque>` plus a `Condvar` with a close
+//! operation. Closing refuses later pushes and lets the workers drain
+//! what is queued.
 
 use magshield_obs::sync::{lock, wait};
 use std::collections::VecDeque;
@@ -62,25 +58,11 @@ impl<T> WorkQueue<T> {
         }
     }
 
-    /// The oldest item if one is queued, without blocking.
-    pub(crate) fn try_pop(&self) -> Option<T> {
-        lock(&self.state).items.pop_front()
-    }
-
-    /// Refuses further pushes and wakes every worker. Without `discard`
-    /// the queued items stay for the workers to drain; with it they are
-    /// taken out and returned, for the caller to drop outside the lock.
-    pub(crate) fn close(&self, discard: bool) -> VecDeque<T> {
-        let mut st = lock(&self.state);
-        st.closed = true;
-        let leftovers = if discard {
-            std::mem::take(&mut st.items)
-        } else {
-            VecDeque::new()
-        };
-        drop(st);
+    /// Refuses further pushes and wakes every worker; the queued items
+    /// stay for the workers to drain.
+    pub(crate) fn close(&self) {
+        lock(&self.state).closed = true;
         self.ready.notify_all();
-        leftovers
     }
 }
 
@@ -94,17 +76,9 @@ mod tests {
         let q = WorkQueue::new();
         q.push(1).unwrap();
         q.push(2).unwrap();
-        assert!(q.close(false).is_empty());
+        q.close();
         assert_eq!(q.push(3), Err(3));
-        assert_eq!((q.pop(), q.try_pop(), q.pop()), (Some(1), Some(2), None));
-    }
-
-    #[test]
-    fn discarding_close_empties_the_queue() {
-        let q = WorkQueue::new();
-        q.push("a").unwrap();
-        assert_eq!(q.close(true), VecDeque::from(["a"]));
-        assert_eq!(q.pop(), None);
+        assert_eq!((q.pop(), q.pop(), q.pop()), (Some(1), Some(2), None));
     }
 
     #[test]
@@ -118,7 +92,7 @@ mod tests {
             .collect();
         q.push(7).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.close(false);
+        q.close();
         let mut got: Vec<_> = workers.into_iter().map(|h| h.join().unwrap()).collect();
         got.sort();
         assert_eq!(got, vec![None, None, Some(7)]);

@@ -7,18 +7,20 @@
 //! (tagged, versioned frames with length-prefixed vectors and strings,
 //! written and read with the same `magshield_ml::codec` primitives as the
 //! model artifacts, bulk for sample vectors; a frame must decode
-//! exactly, with no bytes left over), and [`VerificationServer`] runs a worker pool
-//! that decodes, verifies and replies — one shared work queue feeds the
-//! workers, and each request carries its own `std::sync::mpsc` reply
-//! channel.
+//! exactly, with no bytes left over), and [`VerificationServer`] is a
+//! frame adapter over a [`BatchEngine`]: it owns no threads. Each client
+//! frame is one engine item, admitted under backpressure, then decoded,
+//! handled and answered on a pool thread; each request carries its own
+//! `std::sync::mpsc` reply channel. Shutdown drains: every admitted
+//! frame is answered, and later frames see
+//! [`ClientError::Disconnected`].
 //!
 //! Protocol v3 adds batch verification: a `Message::BatchRequest`
-//! carries many sessions in one frame; workers verify each micro-batch
-//! stage-major via [`DefenseSystem::verify_batch_with_policy`] (so under
-//! [`ExecutionPolicy::ShortCircuit`] cheap rejections prune the ASV
-//! workload) under an optional per-batch deadline
-//! ([`ServerConfig::batch_deadline`]) — sessions whose processing cannot
-//! start in budget come back as explicit
+//! carries many sessions in one frame; the worker that picks the frame
+//! up verifies its sessions one after another under an optional
+//! per-batch deadline ([`ServerConfig::batch_deadline`], anchored when
+//! the frame is queued and checked before each session starts) —
+//! sessions that cannot start in budget come back as explicit
 //! [`BatchOutcome::Shed`](crate::batch::BatchOutcome) entries, never a
 //! silent gap. [`Client::submit`] / [`PendingVerdict::wait`] provide the
 //! streaming client path, [`Client::verify_batch`] the one-frame path.
@@ -32,14 +34,15 @@
 //! verdict returns the registry generation that produced it.
 //!
 //! The server is instrumented against `magshield-obs` (DESIGN.md §7):
-//! `server.queue.wait.seconds` (enqueue→dequeue) and
-//! `server.compute.seconds` histograms, a `server.queue.depth` gauge
-//! (decremented via an RAII guard so a panicking worker cannot leak it),
-//! a `server.worker.panics` counter, `server.batch.size.sessions` /
-//! `server.batch.shed` for the batch path, per-worker
-//! `server.worker.<i>.processed` counters and a `server.protocol.errors`
-//! counter, all sharing the [`DefenseSystem`]'s registry so one snapshot
-//! covers pipeline and server alike.
+//! its engine reports `server.queue.wait.seconds` (enqueue→pickup) and
+//! `server.compute.seconds` (per verification) histograms, the
+//! `server.queue.depth` / `server.inflight` gauges (RAII admission slots,
+//! so a panicking job cannot leak them), the `server.worker.panics`
+//! counter and the `batch.verdicts` / `batch.shed` counters the health
+//! guards read; the server adds per-worker `server.worker.<i>.processed`
+//! counters and a `server.protocol.errors` counter, all sharing the
+//! [`DefenseSystem`]'s registry so one snapshot covers pipeline and
+//! server alike.
 //!
 //! Protocol v5 adds the telemetry plane (DESIGN.md §12):
 //! [`Client::metrics`] scrapes the full labeled snapshot — every
@@ -70,10 +73,9 @@
 pub mod protocol;
 
 use crate::artifact::ModelBundle;
-use crate::batch::{BatchOutcome, ShedReason};
+use crate::batch::{BatchConfig, BatchEngine, BatchOutcome, Intake, Worker};
 use crate::cascade::ExecutionPolicy;
 use crate::pipeline::DefenseSystem;
-use crate::queue::WorkQueue;
 use crate::session::SessionData;
 use crate::store::StoreError;
 use crate::stream::{
@@ -87,24 +89,10 @@ use magshield_obs::slo::{HealthReport, SloEngine, SloSpec};
 use magshield_obs::sync::lock;
 use protocol::{decode_frame, encode_response, Message, StreamVerdictKind};
 use std::collections::HashMap;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Work item flowing to the pool.
-struct Job {
-    frame: Vec<u8>,
-    reply: Sender<Vec<u8>>,
-    /// When the client enqueued the frame (queue-wait attribution).
-    enqueued: Instant,
-    /// Claim on the queue-depth gauge; the worker releases it at pickup,
-    /// and a job dropped undelivered (push refused, shutdown with frames
-    /// still queued) releases it on drop.
-    depth: Option<DepthGuard>,
-}
 
 /// A frame that makes the receiving worker panic mid-job. Exists so
 /// failure-injection tests can prove the panic path cannot leak the
@@ -113,24 +101,27 @@ struct Job {
 #[doc(hidden)]
 pub const PANIC_FRAME: &[u8] = b"\xDE\xAD\xBE\xEFpanic-injection";
 
-/// RAII claim on the queue-depth gauge: increments on construction,
-/// decrements on drop. Carried inside the [`Job`] itself, so the gauge
-/// is restored on *every* path a job can take — worker pickup, a failed
-/// push, a panic unwinding through the worker loop, or the job being
-/// discarded from the queue at shutdown — instead of relying on a `dec()`
-/// statement that must be reached.
-struct DepthGuard(Gauge);
+/// The reply channel of one queued frame. If the frame's handler panics,
+/// unwinding drops the unsent reply, which answers the client with an
+/// internal-error frame instead of a dead connection.
+struct Reply(Option<Sender<Vec<u8>>>);
 
-impl DepthGuard {
-    fn new(gauge: Gauge) -> Self {
-        gauge.inc();
-        Self(gauge)
+impl Reply {
+    fn send(mut self, frame: Vec<u8>) {
+        if let Some(tx) = self.0.take() {
+            // The client may have given up; ignore send errors.
+            let _ = tx.send(frame);
+        }
     }
 }
 
-impl Drop for DepthGuard {
+impl Drop for Reply {
     fn drop(&mut self) {
-        self.0.dec();
+        if let Some(tx) = self.0.take() {
+            if std::thread::panicking() {
+                let _ = tx.send(protocol::encode_error(0, "internal error: worker panicked"));
+            }
+        }
     }
 }
 
@@ -142,12 +133,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Cascade execution policy for the whole pool.
     pub policy: ExecutionPolicy,
-    /// Most sessions of a batch request verified in one stage-major
-    /// micro-batch (bounds per-chunk latency and memory).
-    pub max_batch: usize,
-    /// Batch-request sessions whose chunk has not started processing
-    /// within this budget of the request's enqueue are shed with
-    /// [`ShedReason::DeadlineExceeded`].
+    /// Batch-request sessions that have not started processing within
+    /// this budget of the request's enqueue are shed with
+    /// [`ShedReason::DeadlineExceeded`](crate::batch::ShedReason).
     pub batch_deadline: Option<Duration>,
     /// Most concurrently open verification streams (protocol v6); a
     /// `StreamOpen` past the cap is refused with a protocol error, so a
@@ -166,7 +154,6 @@ impl Default for ServerConfig {
         Self {
             workers: 4,
             policy: ExecutionPolicy::FullEvaluation,
-            max_batch: 16,
             batch_deadline: None,
             max_open_streams: 1024,
             // ~5.8 minutes of 48 kHz audio — far beyond any
@@ -183,15 +170,10 @@ impl Default for ServerConfig {
 /// whose terminal verdict is being produced by another worker.
 type StreamSlot = Arc<Mutex<Option<StreamingVerification>>>;
 
-/// State shared between workers, clients and the server handle.
+/// State shared between frame jobs, clients and the server handle.
 struct Shared {
+    cfg: ServerConfig,
     registry: Registry,
-    queue_depth: Gauge,
-    queue_wait: Histogram,
-    compute: Histogram,
-    batch_size: Histogram,
-    batch_shed: Counter,
-    worker_panics: Counter,
     worker_processed: Vec<Counter>,
     /// Frames refused at the protocol layer (`server.protocol.errors`).
     protocol_errors: Counter,
@@ -211,11 +193,10 @@ struct Shared {
     started: Instant,
 }
 
-/// A running verification server with a worker pool.
+/// A running verification server: wire frames served on a
+/// [`BatchEngine`]'s worker pool.
 pub struct VerificationServer {
-    /// Shared with every worker and client.
-    queue: Arc<WorkQueue<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    engine: BatchEngine,
     shared: Arc<Shared>,
 }
 
@@ -279,12 +260,12 @@ impl VerificationServer {
     }
 
     /// Spawns the server under a full [`ServerConfig`] (worker count,
-    /// execution policy, batch chunking, batch deadline), guarding
-    /// health with [`VerificationServer::default_slos`].
+    /// execution policy, batch deadline, stream caps), guarding health
+    /// with [`VerificationServer::default_slos`].
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.workers == 0` or `cfg.max_batch == 0`.
+    /// Panics if `cfg.workers == 0`.
     pub fn spawn_with_config(system: DefenseSystem, cfg: ServerConfig) -> Self {
         Self::spawn_with_slos(system, cfg, Self::default_slos())
     }
@@ -311,20 +292,17 @@ impl VerificationServer {
     /// endpoint (`ServerConfig` stays `Copy`; objectives ride
     /// separately).
     ///
+    /// The pool is a [`BatchEngine`] with [`BatchConfig::default`]'s
+    /// queue capacity and backpressure admission: a client blocks while
+    /// the queue is full, and no frame is refused before shutdown.
+    ///
     /// # Panics
     ///
-    /// Panics if `cfg.workers == 0` or `cfg.max_batch == 0`.
+    /// Panics if `cfg.workers == 0`.
     pub fn spawn_with_slos(system: DefenseSystem, cfg: ServerConfig, slos: Vec<SloSpec>) -> Self {
-        assert!(cfg.workers > 0, "need at least one worker");
-        assert!(cfg.max_batch > 0, "need max_batch > 0");
         let registry = system.metrics().clone();
         let shared = Arc::new(Shared {
-            queue_depth: registry.gauge("server.queue.depth"),
-            queue_wait: registry.histogram("server.queue.wait.seconds"),
-            compute: registry.histogram("server.compute.seconds"),
-            batch_size: registry.histogram("server.batch.size.sessions"),
-            batch_shed: registry.counter("server.batch.shed"),
-            worker_panics: registry.counter("server.worker.panics"),
+            cfg,
             worker_processed: (0..cfg.workers)
                 .map(|i| registry.counter(&format!("server.worker.{i}.processed")))
                 .collect(),
@@ -336,49 +314,25 @@ impl VerificationServer {
             started: Instant::now(),
             registry,
         });
-        let system = Arc::new(system);
-        let queue = Arc::new(WorkQueue::<Job>::new());
-        let handles = (0..cfg.workers)
-            .map(|worker_id| {
-                let queue = Arc::clone(&queue);
-                let system = Arc::clone(&system);
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    while let Some(mut job) = queue.pop() {
-                        // Picked up: release the queue-depth claim (the
-                        // gauge counts enqueued-not-yet-started frames).
-                        drop(job.depth.take());
-                        shared.queue_wait.record(job.enqueued.elapsed());
-                        let reply = job.reply.clone();
-                        // A panic in decoding or verification is
-                        // contained to the job: the client gets an error
-                        // reply and the worker lives on.
-                        let response = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            handle_job(&job, &system, &shared, worker_id, &cfg)
-                        }))
-                        .unwrap_or_else(|_| {
-                            shared.worker_panics.inc();
-                            protocol::encode_error(0, "internal error: worker panicked")
-                        });
-                        // The client may have given up; ignore send errors.
-                        let _ = reply.send(response);
-                    }
-                })
-            })
-            .collect();
-        Self {
-            queue,
-            workers: handles,
-            shared,
-        }
+        let engine = BatchEngine::spawn_as(
+            system,
+            BatchConfig {
+                workers: cfg.workers,
+                policy: cfg.policy,
+                batch_deadline: cfg.batch_deadline,
+                ..BatchConfig::default()
+            },
+            "server",
+        );
+        Self { engine, shared }
     }
 
     /// A client handle for submitting sessions.
     pub fn client(&self) -> Client {
         Client {
-            queue: Arc::clone(&self.queue),
+            intake: Arc::clone(self.engine.intake()),
+            shared: Arc::clone(&self.shared),
             next_id: Arc::new(AtomicU64::new(1)),
-            queue_depth: self.shared.queue_depth.clone(),
         }
     }
 
@@ -397,86 +351,42 @@ impl VerificationServer {
         lock(&self.shared.slo).observe(now_s, &snap)
     }
 
-    /// Stops the workers and waits for them to finish. In-flight requests
-    /// complete; queued-but-unstarted requests are discarded (their
-    /// clients see [`ClientError::Disconnected`]), and later requests are
-    /// refused the same way.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        // Dropped outside the queue lock: each discarded job's reply
-        // sender goes with it, which is what disconnects its client.
-        drop(self.queue.close(true));
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    /// Graceful shutdown: stops admission, answers every frame already
+    /// queued, and joins the pool. Later requests see
+    /// [`ClientError::Disconnected`].
+    pub fn shutdown(self) {
+        self.engine.shutdown();
     }
 }
 
-impl Drop for VerificationServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// Decodes and executes one job, returning the reply frame. Runs inside
-/// the worker's `catch_unwind`, so a panic anywhere in here is contained
-/// to the job.
-fn handle_job(
-    job: &Job,
-    system: &DefenseSystem,
-    shared: &Shared,
-    worker_id: usize,
-    cfg: &ServerConfig,
-) -> Vec<u8> {
-    if job.frame == PANIC_FRAME {
+/// Decodes and executes one frame on a pool thread, returning the reply
+/// frame. Runs inside the engine's per-item `catch_unwind`, so a panic
+/// anywhere in here is contained to the frame.
+fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
+    if frame == PANIC_FRAME {
         panic!("injected worker panic");
     }
-    match decode_frame(&job.frame) {
+    let (system, cfg) = (w.system, &shared.cfg);
+    match decode_frame(frame) {
         Ok(Message::VerifyRequest {
             request_id,
             session,
         }) => {
-            let start = Instant::now();
-            let verdict = system.verify_with_policy(&session, cfg.policy);
-            let elapsed = start.elapsed();
-            shared.compute.record(elapsed);
-            shared.worker_processed[worker_id].inc();
+            let verdict = w.verify(&session);
+            shared.worker_processed[w.id].inc();
             encode_response(request_id, &verdict)
         }
         Ok(Message::BatchRequest {
             request_id,
             sessions,
         }) => {
-            shared.batch_size.record_secs(sessions.len() as f64);
-            // The deadline is anchored at enqueue time: time spent
-            // waiting in the queue counts against the batch's budget.
-            let deadline = cfg.batch_deadline.map(|d| job.enqueued + d);
-            let start = Instant::now();
-            let mut outcomes: Vec<BatchOutcome> = Vec::with_capacity(sessions.len());
-            for chunk in sessions.chunks(cfg.max_batch) {
-                // Checked per chunk, before its stage-major run starts:
-                // an expired budget sheds the remaining sessions instead
-                // of burning ASV compute on answers nobody awaits.
-                if deadline.is_some_and(|d| Instant::now() > d) {
-                    shared.batch_shed.add(chunk.len() as u64);
-                    outcomes.extend(
-                        chunk
-                            .iter()
-                            .map(|_| BatchOutcome::Shed(ShedReason::DeadlineExceeded)),
-                    );
-                    continue;
-                }
-                let refs: Vec<&SessionData> = chunk.iter().collect();
-                let verdicts = system.verify_batch_with_policy(&refs, cfg.policy);
-                outcomes.extend(verdicts.into_iter().map(BatchOutcome::Verdict));
-            }
-            let elapsed = start.elapsed();
-            shared.compute.record(elapsed);
+            // One session after another; each checks the frame's
+            // deadline before it starts, so an expired budget sheds the
+            // rest instead of burning compute on answers nobody awaits.
+            let outcomes: Vec<BatchOutcome> =
+                sessions.iter().map(|s| w.verify_in_time(s)).collect();
             let verified = outcomes.iter().filter(|o| !o.is_shed()).count() as u64;
-            shared.worker_processed[worker_id].add(verified);
+            shared.worker_processed[w.id].add(verified);
             protocol::encode_batch_response(request_id, &outcomes)
         }
         Ok(Message::MetricsRequest { request_id }) => {
@@ -625,7 +535,7 @@ fn handle_job(
             }
             match verification.ingest(&chunk, &system.config, system.obs()) {
                 Ok(StreamEvent::Progress(progress)) => {
-                    shared.compute.record(start.elapsed());
+                    w.record_compute(start.elapsed());
                     protocol::encode_stream_verdict(
                         request_id,
                         stream_id,
@@ -638,7 +548,7 @@ fn handle_job(
                     let (chunks, age) = (verification.chunks(), verification.age());
                     *guard = None;
                     drop(guard);
-                    finish_stream(shared, worker_id, stream_id, age, start.elapsed());
+                    finish_stream(shared, w, stream_id, age, start.elapsed());
                     protocol::encode_stream_verdict(
                         request_id,
                         stream_id,
@@ -651,7 +561,7 @@ fn handle_job(
                     let (chunks, age) = (verification.chunks(), verification.age());
                     *guard = None;
                     drop(guard);
-                    finish_stream(shared, worker_id, stream_id, age, start.elapsed());
+                    finish_stream(shared, w, stream_id, age, start.elapsed());
                     protocol::encode_stream_verdict(
                         request_id,
                         stream_id,
@@ -694,7 +604,7 @@ fn handle_job(
             let (chunks, age) = (verification.chunks(), verification.age());
             match verification.finalize(&system.config, system.obs()) {
                 Ok((verdict, _trace)) => {
-                    finish_stream(shared, worker_id, stream_id, age, start.elapsed());
+                    finish_stream(shared, w, stream_id, age, start.elapsed());
                     protocol::encode_stream_verdict(
                         request_id,
                         stream_id,
@@ -736,23 +646,23 @@ fn remove_stream(shared: &Shared, stream_id: u64) {
 /// compute counts toward the worker like any one-shot verification.
 fn finish_stream(
     shared: &Shared,
-    worker_id: usize,
+    w: &Worker<'_>,
     stream_id: u64,
     age: Duration,
     elapsed: Duration,
 ) {
     remove_stream(shared, stream_id);
     shared.stream_first_verdict.record(age);
-    shared.compute.record(elapsed);
-    shared.worker_processed[worker_id].inc();
+    w.record_verdict(elapsed);
+    shared.worker_processed[w.id].inc();
 }
 
 /// A client handle (cheaply cloneable).
 #[derive(Clone)]
 pub struct Client {
-    queue: Arc<WorkQueue<Job>>,
+    intake: Arc<Intake>,
+    shared: Arc<Shared>,
     next_id: Arc<AtomicU64>,
-    queue_depth: Gauge,
 }
 
 /// Client-side errors.
@@ -800,10 +710,10 @@ impl Client {
     }
 
     /// Verifies a whole batch in one `Message::BatchRequest` frame
-    /// (protocol v3). The server runs it stage-major in chunks of
-    /// [`ServerConfig::max_batch`]; the reply carries one
-    /// [`BatchOutcome`] per session in request order — a verdict, or an
-    /// explicit shed when the server's batch deadline expired.
+    /// (protocol v3). One worker verifies the sessions in order; the
+    /// reply carries one [`BatchOutcome`] per session in request order —
+    /// a verdict, or an explicit shed when the server's batch deadline
+    /// expired before the session started.
     pub fn verify_batch(&self, sessions: &[SessionData]) -> Result<Vec<BatchOutcome>, ClientError> {
         let id = self.next_id();
         let raw = self.send_raw(protocol::encode_batch_request(id, sessions))?;
@@ -987,21 +897,19 @@ impl Client {
             .map_err(|_| ClientError::Disconnected)
     }
 
-    /// Enqueues a frame and returns the reply channel without blocking.
+    /// Queues a frame on the server's engine and returns the reply
+    /// channel without waiting for the reply (admission blocks while the
+    /// queue is full).
     fn send_frame(&self, frame: Vec<u8>) -> Result<Receiver<Vec<u8>>, ClientError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let job = Job {
-            frame,
-            reply: reply_tx,
-            enqueued: Instant::now(),
-            // Incremented on construction; a refused push returns (and
-            // drops) the job, restoring the gauge with it.
-            depth: Some(DepthGuard::new(self.queue_depth.clone())),
-        };
-        if self.queue.push(job).is_err() {
-            return Err(ClientError::Disconnected);
-        }
-        Ok(reply_rx)
+        let (tx, rx) = mpsc::channel();
+        let reply = Reply(Some(tx));
+        let shared = Arc::clone(&self.shared);
+        self.intake
+            .submit(Box::new(move |w| {
+                reply.send(serve_frame(&frame, &shared, w))
+            }))
+            .map_err(|_| ClientError::Disconnected)?;
+        Ok(rx)
     }
 }
 
@@ -1244,7 +1152,6 @@ mod tests {
             ServerConfig {
                 workers: 2,
                 policy: ExecutionPolicy::ShortCircuit,
-                max_batch: 2, // force chunking: 5 sessions → 3 chunks
                 ..ServerConfig::default()
             },
         );
@@ -1264,7 +1171,8 @@ mod tests {
         }
         assert_eq!(processed(&srv), 5);
         let snap = srv.metrics().snapshot();
-        assert!(snap.histograms["server.batch.size.sessions"].count >= 1);
+        assert_eq!(snap.histograms["server.compute.seconds"].count, 5);
+        assert_eq!(snap.counters["batch.verdicts"], 5);
         assert_eq!(snap.gauges["server.queue.depth"], 0);
         srv.shutdown();
     }
@@ -1291,8 +1199,12 @@ mod tests {
         srv.shutdown();
     }
 
+    /// The sheds land in the counters the SLO shed guard reads, so the
+    /// health endpoint reports them.
     #[test]
     fn batch_deadline_sheds_over_the_wire() {
+        use crate::batch::ShedReason;
+        use magshield_obs::slo::HealthState;
         let (system, user) = crate::test_support::shared_tiny_system();
         let srv = VerificationServer::spawn_with_config(
             system.with_fresh_obs(),
@@ -1303,6 +1215,7 @@ mod tests {
             },
         );
         let client = srv.client();
+        assert_eq!(client.health().expect("health").state, HealthState::Healthy);
         let sessions: Vec<_> = (0..3)
             .map(|i| ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(170 + i)))
             .collect();
@@ -1312,7 +1225,13 @@ mod tests {
             assert_eq!(o, &BatchOutcome::Shed(ShedReason::DeadlineExceeded));
         }
         assert_eq!(processed(&srv), 0, "no compute spent past deadline");
-        assert_eq!(srv.metrics().counter("server.batch.shed").get(), 3);
+        assert_eq!(srv.metrics().counter("batch.shed").get(), 3);
+        assert_eq!(srv.metrics().counter("batch.shed.deadline").get(), 3);
+        let report = client.health().expect("health");
+        assert!(
+            report.state >= HealthState::Degraded,
+            "a server shedding its batches must not report Healthy: {report:?}"
+        );
         srv.shutdown();
     }
 
@@ -1438,6 +1357,7 @@ mod tests {
             let done = done_tx.clone();
             std::thread::spawn(move || done.send(pending.wait().map(|_| ())));
         }
+        let processed = srv.metrics().counter("server.worker.0.processed");
         srv.shutdown();
         let outcomes: Vec<_> = (0..6)
             .map(|_| {
@@ -1446,20 +1366,12 @@ mod tests {
                     .expect("every client returns once the server is down")
             })
             .collect();
-        assert_eq!(
-            outcomes.iter().filter(|o| o.is_ok()).count(),
-            1,
-            "the batch completes"
+        assert!(
+            outcomes.iter().all(|o| o.is_ok()),
+            "the batch and every queued frame get a verdict: {outcomes:?}"
         );
-        let disconnected = outcomes
-            .iter()
-            .filter(|o| o == &&Err(ClientError::Disconnected));
-        assert_eq!(
-            disconnected.count(),
-            5,
-            "queued frames are discarded, not answered"
-        );
-        assert_eq!(depth.get(), 0, "discarded frames release the depth gauge");
+        assert_eq!(processed.get(), 32 + 5);
+        assert_eq!(depth.get(), 0, "drained frames release the depth gauge");
     }
 
     /// A server over an isolated registry (fresh [`crate::registry::ModelRegistry`]

@@ -131,7 +131,7 @@ pub enum Message {
     BatchRequest {
         /// Request correlation id.
         request_id: u64,
-        /// The captured sessions, verified stage-major server-side.
+        /// The captured sessions, verified in order server-side.
         sessions: Vec<SessionData>,
     },
     /// Server → client: one outcome per batched session, in request

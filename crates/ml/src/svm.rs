@@ -2,9 +2,12 @@
 //!
 //! The sound-field verification component (§IV-B2) trains "a binary
 //! classifier using the linear Support Vector Machine algorithm" on
-//! quantified sound-field feature vectors. Pegasos converges to the same
+//! quantified sound-field feature vectors. Pegasos minimizes the same
 //! primal objective as classic SMO for linear kernels and needs no QP
-//! machinery.
+//! machinery, but training here runs a fixed number of epochs
+//! ([`SvmConfig::epochs`], 60 by default) and returns the last iterate,
+//! which is not the converged optimum: the margins it gives differ from
+//! an SMO solution's.
 
 use crate::codec::{self, BinaryCodec, ByteReader, ByteWriter, CodecError};
 use magshield_simkit::rng::SimRng;

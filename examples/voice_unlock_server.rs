@@ -54,9 +54,7 @@ fn main() {
     );
 
     // A batch request (protocol v3): one frame carries a morning rush of
-    // unlock attempts; the server runs the cheap cascade stages
-    // stage-major across the whole batch, pruning the expensive ASV work
-    // for sessions already rejected.
+    // unlock attempts, which one worker verifies in order.
     let rush: Vec<_> = (0..8u64)
         .map(|i| ScenarioBuilder::genuine(&user).capture(&rng.fork_indexed("rush", i)))
         .collect();

@@ -29,7 +29,6 @@ fn graceful_shutdown_under_load_never_drops_a_session() {
         BatchConfig {
             workers: 2,
             queue_capacity: 8, // small on purpose: rapid submits may shed
-            max_batch: 4,
             policy: ExecutionPolicy::ShortCircuit,
             admission: AdmissionPolicy::Shed,
             batch_deadline: None,
@@ -91,7 +90,6 @@ fn backpressure_shutdown_drains_every_admitted_session() {
         BatchConfig {
             workers: 2,
             queue_capacity: 4,
-            max_batch: 4,
             policy: ExecutionPolicy::FullEvaluation,
             admission: AdmissionPolicy::Backpressure,
             batch_deadline: None,

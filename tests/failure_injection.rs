@@ -144,24 +144,31 @@ fn fuzzed_protocol_frames_never_panic() {
 #[test]
 fn worker_panic_releases_queue_depth_and_pool_survives() {
     let (system, user) = fixture();
-    let server = VerificationServer::spawn(system.with_fresh_obs(), 2);
+    let workers = 2;
+    let server = VerificationServer::spawn(system.with_fresh_obs(), workers);
     let client = server.client();
-    // Drive a worker into a panic mid-job. The reply must be an error
-    // frame, not a hang or a dead connection.
-    let raw = client
-        .send_raw(PANIC_FRAME.to_vec())
-        .expect("panicking job still answers");
-    match decode_frame(&raw) {
-        Ok(Message::Error { message, .. }) => {
-            assert!(message.contains("panic"), "unexpected error: {message}");
+    // Drive more panics than there are workers: a pool that lost a thread
+    // per panic would have none left. Each reply must be an error frame,
+    // not a hang or a dead connection.
+    for _ in 0..workers + 1 {
+        let raw = client
+            .send_raw(PANIC_FRAME.to_vec())
+            .expect("panicking job still answers");
+        match decode_frame(&raw) {
+            Ok(Message::Error { message, .. }) => {
+                assert!(message.contains("panic"), "unexpected error: {message}");
+            }
+            other => panic!("expected an error reply, got {other:?}"),
         }
-        other => panic!("expected an error reply, got {other:?}"),
     }
-    assert_eq!(server.metrics().counter("server.worker.panics").get(), 1);
+    assert_eq!(
+        server.metrics().counter("server.worker.panics").get(),
+        workers as u64 + 1
+    );
     assert_eq!(
         server.metrics().gauge("server.queue.depth").get(),
         0,
-        "the RAII guard must restore the gauge even through a panic"
+        "the RAII slot must restore the gauge even through a panic"
     );
     // The pool survives: a normal request still gets a full verdict.
     let session = ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(12));

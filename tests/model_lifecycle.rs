@@ -147,7 +147,6 @@ fn hot_swap_under_load_never_mixes_generations() {
         BatchConfig {
             workers: 2,
             queue_capacity: 16,
-            max_batch: 4,
             policy: ExecutionPolicy::ShortCircuit,
             admission: AdmissionPolicy::Backpressure,
             batch_deadline: None,

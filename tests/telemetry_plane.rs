@@ -37,7 +37,6 @@ fn shed_storm_degrades_health_over_the_wire() {
         BatchConfig {
             workers: 1,
             queue_capacity: 2, // tiny on purpose: the storm must shed
-            max_batch: 4,
             policy: ExecutionPolicy::ShortCircuit,
             admission: AdmissionPolicy::Shed,
             batch_deadline: None,
