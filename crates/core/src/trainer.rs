@@ -19,15 +19,16 @@ use crate::artifact::{BundleMeta, ModelBundle};
 use crate::components::sound_field::{feature_vector, SoundFieldModel};
 use crate::components::speaker_id::{self, AsvEngine};
 use crate::config::DefenseConfig;
-use crate::scenario::{ScenarioBuilder, UserContext};
+use crate::scenario::{ScenarioBuilder, SourceKind, UserContext};
 use magshield_asv::frontend::FeatureExtractor;
 use magshield_asv::isv::{IsvBackend, SessionSubspace};
 use magshield_asv::model::UbmBackend;
 use magshield_asv::ubm::{train_ubm, UbmConfig};
 use magshield_physics::acoustics::tube::SoundTube;
+use magshield_simkit::par;
 use magshield_simkit::rng::SimRng;
 use magshield_voice::attacks::AttackKind;
-use magshield_voice::devices::table_iv_catalog;
+use magshield_voice::devices::{table_iv_catalog, PlaybackDevice};
 use magshield_voice::profile::SpeakerProfile;
 use magshield_voice::synth::VOICE_SAMPLE_RATE;
 
@@ -124,7 +125,11 @@ impl Trainer {
     ///    templates ship with the system, no attacker data required.
     ///
     /// Deterministic in `rng`: a given seed always yields a byte-identical
-    /// bundle.
+    /// bundle, on any number of CPUs. The corpus synthesis and the
+    /// session captures run concurrently through [`par::map`], each item
+    /// on its own fork of `rng`, and their results are used in input
+    /// order. Speaker profile sampling, EM, enrollment and SVM training
+    /// run sequentially on the calling thread.
     pub fn train(&self, user: &UserContext, rng: &SimRng) -> ModelBundle {
         let cfg = self.cfg;
         // --- ASV backend ---
@@ -159,99 +164,38 @@ impl Trainer {
             AsvEngine::Ubm(ubm_backend)
         };
 
-        // --- enrollment sessions ---
+        // --- enrollment and attack sessions ---
         // The genuine enrollment captures serve double duty, exactly as in
         // the paper ("the voice samples are also used for the sound source
         // verification"): their pilot-filtered, channel-matched audio
         // enrolls the speaker model, and their sound-field features are
         // the SVM positives. Enrolling through the same capture chain as
-        // verification keeps the ASV channel matched.
+        // verification keeps the ASV channel matched. The machine-source
+        // captures are the SVM negatives.
         let config = self.config;
-        let n_sessions = cfg.sound_field_positives.max(cfg.enrollment_utterances);
+        let takes = training_takes(cfg, user, rng);
+        let captured = par::map(&takes, |take| {
+            let s = take.session.capture(&take.rng);
+            let features = take
+                .features
+                .then(|| feature_vector(&s, config.sound_field_bins))
+                .flatten();
+            let audio = take.enroll.then(|| speaker_id::asv_audio(&s));
+            (features, audio)
+        });
         let mut positives = Vec::new();
-        let mut enrollment_audio: Vec<Vec<f64>> = Vec::new();
-        for i in 0..n_sessions {
-            let d = 0.04 + 0.02 * (i as f64 / n_sessions.max(1) as f64);
-            let s = ScenarioBuilder::genuine(user)
-                .at_distance(d)
-                .capture(&rng.fork_indexed("sf-pos", i as u64));
-            if i < cfg.sound_field_positives {
-                if let Some(v) = feature_vector(&s, config.sound_field_bins) {
-                    positives.push(v);
-                }
+        let mut negatives = Vec::new();
+        let mut enrollment_audio = Vec::new();
+        for (take, (features, audio)) in takes.iter().zip(captured) {
+            if take.genuine {
+                positives.extend(features);
+            } else {
+                negatives.extend(features);
             }
-            if i < cfg.enrollment_utterances {
-                enrollment_audio.push(speaker_id::asv_audio(&s));
-            }
+            enrollment_audio.extend(audio);
         }
         let refs: Vec<&[f64]> = enrollment_audio.iter().map(|u| u.as_slice()).collect();
         let model = engine.enroll(user.profile.id, &refs);
-        let mut negatives = Vec::new();
-        let catalog = table_iv_catalog();
-        let attacker = SpeakerProfile::sample(999, &rng.fork("sf-attacker"));
-        let negative_devices = [
-            "Apple EarPods",
-            "Samsung Galaxy S Headset",
-            "Logitech LS21",
-            "Pioneer SP-FS52",
-        ];
-        for (i, key) in negative_devices.iter().enumerate() {
-            if let Some(dev) = catalog.iter().find(|d| d.name.contains(key)) {
-                for take in 0..2u64 {
-                    let s = ScenarioBuilder::machine_attack(
-                        user,
-                        AttackKind::Replay,
-                        dev.clone(),
-                        attacker.clone(),
-                    )
-                    .at_distance(0.05)
-                    .capture(&rng.fork_indexed("sf-neg", (i as u64) << 8 | take));
-                    if let Some(v) = feature_vector(&s, config.sound_field_bins) {
-                        negatives.push(v);
-                    }
-                }
-            }
-        }
-        // Large-panel negatives (electrostatic-class aperture), covering
-        // both replayed and synthesized audio — the spatial signature must
-        // be learned independently of the audio's temporal structure.
-        if let Some(esl) = magshield_voice::devices::unconventional_catalog().first() {
-            for (k, kind) in [AttackKind::Replay, AttackKind::Synthesis]
-                .iter()
-                .enumerate()
-            {
-                for take in 0..2u64 {
-                    let s =
-                        ScenarioBuilder::machine_attack(user, *kind, esl.clone(), attacker.clone())
-                            .at_distance(0.05)
-                            .capture(&rng.fork_indexed("sf-neg-esl", (k as u64) << 8 | take));
-                    if let Some(v) = feature_vector(&s, config.sound_field_bins) {
-                        negatives.push(v);
-                    }
-                }
-            }
-        }
-        // Tube negative.
-        {
-            let dev = catalog[0].clone();
-            let mut s = ScenarioBuilder::machine_attack(
-                user,
-                AttackKind::Replay,
-                dev.clone(),
-                attacker.clone(),
-            )
-            .at_distance(0.05);
-            s.source = crate::scenario::SourceKind::DeviceViaTube {
-                device: dev,
-                tube: SoundTube::new(0.30, 0.0125),
-            };
-            if let Some(v) = feature_vector(
-                &s.capture(&rng.fork("sf-neg-tube")),
-                config.sound_field_bins,
-            ) {
-                negatives.push(v);
-            }
-        }
         let sound_field = SoundFieldModel::train(
             &positives,
             &negatives,
@@ -274,6 +218,96 @@ impl Trainer {
             sound_field,
         }
     }
+}
+
+/// One training session to capture: the scenario, its own RNG stream,
+/// and what training keeps of it.
+struct Take {
+    session: ScenarioBuilder,
+    rng: SimRng,
+    /// A live-user session (a sound-field positive) rather than a
+    /// machine-source one (a negative).
+    genuine: bool,
+    /// Extract its sound-field features.
+    features: bool,
+    /// Keep its ASV audio to enroll the user's speaker model.
+    enroll: bool,
+}
+
+/// Every session [`Trainer::train`] captures, in the order their results
+/// are used:
+///
+/// 1. the genuine sessions at 4–6 cm: the first `sound_field_positives`
+///    are SVM positives, the first `enrollment_utterances` enroll the
+///    user;
+/// 2. the negatives: two replay takes on each of four conventional
+///    devices (earphones to desktop speaker), replayed and synthesized
+///    takes on a large electrostatic-class panel, so the spatial
+///    signature is learned independently of the audio's temporal
+///    structure, and one replay through a sound tube.
+///
+/// Each take draws from its own fork of `rng`, so capturing them in any
+/// order, on any number of threads, gives the same bytes.
+fn training_takes(cfg: BootstrapConfig, user: &UserContext, rng: &SimRng) -> Vec<Take> {
+    let n_sessions = cfg.sound_field_positives.max(cfg.enrollment_utterances);
+    let mut takes: Vec<Take> = (0..n_sessions)
+        .map(|i| Take {
+            session: ScenarioBuilder::genuine(user)
+                .at_distance(0.04 + 0.02 * (i as f64 / n_sessions.max(1) as f64)),
+            rng: rng.fork_indexed("sf-pos", i as u64),
+            genuine: true,
+            features: i < cfg.sound_field_positives,
+            enroll: i < cfg.enrollment_utterances,
+        })
+        .collect();
+    let attacker = SpeakerProfile::sample(999, &rng.fork("sf-attacker"));
+    let negative = |kind: AttackKind, device: &PlaybackDevice, rng: SimRng| Take {
+        session: ScenarioBuilder::machine_attack(user, kind, device.clone(), attacker.clone())
+            .at_distance(0.05),
+        rng,
+        genuine: false,
+        features: true,
+        enroll: false,
+    };
+    let catalog = table_iv_catalog();
+    let negative_devices = [
+        "Apple EarPods",
+        "Samsung Galaxy S Headset",
+        "Logitech LS21",
+        "Pioneer SP-FS52",
+    ];
+    for (i, key) in negative_devices.iter().enumerate() {
+        if let Some(dev) = catalog.iter().find(|d| d.name.contains(key)) {
+            for take in 0..2u64 {
+                takes.push(negative(
+                    AttackKind::Replay,
+                    dev,
+                    rng.fork_indexed("sf-neg", (i as u64) << 8 | take),
+                ));
+            }
+        }
+    }
+    if let Some(esl) = magshield_voice::devices::unconventional_catalog().first() {
+        for (k, kind) in [AttackKind::Replay, AttackKind::Synthesis]
+            .into_iter()
+            .enumerate()
+        {
+            for take in 0..2u64 {
+                takes.push(negative(
+                    kind,
+                    esl,
+                    rng.fork_indexed("sf-neg-esl", (k as u64) << 8 | take),
+                ));
+            }
+        }
+    }
+    let mut tube = negative(AttackKind::Replay, &catalog[0], rng.fork("sf-neg-tube"));
+    tube.session.source = SourceKind::DeviceViaTube {
+        device: catalog[0].clone(),
+        tube: SoundTube::new(0.30, 0.0125),
+    };
+    takes.push(tube);
+    takes
 }
 
 #[cfg(test)]

@@ -25,7 +25,9 @@
 //! * [`clock`] — sample clocks for converting between durations and sample
 //!   counts;
 //! * [`prop`] — the seeded property-test runner every crate's property
-//!   tests run on.
+//!   tests run on;
+//! * [`par`] — an order-preserving parallel map for independent per-item
+//!   work such as training's corpus synthesis and session captures.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@
 pub mod clock;
 pub mod interp;
 pub mod noise;
+pub mod par;
 pub mod prop;
 pub mod rng;
 pub mod series;

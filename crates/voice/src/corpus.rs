@@ -9,6 +9,7 @@
 
 use crate::profile::SpeakerProfile;
 use crate::synth::{FormantSynthesizer, SessionEffects, VOICE_SAMPLE_RATE};
+use magshield_simkit::par;
 use magshield_simkit::rng::SimRng;
 
 /// One recorded utterance.
@@ -90,12 +91,18 @@ pub fn random_passphrase(len: usize, rng: &mut SimRng) -> String {
 }
 
 /// Builds a corpus per `config`; fully deterministic in `rng`.
+///
+/// Utterances come out speaker by speaker, session by session, take by
+/// take. Profiles, passphrases and session effects are drawn first, on
+/// the calling thread; then every utterance renders from its own
+/// [`SimRng::fork_indexed`] stream, concurrently through [`par::map`].
+/// The corpus is therefore bit-identical whatever the number of CPUs.
 pub fn build_corpus(config: &CorpusConfig, rng: &SimRng) -> Corpus {
     let synth = FormantSynthesizer::new(VOICE_SAMPLE_RATE);
     let speakers: Vec<SpeakerProfile> = (0..config.num_speakers)
         .map(|i| SpeakerProfile::sample(config.first_speaker_id + i as u32, rng))
         .collect();
-    let mut utterances = Vec::new();
+    let mut takes = Vec::new();
     for sp in &speakers {
         // Each speaker keeps one passphrase (text-dependent ASV).
         let mut prng = rng.fork_indexed("passphrase", u64::from(sp.id));
@@ -109,16 +116,16 @@ pub fn build_corpus(config: &CorpusConfig, rng: &SimRng) -> Corpus {
                     "utterance",
                     (u64::from(sp.id) << 16) | ((session as u64) << 8) | utt as u64,
                 );
-                let audio = synth.render_digits(sp, &digits, fx, &urng);
-                utterances.push(Utterance {
-                    speaker_id: sp.id,
-                    digits: digits.clone(),
-                    session: session as u32,
-                    audio,
-                });
+                takes.push((sp, digits.clone(), session as u32, fx, urng));
             }
         }
     }
+    let utterances = par::map(&takes, |(sp, digits, session, fx, urng)| Utterance {
+        speaker_id: sp.id,
+        digits: digits.clone(),
+        session: *session,
+        audio: synth.render_digits(sp, digits, *fx, urng),
+    });
     Corpus {
         speakers,
         utterances,

@@ -36,8 +36,11 @@
 //!
 //! A fourth gate pins what training and enrollment *produce* rather than
 //! what the codec accepts: `pinned_training_and_enrollment_bytes` trains
-//! tiny GMM–UBM and ISV bundles at a fixed seed, enrolls two speakers on
-//! each, and checks the FNV-1a/64 of every bundle and model.
+//! tiny GMM–UBM and ISV bundles at a fixed seed and the default bundle
+//! the benchmarks serve, enrolls two speakers on each, and checks the
+//! FNV-1a/64 of every bundle and model. Training fans out over every CPU,
+//! so run it under `taskset -c 0` as well to check that the sequential
+//! fallback gives the same bytes.
 
 use magshield::core::artifact::ModelBundle;
 use magshield::core::pipeline::DefenseSystem;
@@ -233,6 +236,8 @@ fn training_fingerprints(cfg: BootstrapConfig, seed: u64) -> Vec<u64> {
 /// sound-field bytes equal, and in every speaker model (each bundle's
 /// own and the four enrolled here) the GMM weights, means and variances
 /// and the `znorm` pair equal bit for bit; only `genuine_ref` differed.
+/// The default-sizing constants were captured while training still ran
+/// on one thread; the parallel map must reproduce them.
 #[test]
 fn pinned_training_and_enrollment_bytes() {
     let isv = BootstrapConfig {
@@ -243,16 +248,27 @@ fn pinned_training_and_enrollment_bytes() {
         (
             "tiny",
             BootstrapConfig::tiny(),
+            424_242,
             [0x8d5d55fb43d23670, 0x57f6142c47bb0433, 0xd0cfd525f6ee18c6],
         ),
         (
             "tiny+isv",
             isv,
+            424_242,
             [0x8d484eeb1994b450, 0x8ee619698fe6cf68, 0x09b452406b08726b],
         ),
+        // What `bootstrap_with(&SimRng::from_seed(1), BootstrapConfig::default())`
+        // trains (`training_fingerprints` forks the seed the same way):
+        // the bundle every benchmark serves.
+        (
+            "default",
+            BootstrapConfig::default(),
+            1,
+            [0xc916b2d3553d35a2, 0xd7628abcac73052c, 0xdf44fd9321fd6c38],
+        ),
     ];
-    for (name, cfg, want) in cases {
-        let got = training_fingerprints(cfg, 424_242);
+    for (name, cfg, seed, want) in cases {
+        let got = training_fingerprints(cfg, seed);
         let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
         assert_eq!(
             got,
