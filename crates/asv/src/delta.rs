@@ -127,6 +127,7 @@ mod tests {
     use crate::frontend::FeatureExtractor;
     use crate::ubm::{train_ubm, UbmConfig};
     use crate::UbmBackend;
+    use magshield_dsp::frame::FrameMatrix;
     use magshield_ml::codec::assert_hostile_input_fails;
     use magshield_simkit::prop::prelude::*;
     use magshield_simkit::rng::SimRng;
@@ -152,13 +153,12 @@ mod tests {
             &rng,
         );
         let fx = FeatureExtractor::new(VOICE_SAMPLE_RATE);
-        let utts: Vec<&[f64]> = corpus
+        let utts: Vec<FrameMatrix> = corpus
             .utterances
             .iter()
-            .map(|u| u.audio.as_slice())
+            .map(|u| fx.extract(&u.audio))
             .collect();
         let ubm = train_ubm(
-            &fx,
             &utts,
             UbmConfig {
                 components,

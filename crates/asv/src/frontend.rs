@@ -35,21 +35,12 @@ impl FrontendScratch {
     }
 }
 
-/// Feature extraction configuration and machinery.
+/// Feature extraction configuration and machinery: 13 MFCCs with
+/// per-utterance cepstral mean normalization, then their deltas.
 #[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     mfcc: MfccExtractor,
     vad: VadConfig,
-    /// Whether to append delta features.
-    pub use_deltas: bool,
-    /// Whether to apply per-utterance cepstral mean normalization.
-    pub use_cmn: bool,
-    /// Run MFCC extraction through the fused pre-emphasis+window+real-FFT
-    /// front end ([`MfccExtractor::extract_fused_into`]). Opt-in: fused
-    /// output agrees with the exact path to rounding error but is not
-    /// bitwise identical, so the default stays on the path every committed
-    /// score was produced with.
-    pub fused_frontend: bool,
 }
 
 impl FeatureExtractor {
@@ -58,19 +49,12 @@ impl FeatureExtractor {
         Self {
             mfcc: MfccExtractor::new(sample_rate),
             vad: VadConfig::default(),
-            use_deltas: true,
-            use_cmn: true,
-            fused_frontend: false,
         }
     }
 
-    /// Feature dimensionality produced.
+    /// Feature dimensionality produced: the cepstra and their deltas.
     pub fn dim(&self) -> usize {
-        if self.use_deltas {
-            2 * self.mfcc.num_coeffs
-        } else {
-            self.mfcc.num_coeffs
-        }
+        2 * self.mfcc.num_coeffs
     }
 
     /// Audio sample rate this front end was built for (Hz).
@@ -104,25 +88,16 @@ impl FeatureExtractor {
         } else {
             audio // fall back if VAD ate everything (e.g. quiet replays)
         };
-        if self.use_deltas {
-            self.mfcc_into(source, &mut s.dsp, &mut s.base);
-            if self.use_cmn {
-                cepstral_mean_normalize_flat(&mut s.base);
-            }
-            append_deltas_into(&s.base, out);
-        } else {
-            self.mfcc_into(source, &mut s.dsp, out);
-            if self.use_cmn {
-                cepstral_mean_normalize_flat(out);
-            }
-        }
+        self.mfcc.extract_into(source, &mut s.dsp, &mut s.base);
+        cepstral_mean_normalize_flat(&mut s.base);
+        append_deltas_into(&s.base, out);
     }
 
     /// The oracle front end: the same VAD, CMN and delta steps as
     /// [`Self::extract_into`] over per-call allocations, with MFCCs from
     /// [`MfccExtractor::extract_reference`] (the free `fft`). Matches
-    /// [`Self::extract`] bit for bit unless [`Self::fused_frontend`] is
-    /// set; kept as the parity oracle and the kernel bench's baseline.
+    /// [`Self::extract`] bit for bit; kept as the parity oracle and the
+    /// kernel bench's baseline.
     pub fn extract_reference(&self, audio: &[f64]) -> FrameMatrix {
         let speech = trim_silence(audio, self.mfcc.sample_rate, self.vad);
         let source = if speech.len() >= self.mfcc.frame_len {
@@ -131,37 +106,26 @@ impl FeatureExtractor {
             audio
         };
         let mut frames = self.mfcc.extract_reference(source);
-        if self.use_cmn {
-            cepstral_mean_normalize(&mut frames);
-        }
-        if self.use_deltas {
-            frames = append_deltas(&frames);
-        }
+        cepstral_mean_normalize(&mut frames);
         let mut out = FrameMatrix::new(self.dim());
-        for row in &frames {
+        for row in &append_deltas(&frames) {
             out.push_row(row);
         }
         out
     }
-
-    /// Base MFCC extraction through the configured path (exact by default,
-    /// fused when [`Self::fused_frontend`] is set).
-    fn mfcc_into(&self, source: &[f64], pad: &mut ScratchPad, out: &mut FrameMatrix) {
-        if self.fused_frontend {
-            self.mfcc.extract_fused_into(source, pad, out);
-        } else {
-            self.mfcc.extract_into(source, pad, out);
-        }
-    }
 }
 
 /// The front end is configuration, not learned state: serializing the
-/// sample rate and feature switches is enough to rebuild it exactly via
+/// sample rate is enough to rebuild it exactly via
 /// [`FeatureExtractor::new`] (MFCC geometry and VAD defaults are derived).
 ///
-/// Version 2 appends the `fused_frontend` switch; version-1 artifacts
-/// (the committed golden bundle among them) still decode with the flag
-/// off — the path they were trained and scored on.
+/// The payload keeps the three switch bytes earlier layouts carried —
+/// deltas, CMN and (from version 2) the fused MFCC path — and writes them
+/// as `true, true, false`. A record with deltas or CMN off asks for a
+/// feature dimension or normalization this front end no longer produces,
+/// so it is refused. A set fused byte is read and ignored: the fused
+/// MFCCs agreed with this front end's to within 1e-7. Version-1 records
+/// lack the fused byte.
 impl BinaryCodec for FeatureExtractor {
     const MAGIC: u32 = codec::magic(b"MFEX");
     const VERSION: u8 = 2;
@@ -170,9 +134,9 @@ impl BinaryCodec for FeatureExtractor {
 
     fn encode_payload(&self, w: &mut ByteWriter) {
         w.put_f64(self.sample_rate());
-        w.put_bool(self.use_deltas);
-        w.put_bool(self.use_cmn);
-        w.put_bool(self.fused_frontend);
+        w.put_bool(true); // deltas
+        w.put_bool(true); // CMN
+        w.put_bool(false); // fused MFCC path
     }
 
     fn decode_payload(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
@@ -183,18 +147,23 @@ impl BinaryCodec for FeatureExtractor {
         let sample_rate = r.get_f64()?;
         let use_deltas = r.get_bool()?;
         let use_cmn = r.get_bool()?;
-        let fused_frontend = if version >= 2 { r.get_bool()? } else { false };
-        if !(sample_rate.is_finite() && sample_rate >= 1000.0) {
-            return Err(CodecError::Invalid {
-                artifact: Self::NAME,
-                reason: format!("implausible sample rate {sample_rate}"),
-            });
+        if version >= 2 {
+            r.get_bool()?; // fused MFCC path: ignored
         }
-        let mut fx = Self::new(sample_rate);
-        fx.use_deltas = use_deltas;
-        fx.use_cmn = use_cmn;
-        fx.fused_frontend = fused_frontend;
-        Ok(fx)
+        let invalid = |reason: String| CodecError::Invalid {
+            artifact: Self::NAME,
+            reason,
+        };
+        if !(sample_rate.is_finite() && sample_rate >= 1000.0) {
+            return Err(invalid(format!("implausible sample rate {sample_rate}")));
+        }
+        if !(use_deltas && use_cmn) {
+            return Err(invalid(format!(
+                "unsupported front end (deltas {use_deltas}, CMN {use_cmn}): \
+                 only MFCCs with CMN and deltas are produced"
+            )));
+        }
+        Ok(Self::new(sample_rate))
     }
 }
 
@@ -239,9 +208,9 @@ mod tests {
 
     #[test]
     fn cmn_zeroes_static_means() {
-        let mut fx = FeatureExtractor::new(16_000.0);
-        fx.use_deltas = false;
+        let fx = FeatureExtractor::new(16_000.0);
         let frames = fx.extract(&speechy(16_000.0));
+        // The first 13 columns are the normalized cepstra; deltas follow.
         for d in 0..13 {
             let mean: f64 = frames.iter_rows().map(|f| f[d]).sum::<f64>() / frames.rows() as f64;
             assert!(mean.abs() < 1e-9, "dim {d} mean {mean}");
@@ -260,65 +229,81 @@ mod tests {
     #[test]
     fn extract_is_bit_identical_to_the_oracle_front_end() {
         let bits = |m: &FrameMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for use_deltas in [true, false] {
-            let mut fx = FeatureExtractor::new(16_000.0);
-            fx.use_deltas = use_deltas;
-            // Speech the VAD trims, and silence it drops entirely (the
-            // whole-signal fallback).
-            for sig in [speechy(16_000.0), vec![0.0; 16_000]] {
-                let fast = fx.extract(&sig);
-                let reference = fx.extract_reference(&sig);
-                assert!(!fast.is_empty());
-                assert_eq!(
-                    (fast.rows(), fast.cols()),
-                    (reference.rows(), reference.cols())
-                );
-                assert_eq!(bits(&fast), bits(&reference), "deltas {use_deltas}");
-            }
+        let fx = FeatureExtractor::new(16_000.0);
+        // Speech the VAD trims, and silence it drops entirely (the
+        // whole-signal fallback).
+        for sig in [speechy(16_000.0), vec![0.0; 16_000]] {
+            let fast = fx.extract(&sig);
+            let reference = fx.extract_reference(&sig);
+            assert!(!fast.is_empty());
+            assert_eq!(
+                (fast.rows(), fast.cols()),
+                (reference.rows(), reference.cols())
+            );
+            assert_eq!(bits(&fast), bits(&reference));
         }
     }
 
-    #[test]
-    fn fused_frontend_agrees_with_exact_to_rounding() {
-        let sig = speechy(16_000.0);
-        let exact_fx = FeatureExtractor::new(16_000.0);
-        let mut fused_fx = FeatureExtractor::new(16_000.0);
-        fused_fx.fused_frontend = true;
-        let exact = exact_fx.extract(&sig);
-        let fused = fused_fx.extract(&sig);
-        assert_eq!(fused.rows(), exact.rows());
-        assert_eq!(fused.cols(), exact.cols());
-        for (t, (f, e)) in fused.iter_rows().zip(exact.iter_rows()).enumerate() {
-            for (d, (fv, ev)) in f.iter().zip(e).enumerate() {
-                assert!((fv - ev).abs() < 1e-7, "frame {t} dim {d}: {fv} vs {ev}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_flag_round_trips_and_v1_defaults_off() {
-        let mut fx = FeatureExtractor::new(16_000.0);
-        fx.fused_frontend = true;
-        let back = FeatureExtractor::from_bytes(&fx.to_bytes()).unwrap();
-        assert!(back.fused_frontend);
-        // A v1 frame: version byte 1, payload without the trailing flag.
+    /// An MFEX frame at `version` around a hand-built payload: sample
+    /// rate, then the given switch bytes.
+    fn mfex_frame(version: u8, sample_rate: f64, switches: &[u8]) -> Vec<u8> {
         let mut payload = ByteWriter::new();
-        fx.encode_payload(&mut payload);
-        let mut payload = payload.into_bytes();
-        payload.pop();
+        payload.put_f64(sample_rate);
+        for &b in switches {
+            payload.put_u8(b);
+        }
+        let payload = payload.into_bytes();
         let mut w = ByteWriter::new();
         w.put_u32(FeatureExtractor::MAGIC);
-        w.put_u8(1);
+        w.put_u8(version);
         w.put_len(payload.len());
         let mut frame = w.into_bytes();
         frame.extend_from_slice(&payload);
         frame.extend_from_slice(&codec::fnv1a_64(&frame).to_le_bytes());
-        let v1 = FeatureExtractor::from_bytes(&frame).unwrap();
-        assert!(
-            !v1.fused_frontend,
-            "v1 artifacts must decode with fused off"
-        );
-        assert_eq!(v1.sample_rate(), fx.sample_rate());
+        frame
+    }
+
+    #[test]
+    fn encoding_writes_the_default_switch_bytes() {
+        let fx = FeatureExtractor::new(16_000.0);
+        assert_eq!(fx.to_bytes(), mfex_frame(2, 16_000.0, &[1, 1, 0]));
+    }
+
+    #[test]
+    fn records_without_deltas_or_cmn_are_refused() {
+        for switches in [[0, 1, 0], [1, 0, 0], [0, 0, 1]] {
+            let frame = mfex_frame(2, 16_000.0, &switches);
+            assert!(
+                matches!(
+                    FeatureExtractor::from_bytes(&frame),
+                    Err(CodecError::Invalid { .. })
+                ),
+                "switches {switches:?} must be refused"
+            );
+        }
+        let v1 = mfex_frame(1, 16_000.0, &[1, 0]);
+        assert!(matches!(
+            FeatureExtractor::from_bytes(&v1),
+            Err(CodecError::Invalid { .. })
+        ));
+    }
+
+    #[test]
+    fn fused_and_v1_records_decode_to_the_default_extractor() {
+        let sig = speechy(16_000.0);
+        let expected = FeatureExtractor::new(16_000.0).extract(&sig);
+        let bits = |m: &FrameMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for frame in [
+            mfex_frame(2, 16_000.0, &[1, 1, 1]),
+            mfex_frame(1, 16_000.0, &[1, 1]),
+        ] {
+            let fx = FeatureExtractor::from_bytes(&frame).unwrap();
+            assert_eq!(fx.sample_rate(), 16_000.0);
+            assert_eq!(fx.dim(), 26);
+            assert_eq!(bits(&fx.extract(&sig)), bits(&expected));
+            // Re-encoding writes the current default bytes.
+            assert_eq!(fx.to_bytes(), mfex_frame(2, 16_000.0, &[1, 1, 0]));
+        }
     }
 
     #[test]

@@ -207,23 +207,20 @@ impl UbmBackend {
     }
 
     /// Attaches a Z-norm cohort (typically utterances from the UBM
-    /// training corpus); at most `MAX_COHORT` are kept. Each utterance's
-    /// UBM log-likelihood is computed here, once, and reused by every
-    /// subsequent enrollment.
-    pub fn with_cohort(mut self, utterances: &[&[f64]]) -> Self {
+    /// training corpus), given as frames extracted by this backend's
+    /// front end; at most `MAX_COHORT` are kept, and empty ones are
+    /// skipped. Each utterance's UBM log-likelihood is computed here,
+    /// once, and reused by every subsequent enrollment.
+    pub fn with_cohort(mut self, utterances: &[FrameMatrix]) -> Self {
         let prepared = PreparedGmm::new(&self.ubm);
         let mut scratch = ScoreScratch::new();
         self.cohort = utterances
             .iter()
             .take(MAX_COHORT)
-            .map(|audio| self.extractor.extract(audio))
             .filter(|f| !f.is_empty())
-            .map(|frames| {
-                let ubm_mean_ll = prepared.mean_log_likelihood(&frames, &mut scratch);
-                CohortUtterance {
-                    frames,
-                    ubm_mean_ll,
-                }
+            .map(|frames| CohortUtterance {
+                frames: frames.clone(),
+                ubm_mean_ll: prepared.mean_log_likelihood(frames, &mut scratch),
             })
             .collect();
         self
@@ -637,13 +634,12 @@ mod tests {
             &rng,
         );
         let fx = FeatureExtractor::new(VOICE_SAMPLE_RATE);
-        let utts: Vec<&[f64]> = corpus
+        let utts: Vec<FrameMatrix> = corpus
             .utterances
             .iter()
-            .map(|u| u.audio.as_slice())
+            .map(|u| fx.extract(&u.audio))
             .collect();
         let ubm = train_ubm(
-            &fx,
             &utts,
             UbmConfig {
                 components: 16,
@@ -844,8 +840,7 @@ mod tests {
 
         fn assert_backends_equal(a: &UbmBackend, b: &UbmBackend) {
             assert_eq!(a.extractor.sample_rate(), b.extractor.sample_rate());
-            assert_eq!(a.extractor.use_deltas, b.extractor.use_deltas);
-            assert_eq!(a.extractor.use_cmn, b.extractor.use_cmn);
+            assert_eq!(a.extractor.dim(), b.extractor.dim());
             assert_eq!(a.ubm, b.ubm);
             assert_eq!(a.cohort, b.cohort);
         }
@@ -883,13 +878,11 @@ mod tests {
 
         #[test]
         fn extractor_round_trips() {
-            let mut fx = FeatureExtractor::new(22_050.0);
-            fx.use_cmn = false;
+            let fx = FeatureExtractor::new(22_050.0);
             let back = FeatureExtractor::from_bytes(&fx.to_bytes()).unwrap();
             assert_eq!(back.sample_rate(), fx.sample_rate());
-            assert_eq!(back.use_deltas, fx.use_deltas);
-            assert_eq!(back.use_cmn, fx.use_cmn);
             assert_eq!(back.dim(), fx.dim());
+            assert_eq!(back.to_bytes(), fx.to_bytes());
         }
 
         #[test]

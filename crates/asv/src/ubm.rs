@@ -1,6 +1,5 @@
 //! Universal background model training.
 
-use crate::frontend::FeatureExtractor;
 use magshield_dsp::frame::FrameMatrix;
 use magshield_ml::gmm::DiagonalGmm;
 use magshield_simkit::rng::SimRng;
@@ -27,20 +26,16 @@ impl Default for UbmConfig {
     }
 }
 
-/// Trains a UBM on pooled feature frames from many utterances.
+/// Trains a UBM on the pooled feature frames of many utterances, each
+/// already extracted by the front end the model will serve with.
 ///
 /// # Panics
 ///
 /// Panics if fewer frames than components are available.
-pub fn train_ubm(
-    extractor: &FeatureExtractor,
-    utterances: &[&[f64]],
-    config: UbmConfig,
-    rng: &SimRng,
-) -> DiagonalGmm {
+pub fn train_ubm(utterances: &[FrameMatrix], config: UbmConfig, rng: &SimRng) -> DiagonalGmm {
     let mut pool = FrameMatrix::default();
-    for audio in utterances {
-        pool.extend_rows(&extractor.extract(audio));
+    for frames in utterances {
+        pool.extend_rows(frames);
     }
     assert!(
         pool.rows() >= config.components,
@@ -70,6 +65,7 @@ pub fn train_ubm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontend::FeatureExtractor;
     use magshield_voice::corpus::voxforge_like;
     use magshield_voice::synth::VOICE_SAMPLE_RATE;
 
@@ -78,13 +74,12 @@ mod tests {
         let rng = SimRng::from_seed(1);
         let corpus = voxforge_like(3, &rng);
         let fx = FeatureExtractor::new(VOICE_SAMPLE_RATE);
-        let utts: Vec<&[f64]> = corpus
+        let utts: Vec<FrameMatrix> = corpus
             .utterances
             .iter()
-            .map(|u| u.audio.as_slice())
+            .map(|u| fx.extract(&u.audio))
             .collect();
         let ubm = train_ubm(
-            &fx,
             &utts,
             UbmConfig {
                 components: 8,
@@ -106,10 +101,9 @@ mod tests {
     #[should_panic(expected = "need at least")]
     fn rejects_insufficient_data() {
         let fx = FeatureExtractor::new(16_000.0);
-        let silence = vec![0.0; 800];
+        let silence = fx.extract(&[0.0; 800]);
         train_ubm(
-            &fx,
-            &[silence.as_slice()],
+            &[silence],
             UbmConfig {
                 components: 512,
                 em_iters: 1,

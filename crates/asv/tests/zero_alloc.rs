@@ -101,30 +101,4 @@ fn steady_state_extraction_is_allocation_free() {
          {allocs} allocations / {bytes} bytes observed"
     );
     assert_eq!(out, warm, "steady-state output must be identical");
-
-    // Same proof for the fused real-FFT front end: the packed complex
-    // buffer joins the scratch high-water mark on warm-up and is reused
-    // thereafter.
-    let mut fx_fused = FeatureExtractor::new(16_000.0);
-    fx_fused.fused_frontend = true;
-    fx_fused.extract_into(&sig, &mut scratch, &mut out);
-    let warm_fused = out.clone();
-
-    ALLOCS.store(0, Ordering::SeqCst);
-    BYTES.store(0, Ordering::SeqCst);
-    ARMED.with(|a| a.set(true));
-    fx_fused.extract_into(&sig, &mut scratch, &mut out);
-    ARMED.with(|a| a.set(false));
-
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    let bytes = BYTES.load(Ordering::SeqCst);
-    assert_eq!(
-        allocs, 0,
-        "warmed fused extract_into must not touch the heap: \
-         {allocs} allocations / {bytes} bytes observed"
-    );
-    assert_eq!(
-        out, warm_fused,
-        "fused steady-state output must be identical"
-    );
 }

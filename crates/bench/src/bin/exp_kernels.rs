@@ -21,7 +21,8 @@ use magshield_asv::ubm::{train_ubm, UbmConfig};
 use magshield_bench::{print_header, print_row, EXPERIMENT_SEED};
 use magshield_dsp::frame::FrameMatrix;
 use magshield_ml::gmm::{
-    llr_score_quantized, llr_score_sequential, LlrScorer, PreparedGmm, QuantizedGmm, ScoreScratch,
+    llr_score_prepared, llr_score_quantized, llr_score_sequential, PreparedGmm, QuantizedGmm,
+    ScoreScratch,
 };
 use magshield_simkit::rng::SimRng;
 use magshield_voice::corpus::voxforge_like;
@@ -36,7 +37,6 @@ const TOP_C: usize = 8;
 struct Timings {
     extract_reference: f64,
     extract_fast: f64,
-    extract_fused: f64,
     llr_reference: f64,
     llr_sequential_exact: f64,
     llr_sequential_pruned: f64,
@@ -63,13 +63,12 @@ fn main() {
     eprintln!("(building corpus + {components}-component UBM...)");
     let corpus = voxforge_like(if quick { 3 } else { 6 }, &rng.fork("corpus"));
     let fx = FeatureExtractor::new(VOICE_SAMPLE_RATE);
-    let utts: Vec<&[f64]> = corpus
+    let utts: Vec<FrameMatrix> = corpus
         .utterances
         .iter()
-        .map(|u| u.audio.as_slice())
+        .map(|u| fx.extract(&u.audio))
         .collect();
     let ubm = train_ubm(
-        &fx,
         &utts,
         UbmConfig {
             components,
@@ -92,7 +91,6 @@ fn main() {
     let t = Timings {
         extract_reference: time_extract_reference(&fx, &audio, budget_s),
         extract_fast: time_extract_fast(&fx, &audio, budget_s),
-        extract_fused: time_extract_fused(&fx, &audio, budget_s),
         llr_reference: time_llr_reference(&speaker, &ubm, &frames, budget_s),
         llr_sequential_exact: time_llr_sequential(&speaker, &ubm, &frames, 0, budget_s),
         llr_sequential_pruned: time_llr_sequential(&speaker, &ubm, &frames, TOP_C, budget_s),
@@ -114,10 +112,6 @@ fn main() {
     print_row(
         "extract fast",
         &[t.extract_fast, t.extract_reference / t.extract_fast],
-    );
-    print_row(
-        "extract fused",
-        &[t.extract_fused, t.extract_fast / t.extract_fused],
     );
     print_row("llr ref", &[t.llr_reference, 1.0]);
     print_row(
@@ -203,22 +197,6 @@ fn time_extract_fast(fx: &FeatureExtractor, audio: &[f64], budget_s: f64) -> f64
     })
 }
 
-/// The fused front end: pre-emphasis, windowing, and even/odd real-FFT
-/// packing in one pass per frame, a half-size transform, and power
-/// computed during the unpack.
-fn time_extract_fused(fx: &FeatureExtractor, audio: &[f64], budget_s: f64) -> f64 {
-    let mut fx = fx.clone();
-    fx.fused_frontend = true;
-    let mut scratch = FrontendScratch::new();
-    let mut out = FrameMatrix::new(0);
-    fx.extract_into(audio, &mut scratch, &mut out);
-    let frames = out.rows();
-    time_ns_per_frame(frames, budget_s, || {
-        fx.extract_into(black_box(audio), &mut scratch, &mut out);
-        black_box(out.rows());
-    })
-}
-
 /// Naive LLR: `DiagonalGmm::llr_score`, re-deriving Gaussian constants
 /// per frame per component.
 fn time_llr_reference(
@@ -240,10 +218,10 @@ fn time_llr_prepared(
     top_c: usize,
     budget_s: f64,
 ) -> f64 {
-    let scorer = LlrScorer::new(speaker, ubm);
+    let (spk, bg) = (PreparedGmm::new(speaker), PreparedGmm::new(ubm));
     let mut scratch = ScoreScratch::new();
     time_ns_per_frame(frames.rows(), budget_s, || {
-        black_box(scorer.score(black_box(frames), top_c, &mut scratch).score);
+        black_box(llr_score_prepared(&spk, &bg, black_box(frames), top_c, &mut scratch).score);
     })
 }
 
@@ -310,20 +288,14 @@ fn write_json(path: &str, quick: bool, t: &Timings) {
         t.llr_reference / t.llr_prepared_pruned,
         false,
     ));
-    // The tentpole ratios: fused front end vs the scratch-reuse fast
-    // path, and frame-major batched scoring vs the retained sequential
-    // scorer on identical exhaustive work (the pruned path's speaker
-    // side is per-frame in both kernels, so exact-vs-exact is the
-    // like-for-like measure of the batching transformation). The
+    // Frame-major batched scoring vs the retained sequential scorer on
+    // identical exhaustive work (the pruned path's speaker side is
+    // per-frame in both kernels, so exact-vs-exact is the like-for-like
+    // measure of the batching transformation). The
     // quantized-vs-exact ratio is deliberately NOT gated: quantization
     // trades wall clock for a 4x smaller model (it benches ~0.8x on the
     // dequantize-on-the-fly path), so gating it "higher is better" would
     // punish the intended tradeoff — it is reported under "info" below.
-    metrics.push_str(&metric(
-        "extract_fused_speedup",
-        t.extract_fast / t.extract_fused,
-        false,
-    ));
     metrics.push_str(&metric(
         "llr_batched_speedup",
         t.llr_sequential_exact / t.llr_prepared_exact,
@@ -334,7 +306,6 @@ fn write_json(path: &str, quick: bool, t: &Timings) {
          \"frames\": {},\n    \"components\": {},\n    \"top_c\": {TOP_C},\n    \
          \"extract_reference_ns_per_frame\": {:.1},\n    \
          \"extract_fast_ns_per_frame\": {:.1},\n    \
-         \"extract_fused_ns_per_frame\": {:.1},\n    \
          \"llr_reference_ns_per_frame\": {:.1},\n    \
          \"llr_sequential_exact_ns_per_frame\": {:.1},\n    \
          \"llr_sequential_top_c_ns_per_frame\": {:.1},\n    \
@@ -346,7 +317,6 @@ fn write_json(path: &str, quick: bool, t: &Timings) {
         t.components,
         t.extract_reference,
         t.extract_fast,
-        t.extract_fused,
         t.llr_reference,
         t.llr_sequential_exact,
         t.llr_sequential_pruned,

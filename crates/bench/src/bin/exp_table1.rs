@@ -24,6 +24,7 @@ use magshield_asv::ubm::{train_ubm, UbmConfig};
 use magshield_bench::{print_header, write_results, ResultRow, EXPERIMENT_SEED};
 use magshield_core::components::speaker_id::AsvEngine;
 use magshield_ml::metrics::ErrorRates;
+use magshield_simkit::par;
 use magshield_simkit::rng::SimRng;
 use magshield_voice::attacks::{attack_audio, AttackKind};
 use magshield_voice::corpus::{arctic_like, test1_corpus, voxforge_like, Corpus};
@@ -31,14 +32,9 @@ use magshield_voice::synth::VOICE_SAMPLE_RATE;
 
 fn build_engines(train: &Corpus, rng: &SimRng) -> (AsvEngine, AsvEngine) {
     let fx = FeatureExtractor::new(VOICE_SAMPLE_RATE);
-    let utts: Vec<&[f64]> = train
-        .utterances
-        .iter()
-        .map(|u| u.audio.as_slice())
-        .collect();
+    let frames = par::map(&train.utterances, |u| fx.extract(&u.audio));
     let ubm = train_ubm(
-        &fx,
-        &utts,
+        &frames,
         UbmConfig {
             components: 48,
             em_iters: 10,
@@ -46,11 +42,12 @@ fn build_engines(train: &Corpus, rng: &SimRng) -> (AsvEngine, AsvEngine) {
         },
         &rng.fork("ubm"),
     );
-    let backend = UbmBackend::new(fx.clone(), ubm).with_cohort(&utts);
-    let groups: Vec<(u32, u32, magshield_dsp::frame::FrameMatrix)> = train
+    let backend = UbmBackend::new(fx, ubm).with_cohort(&frames);
+    let groups: Vec<_> = train
         .utterances
         .iter()
-        .map(|u| (u.speaker_id, u.session, fx.extract(&u.audio)))
+        .zip(frames)
+        .map(|(u, f)| (u.speaker_id, u.session, f))
         .collect();
     let subspace = SessionSubspace::estimate(&backend.ubm, &groups, 2);
     (

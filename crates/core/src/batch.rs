@@ -465,6 +465,13 @@ pub(crate) struct Worker<'a> {
 }
 
 impl Worker<'_> {
+    /// Counts one contained panic in `server.worker.panics`. The engine
+    /// counts the panics that reach its `catch_unwind`; a job that
+    /// catches its own panic to answer for it counts it here first.
+    pub(crate) fn record_panic(&self) {
+        self.obs.panics.inc();
+    }
+
     /// Verifies one session under the engine's policy: one compute
     /// sample, one verdict counted.
     pub(crate) fn verify(&self, session: &SessionData) -> DefenseVerdict {
@@ -847,7 +854,7 @@ fn worker_loop(id: usize, intake: &Intake, system: &DefenseSystem, policy: Execu
         };
         let job = item.job;
         if std::panic::catch_unwind(AssertUnwindSafe(|| job(&worker))).is_err() {
-            intake.obs.panics.inc();
+            worker.record_panic();
         }
     }
 }

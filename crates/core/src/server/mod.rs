@@ -89,8 +89,9 @@ use magshield_obs::slo::{HealthReport, SloEngine, SloSpec};
 use magshield_obs::sync::lock;
 use protocol::{decode_frame, encode_response, Message, StreamVerdictKind};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -100,30 +101,6 @@ use std::time::{Duration, Instant};
 /// frame (wrong magic).
 #[doc(hidden)]
 pub const PANIC_FRAME: &[u8] = b"\xDE\xAD\xBE\xEFpanic-injection";
-
-/// The reply channel of one queued frame. If the frame's handler panics,
-/// unwinding drops the unsent reply, which answers the client with an
-/// internal-error frame instead of a dead connection.
-struct Reply(Option<Sender<Vec<u8>>>);
-
-impl Reply {
-    fn send(mut self, frame: Vec<u8>) {
-        if let Some(tx) = self.0.take() {
-            // The client may have given up; ignore send errors.
-            let _ = tx.send(frame);
-        }
-    }
-}
-
-impl Drop for Reply {
-    fn drop(&mut self) {
-        if let Some(tx) = self.0.take() {
-            if std::thread::panicking() {
-                let _ = tx.send(protocol::encode_error(0, "internal error: worker panicked"));
-            }
-        }
-    }
-}
 
 /// Server sizing and policy, consumed by
 /// [`VerificationServer::spawn_with_config`].
@@ -360,7 +337,7 @@ impl VerificationServer {
 }
 
 /// Decodes and executes one frame on a pool thread, returning the reply
-/// frame. Runs inside the engine's per-item `catch_unwind`, so a panic
+/// frame. Runs inside the frame job's `catch_unwind`, so a panic
 /// anywhere in here is contained to the frame.
 fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
     if frame == PANIC_FRAME {
@@ -902,11 +879,19 @@ impl Client {
     /// queue is full).
     fn send_frame(&self, frame: Vec<u8>) -> Result<Receiver<Vec<u8>>, ClientError> {
         let (tx, rx) = mpsc::channel();
-        let reply = Reply(Some(tx));
         let shared = Arc::clone(&self.shared);
         self.intake
             .submit(Box::new(move |w| {
-                reply.send(serve_frame(&frame, &shared, w))
+                // A panicking handler answers with an error frame instead
+                // of a dead connection, and is counted before that frame
+                // can reach the client.
+                let reply = catch_unwind(AssertUnwindSafe(|| serve_frame(&frame, &shared, w)))
+                    .unwrap_or_else(|_| {
+                        w.record_panic();
+                        protocol::encode_error(0, "internal error: worker panicked")
+                    });
+                // The client may have given up; ignore send errors.
+                let _ = tx.send(reply);
             }))
             .map_err(|_| ClientError::Disconnected)?;
         Ok(rx)

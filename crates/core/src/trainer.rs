@@ -125,25 +125,23 @@ impl Trainer {
     ///    templates ship with the system, no attacker data required.
     ///
     /// Deterministic in `rng`: a given seed always yields a byte-identical
-    /// bundle, on any number of CPUs. The corpus synthesis and the
-    /// session captures run concurrently through [`par::map`], each item
-    /// on its own fork of `rng`, and their results are used in input
-    /// order. Speaker profile sampling, EM, enrollment and SVM training
-    /// run sequentially on the calling thread.
+    /// bundle, on any number of CPUs. The corpus synthesis, the corpus
+    /// feature extraction and the session captures run concurrently
+    /// through [`par::map`] (every random item on its own fork of `rng`),
+    /// and their results are used in input order. Speaker profile
+    /// sampling, EM, enrollment and SVM training run sequentially on the
+    /// calling thread.
     pub fn train(&self, user: &UserContext, rng: &SimRng) -> ModelBundle {
         let cfg = self.cfg;
         // --- ASV backend ---
         let extractor = FeatureExtractor::new(VOICE_SAMPLE_RATE);
         let corpus =
             magshield_voice::corpus::voxforge_like(cfg.ubm_speakers, &rng.fork("ubm-corpus"));
-        let utts: Vec<&[f64]> = corpus
-            .utterances
-            .iter()
-            .map(|u| u.audio.as_slice())
-            .collect();
+        // One extraction per corpus utterance feeds the UBM, the Z-norm
+        // cohort and the ISV session groups.
+        let frames = par::map(&corpus.utterances, |u| extractor.extract(&u.audio));
         let ubm = train_ubm(
-            &extractor,
-            &utts,
+            &frames,
             UbmConfig {
                 components: cfg.ubm_components,
                 em_iters: cfg.em_iters,
@@ -151,12 +149,13 @@ impl Trainer {
             },
             &rng.fork("ubm-train"),
         );
-        let ubm_backend = UbmBackend::new(extractor.clone(), ubm).with_cohort(&utts);
+        let ubm_backend = UbmBackend::new(extractor, ubm).with_cohort(&frames);
         let engine = if cfg.use_isv {
-            let groups: Vec<(u32, u32, magshield_dsp::frame::FrameMatrix)> = corpus
+            let groups: Vec<_> = corpus
                 .utterances
                 .iter()
-                .map(|u| (u.speaker_id, u.session, extractor.extract(&u.audio)))
+                .zip(frames)
+                .map(|(u, f)| (u.speaker_id, u.session, f))
                 .collect();
             let subspace = SessionSubspace::estimate(&ubm_backend.ubm, &groups, cfg.isv_rank);
             AsvEngine::Isv(IsvBackend::new(ubm_backend, subspace))

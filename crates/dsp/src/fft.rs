@@ -309,8 +309,8 @@ fn butterfly(u: Complex, b: Complex, w: Complex) -> (Complex, Complex) {
 /// ```
 ///
 /// Halving the transform size roughly halves the butterfly count — the
-/// dominant cost of the MFCC/STFT front ends, which only ever consume the
-/// one-sided spectrum of real frames. Results agree with [`rfft`] to
+/// dominant cost of the STFT, which only ever consumes the one-sided
+/// spectrum of real frames. Results agree with [`rfft`] to
 /// rounding error (the operation order differs, so equality is *not*
 /// bitwise; see the parity tests).
 #[derive(Debug, Clone)]
@@ -399,28 +399,6 @@ impl RealFftPlan {
             out.push(self.unpack_bin(packed, k));
         }
         out.push(Complex::new(packed[0].re - packed[0].im, 0.0));
-    }
-
-    /// Transforms an already-packed buffer and writes the **scaled power
-    /// spectrum** `|X[k]|² · scale` for `k = 0..=n/2` into `out`, never
-    /// materializing the complex spectrum — the fused form the MFCC front
-    /// end consumes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packed.len() != n/2`.
-    pub fn power_from_packed(&self, packed: &mut [Complex], scale: f64, out: &mut Vec<f64>) {
-        let m = self.packed_len();
-        self.inner.forward(packed);
-        out.clear();
-        out.reserve(m + 1);
-        let dc = packed[0].re + packed[0].im;
-        out.push(dc * dc * scale);
-        for k in 1..m {
-            out.push(self.unpack_bin(packed, k).norm_sqr() * scale);
-        }
-        let nyq = packed[0].re - packed[0].im;
-        out.push(nyq * nyq * scale);
     }
 
     /// One unpacked spectrum bin `X[k]` for `0 < k < n/2` from the
@@ -680,27 +658,6 @@ mod tests {
                     "len={len} bin {k}: {h:?} vs {f:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn real_plan_power_matches_spectrum() {
-        let n = 256;
-        let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin()).collect();
-        let plan = RealFftPlan::new(n);
-        let mut packed = Vec::new();
-        let mut spec = Vec::new();
-        plan.forward_into(&signal, &mut packed, &mut spec);
-        let scale = 1.0 / 200.0;
-        plan.pack_into(&signal, &mut packed);
-        let mut power = Vec::new();
-        plan.power_from_packed(&mut packed, scale, &mut power);
-        assert_eq!(power.len(), spec.len());
-        for (k, (p, z)) in power.iter().zip(&spec).enumerate() {
-            assert!(
-                (p - z.norm_sqr() * scale).abs() < 1e-9 * (1.0 + z.norm_sqr() * scale),
-                "bin {k}"
-            );
         }
     }
 

@@ -245,9 +245,6 @@ pub struct ScratchPad {
     pub mel: Vec<f64>,
     /// Pre-emphasized copy of the whole input signal.
     pub emphasized: Vec<f64>,
-    /// Even/odd-packed half-length complex buffer for the fused real-FFT
-    /// front end ([`crate::fft::RealFftPlan`]).
-    pub packed: Vec<Complex>,
 }
 
 impl ScratchPad {
@@ -262,7 +259,7 @@ impl ScratchPad {
     /// exactly the heap the fast path had to acquire, which the pipeline
     /// reports as `dsp.extract.alloc_bytes`.
     pub fn footprint_bytes(&self) -> usize {
-        (self.fft.capacity() + self.packed.capacity()) * std::mem::size_of::<Complex>()
+        self.fft.capacity() * std::mem::size_of::<Complex>()
             + (self.power.capacity() + self.mel.capacity() + self.emphasized.capacity())
                 * std::mem::size_of::<f64>()
     }

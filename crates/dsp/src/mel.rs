@@ -26,7 +26,7 @@
 //! `cos` values with the orthonormal scale applied last), so the parity
 //! contract is `to_bits` equality, not a tolerance.
 
-use crate::fft::{next_pow2, rfft, FftPlan, RealFftPlan};
+use crate::fft::{next_pow2, rfft, FftPlan};
 use crate::filter::{pre_emphasis, pre_emphasis_into};
 use crate::frame::{FrameMatrix, ScratchPad};
 use crate::window::WindowKind;
@@ -194,11 +194,6 @@ pub struct MfccExtractor {
     /// bit-identical to the free [`fft`](crate::fft::fft) the reference
     /// path runs via [`rfft`].
     fft_plan: FftPlan,
-    /// Half-size real-FFT plan for the fused front end
-    /// ([`Self::extract_fused_into`]); `None` only for the degenerate
-    /// `nfft < 2` geometry, where the fused path falls back to the exact
-    /// one.
-    real_plan: Option<RealFftPlan>,
     /// DCT-II basis, row-major: `dct_cos[k * num_filters + j] =
     /// cos(π k (j + ½) / num_filters)`. Raw cosines — the orthonormal scale
     /// is applied after the dot product, matching [`dct2`] bit for bit.
@@ -266,7 +261,6 @@ impl MfccExtractor {
             filterbank,
             window,
             fft_plan: FftPlan::new(nfft),
-            real_plan: (nfft >= 2).then(|| RealFftPlan::new(nfft)),
             dct_cos,
             dct_scale,
         }
@@ -308,89 +302,20 @@ impl MfccExtractor {
                     .iter()
                     .map(|z| z.norm_sqr() / self.frame_len as f64),
             );
-            self.mel_dct_row(pad, out);
+            // Mel filterbank → log → DCT-II: the operations of [`dct2`] in
+            // its order, over the precomputed cosine table.
+            self.filterbank.apply_into(&pad.power, &mut pad.mel);
+            for e in pad.mel.iter_mut() {
+                *e = (e.max(1e-12)).ln();
+            }
+            let row = out.alloc_row();
+            for (k, slot) in row.iter_mut().enumerate() {
+                let basis = &self.dct_cos[k * self.num_filters..(k + 1) * self.num_filters];
+                let acc: f64 = pad.mel.iter().zip(basis).map(|(x, c)| x * c).sum();
+                *slot = self.dct_scale[k] * acc;
+            }
             start += self.hop;
         }
-    }
-
-    /// The shared back half of every extraction path: mel filterbank →
-    /// log → DCT-II over `pad.power`, appending one row to `out`. Same
-    /// operations in the same order as [`dct2`], so paths differ only in
-    /// how they produce the power spectrum.
-    fn mel_dct_row(&self, pad: &mut ScratchPad, out: &mut FrameMatrix) {
-        self.filterbank.apply_into(&pad.power, &mut pad.mel);
-        for e in pad.mel.iter_mut() {
-            *e = (e.max(1e-12)).ln();
-        }
-        let row = out.alloc_row();
-        for (k, slot) in row.iter_mut().enumerate() {
-            let basis = &self.dct_cos[k * self.num_filters..(k + 1) * self.num_filters];
-            let acc: f64 = pad.mel.iter().zip(basis).map(|(x, c)| x * c).sum();
-            *slot = self.dct_scale[k] * acc;
-        }
-    }
-
-    /// Fused front end: pre-emphasis, Hamming window and real-FFT packing
-    /// evaluated in a **single pass per frame**, with the spectrum computed
-    /// by a half-size transform ([`RealFftPlan`]) — no whole-signal
-    /// emphasized copy, no full-length complex buffer, half the butterfly
-    /// work.
-    ///
-    /// Numerically equivalent to [`Self::extract_into`] to rounding error,
-    /// but **not bitwise identical**: the half-size transform evaluates the
-    /// same spectrum through a different operation order. The exact path
-    /// stays the default everywhere a committed score could shift; this
-    /// path is the opt-in hot-loop variant (see
-    /// `FeatureExtractor::fused_frontend` in `magshield-asv`).
-    ///
-    /// Frames overlap by `frame_len − hop` samples, so pre-emphasis is
-    /// recomputed per frame rather than shared — one fused multiply-add
-    /// per sample against the raw signal, which profiles cheaper than the
-    /// extra whole-signal write+read pass it replaces.
-    pub fn extract_fused_into(&self, signal: &[f64], pad: &mut ScratchPad, out: &mut FrameMatrix) {
-        let Some(real_plan) = &self.real_plan else {
-            // Degenerate nfft < 2 geometry: the half-size trick has no
-            // half to use; the exact path is already optimal.
-            self.extract_into(signal, pad, out);
-            return;
-        };
-        out.reset(self.num_coeffs);
-        let m = real_plan.packed_len();
-        let a = self.pre_emphasis;
-        let inv_len = 1.0 / self.frame_len as f64;
-        let mut start = 0;
-        while start + self.frame_len <= signal.len() {
-            let frame = &signal[start..start + self.frame_len];
-            // One pass: emphasize both samples of each pair, window them,
-            // and pack them as one complex entry.
-            pad.packed.clear();
-            pad.packed.resize(m, crate::complex::Complex::ZERO);
-            let prev0 = if start == 0 { 0.0 } else { signal[start - 1] };
-            for (j, slot) in pad.packed[..self.frame_len / 2].iter_mut().enumerate() {
-                let t = 2 * j;
-                let p = if t == 0 { prev0 } else { frame[t - 1] };
-                let e0 = frame[t] - a * p;
-                let e1 = frame[t + 1] - a * frame[t];
-                *slot = crate::complex::Complex::new(e0 * self.window[t], e1 * self.window[t + 1]);
-            }
-            if self.frame_len % 2 == 1 {
-                let t = self.frame_len - 1;
-                let p = if t == 0 { prev0 } else { frame[t - 1] };
-                pad.packed[self.frame_len / 2] =
-                    crate::complex::Complex::new((frame[t] - a * p) * self.window[t], 0.0);
-            }
-            real_plan.power_from_packed(&mut pad.packed, inv_len, &mut pad.power);
-            self.mel_dct_row(pad, out);
-            start += self.hop;
-        }
-    }
-
-    /// [`Self::extract_fused_into`] with throwaway scratch.
-    pub fn extract_fused(&self, signal: &[f64]) -> FrameMatrix {
-        let mut pad = ScratchPad::new();
-        let mut out = FrameMatrix::new(self.num_coeffs);
-        self.extract_fused_into(signal, &mut pad, &mut out);
-        out
     }
 
     /// Reference MFCC pipeline over `Vec<Vec<f64>>`, kept as the oracle the
@@ -612,64 +537,6 @@ mod tests {
         for (t, r) in reference.iter().enumerate() {
             assert_eq!(bits(fast.row(t)), bits(r), "frame {t}");
         }
-    }
-
-    #[test]
-    fn fused_path_matches_exact_to_rounding() {
-        let fs = 16_000.0;
-        let sig: Vec<f64> = (0..8000)
-            .map(|i| {
-                let t = i as f64 / fs;
-                (std::f64::consts::TAU * 220.0 * t).sin()
-                    + 0.3 * (std::f64::consts::TAU * 1750.0 * t).sin()
-                    + 0.05 * ((i * 2654435761usize) % 997) as f64 / 997.0
-            })
-            .collect();
-        let ex = MfccExtractor::new(fs);
-        let exact = ex.extract(&sig);
-        let fused = ex.extract_fused(&sig);
-        assert_eq!(fused.rows(), exact.rows());
-        assert_eq!(fused.cols(), exact.cols());
-        for t in 0..exact.rows() {
-            for (d, (f, e)) in fused.row(t).iter().zip(exact.row(t)).enumerate() {
-                assert!(
-                    (f - e).abs() < 1e-8,
-                    "frame {t} dim {d}: fused {f} vs exact {e}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fused_path_handles_odd_frame_lengths() {
-        // 25.0625 ms at 16 kHz → 401-sample frames: the lone-tail pack.
-        let fs = 16_000.0;
-        let ex = MfccExtractor::with_config(fs, 0.02506, 0.010, 13, 26);
-        assert_eq!(ex.frame_len % 2, 1, "geometry no longer odd");
-        let sig: Vec<f64> = (0..4000).map(|i| (i as f64 * 0.07).sin()).collect();
-        let exact = ex.extract(&sig);
-        let fused = ex.extract_fused(&sig);
-        assert_eq!(fused.rows(), exact.rows());
-        for t in 0..exact.rows() {
-            for (f, e) in fused.row(t).iter().zip(exact.row(t)) {
-                assert!((f - e).abs() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
-    fn fused_path_reuses_scratch_across_calls() {
-        let fs = 16_000.0;
-        let sig: Vec<f64> = (0..4000).map(|i| (i as f64 * 0.01).sin()).collect();
-        let ex = MfccExtractor::new(fs);
-        let mut pad = ScratchPad::new();
-        let mut out = FrameMatrix::default();
-        ex.extract_fused_into(&sig, &mut pad, &mut out);
-        let first = out.clone();
-        let footprint = pad.footprint_bytes();
-        ex.extract_fused_into(&sig, &mut pad, &mut out);
-        assert_eq!(out, first);
-        assert_eq!(pad.footprint_bytes(), footprint, "scratch regrew");
     }
 
     #[test]

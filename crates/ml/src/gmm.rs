@@ -636,9 +636,7 @@ fn transpose_block<F: FrameSource + ?Sized>(
 /// accumulated in ascending-`d` order — the exact operation sequence of
 /// the one-frame [`PreparedGmm::weighted_component_ll`] loop, so each lane
 /// is bit-identical to the sequential path. The eight lanes are
-/// independent, which is what lets the compiler vectorize the loop (and
-/// what the `simd` build makes explicit).
-#[cfg(not(feature = "simd"))]
+/// independent, which is what lets the compiler vectorize the loop.
 #[inline]
 fn block_quad(xt: &[f64], m: &[f64], iv: &[f64]) -> [f64; FRAME_BLOCK] {
     let mut quad = [0.0f64; FRAME_BLOCK];
@@ -649,23 +647,6 @@ fn block_quad(xt: &[f64], m: &[f64], iv: &[f64]) -> [f64; FRAME_BLOCK] {
         }
     }
     quad
-}
-
-/// `std::simd` variant of [`block_quad`]: one `f64x8` accumulator, the
-/// same per-lane operation order (sub, mul, mul, add — no FMA
-/// contraction), so lanes remain bit-identical to the scalar path;
-/// portable-SIMD lane arithmetic is IEEE-754 correctly rounded.
-#[cfg(feature = "simd")]
-#[inline]
-fn block_quad(xt: &[f64], m: &[f64], iv: &[f64]) -> [f64; FRAME_BLOCK] {
-    use std::simd::f64x8;
-    let mut quad = f64x8::splat(0.0);
-    for (col, (&mi, &ivi)) in xt.chunks_exact(FRAME_BLOCK).zip(m.iter().zip(iv)) {
-        let x = f64x8::from_slice(col);
-        let di = x - f64x8::splat(mi);
-        quad += di * di * f64x8::splat(ivi);
-    }
-    quad.to_array()
 }
 
 /// What [`llr_score_prepared`] computed, beyond the score itself.
@@ -833,33 +814,6 @@ pub fn llr_score_sequential<F: FrameSource + ?Sized>(
         frames: n,
         pruned_components: pruned,
         evaluated_components: evaluated,
-    }
-}
-
-/// Convenience bundle of a prepared speaker model and UBM.
-#[derive(Debug, Clone)]
-pub struct LlrScorer {
-    speaker: PreparedGmm,
-    ubm: PreparedGmm,
-}
-
-impl LlrScorer {
-    /// Prepares both mixtures for fast scoring.
-    pub fn new(speaker: &DiagonalGmm, ubm: &DiagonalGmm) -> Self {
-        Self {
-            speaker: PreparedGmm::new(speaker),
-            ubm: PreparedGmm::new(ubm),
-        }
-    }
-
-    /// Scores `frames`; see [`llr_score_prepared`].
-    pub fn score<F: FrameSource + ?Sized>(
-        &self,
-        frames: &F,
-        top_c: usize,
-        scratch: &mut ScoreScratch,
-    ) -> LlrBreakdown {
-        llr_score_prepared(&self.speaker, &self.ubm, frames, top_c, scratch)
     }
 }
 
@@ -1473,10 +1427,10 @@ mod tests {
         let model = ubm.map_adapt_means(&data[..80].to_vec(), 16.0);
         let frames = &data[100..180].to_vec();
         let reference = model.llr_score(&ubm, frames);
-        let scorer = LlrScorer::new(&model, &ubm);
+        let (spk, bg) = (PreparedGmm::new(&model), PreparedGmm::new(&ubm));
         let mut scratch = ScoreScratch::new();
         for top_c in [0, 4, 100] {
-            let b = scorer.score(frames, top_c, &mut scratch);
+            let b = llr_score_prepared(&spk, &bg, frames, top_c, &mut scratch);
             assert!(
                 (b.score - reference).abs() < 1e-9,
                 "top_c={top_c}: {} vs {reference}",
@@ -1494,10 +1448,10 @@ mod tests {
         let ubm = DiagonalGmm::train(&data, 8, 20, 1e-6, &rng);
         let model = ubm.map_adapt_means(&data[..100].to_vec(), 16.0);
         let frames = &data[200..300].to_vec();
-        let scorer = LlrScorer::new(&model, &ubm);
+        let (spk, bg) = (PreparedGmm::new(&model), PreparedGmm::new(&ubm));
         let mut scratch = ScoreScratch::new();
-        let exact = scorer.score(frames, 0, &mut scratch);
-        let pruned = scorer.score(frames, 4, &mut scratch);
+        let exact = llr_score_prepared(&spk, &bg, frames, 0, &mut scratch);
+        let pruned = llr_score_prepared(&spk, &bg, frames, 4, &mut scratch);
         assert_eq!(
             pruned.pruned_components,
             (frames.len() * (8 - 4)) as u64,
@@ -1519,8 +1473,8 @@ mod tests {
         );
         // Steady state: re-scoring allocates nothing new.
         let fp = scratch.footprint_bytes();
-        scorer.score(frames, 4, &mut scratch);
-        scorer.score(frames, 0, &mut scratch);
+        llr_score_prepared(&spk, &bg, frames, 4, &mut scratch);
+        llr_score_prepared(&spk, &bg, frames, 0, &mut scratch);
         assert_eq!(scratch.footprint_bytes(), fp, "scratch regrew");
     }
 

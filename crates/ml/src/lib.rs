@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 // The dense-matrix kernels (PCA, GMM, circle fit) intentionally use
 // index loops: the math mirrors the textbook row/column notation, and
 // iterator rewrites obscure the symmetric-index structure.

@@ -4,7 +4,7 @@ use magshield_dsp::FrameMatrix;
 use magshield_ml::circlefit::fit_circle;
 use magshield_ml::gmm::{
     llr_drift_bound, llr_score_prepared, llr_score_quantized, llr_score_sequential, log_sum_exp,
-    DiagonalGmm, LlrScorer, PreparedGmm, QuantizedGmm, ScoreScratch,
+    DiagonalGmm, PreparedGmm, QuantizedGmm, ScoreScratch,
 };
 use magshield_ml::kmeans::kmeans;
 use magshield_ml::metrics::equal_error_rate;
@@ -124,12 +124,12 @@ proptest! {
             .map(|_| vec![r.gauss(0.5, 2.0), r.gauss(0.0, 2.0), r.gauss(0.0, 1.5)])
             .collect();
         let reference = model.llr_score(&ubm, &frames);
-        let scorer = LlrScorer::new(&model, &ubm);
+        let (spk, bg) = (PreparedGmm::new(&model), PreparedGmm::new(&ubm));
         let mut scratch = ScoreScratch::new();
         let matrix = FrameMatrix::from_rows(&frames);
         for top_c in [0, k, k + 7] {
-            let vecs = scorer.score(&frames, top_c, &mut scratch);
-            let flat = scorer.score(&matrix, top_c, &mut scratch);
+            let vecs = llr_score_prepared(&spk, &bg, &frames, top_c, &mut scratch);
+            let flat = llr_score_prepared(&spk, &bg, &matrix, top_c, &mut scratch);
             prop_assert!(
                 (vecs.score - reference).abs() < 1e-9,
                 "top_c={top_c}: fast {} vs reference {reference}",
@@ -158,10 +158,10 @@ proptest! {
         let frames: Vec<Vec<f64>> = (0..n_frames)
             .map(|_| vec![r.gauss(0.0, 2.0), r.gauss(0.0, 2.0)])
             .collect();
-        let scorer = LlrScorer::new(&model, &ubm);
+        let (spk, bg) = (PreparedGmm::new(&model), PreparedGmm::new(&ubm));
         let mut scratch = ScoreScratch::new();
-        let exact = scorer.score(&frames, 0, &mut scratch);
-        let pruned = scorer.score(&frames, top_c, &mut scratch);
+        let exact = llr_score_prepared(&spk, &bg, &frames, 0, &mut scratch);
+        let pruned = llr_score_prepared(&spk, &bg, &frames, top_c, &mut scratch);
         prop_assert!(pruned.score <= exact.score + 1e-12);
         let expected_pruned = if top_c >= k { 0 } else { (n_frames * (k - top_c)) as u64 };
         prop_assert_eq!(pruned.pruned_components, expected_pruned);
@@ -171,9 +171,7 @@ proptest! {
     /// retained one-frame-at-a-time oracle — same score bits, same
     /// pruning accounting — across mixture sizes, frame counts that are
     /// not multiples of the 8-frame block, and every top-C regime
-    /// (exhaustive, pruned, degenerate). Running this test with
-    /// `--features simd` proves the SIMD lanes preserve the same scalar
-    /// operation order.
+    /// (exhaustive, pruned, degenerate).
     #[test]
     fn batched_scorer_is_bit_identical_to_sequential(
         seed in 0u64..500,

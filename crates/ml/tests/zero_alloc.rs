@@ -7,7 +7,7 @@
 
 use magshield_dsp::frame::FrameMatrix;
 use magshield_ml::gmm::{
-    llr_score_quantized, DiagonalGmm, LlrScorer, PreparedGmm, QuantizedGmm, ScoreScratch,
+    llr_score_prepared, llr_score_quantized, DiagonalGmm, PreparedGmm, QuantizedGmm, ScoreScratch,
 };
 use magshield_simkit::rng::SimRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -78,22 +78,22 @@ fn steady_state_llr_scoring_is_allocation_free() {
         }
     }
     let speaker = ubm.map_adapt_means(&frames, 16.0);
-    let scorer = LlrScorer::new(&speaker, &ubm);
+    let (spk, bg) = (PreparedGmm::new(&speaker), PreparedGmm::new(&ubm));
     let mut scratch = ScoreScratch::new();
 
     for top_c in [0usize, 8] {
         // Warm-up grows the scratch to its high-water mark for this path.
-        let warm = scorer.score(&frames, top_c, &mut scratch).score;
+        let warm = llr_score_prepared(&spk, &bg, &frames, top_c, &mut scratch).score;
 
         ALLOCS.store(0, Ordering::SeqCst);
         ARMED.with(|a| a.set(true));
-        let rescore = scorer.score(&frames, top_c, &mut scratch).score;
+        let rescore = llr_score_prepared(&spk, &bg, &frames, top_c, &mut scratch).score;
         ARMED.with(|a| a.set(false));
 
         let allocs = ALLOCS.load(Ordering::SeqCst);
         assert_eq!(
             allocs, 0,
-            "warmed LlrScorer::score(top_c={top_c}) must not touch the \
+            "warmed llr_score_prepared(top_c={top_c}) must not touch the \
              heap: {allocs} allocations observed"
         );
         assert_eq!(

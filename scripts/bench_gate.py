@@ -16,9 +16,9 @@ Two artifact shapes are understood:
   metrics only one side has are reported but not gated (so adding a new
   kernel doesn't fail the gate until its baseline is committed). For
   the kernels artifact this covers the fast-path ratios
-  (`llr_prepared_exact_speedup`, `llr_pruned_speedup`) and the fused /
-  batched tentpole ratios (`extract_fused_speedup`,
-  `llr_batched_speedup`). The quantized-vs-exact ratio is deliberately
+  (`llr_prepared_exact_speedup`, `llr_pruned_speedup`) and the
+  batched-vs-sequential scoring ratio (`llr_batched_speedup`). The
+  quantized-vs-exact ratio is deliberately
   informational only (under `"info"` as `llr_quantized_speedup`):
   quantization trades wall clock for a 4x smaller model, so a
   higher-is-better gate on it would punish the intended tradeoff.

@@ -3,9 +3,12 @@
 
 Fails when the workspace declares an external crate outside the
 allowlist (which is empty: the workspace builds offline from its own
-sources), or when `Cargo.lock` lists a package that nothing in the
-workspace pulls in (a leftover of a dependency that was removed from the
-manifests but not from the lock file).
+sources), when a manifest declares a `[features]` table outside the
+feature allowlist (also empty: every build compiles one configuration,
+so no switch has an off side that CI does not build), or when
+`Cargo.lock` lists a package that nothing in the workspace pulls in (a
+leftover of a dependency that was removed from the manifests but not
+from the lock file).
 
   check_deps.py [ROOT]
 
@@ -28,6 +31,10 @@ import tomllib
 # Empty: no crate stays that the build cannot get offline. Adding one
 # needs a DESIGN.md §5 entry.
 ALLOWED = frozenset()
+
+# Packages allowed a `[features]` table. Empty: a cargo feature is a
+# second build of the crate, and each job here is done one way.
+FEATURES_ALLOWED = frozenset()
 
 DEP_TABLES = ("dependencies", "dev-dependencies", "build-dependencies")
 
@@ -63,14 +70,21 @@ def manifests(root):
 
 def check(root):
     """Every dependency-policy violation under `root`, as messages."""
-    declared, members = set(), set()
+    declared, members, featured = set(), set(), set()
     for manifest in manifests(root):
         declared |= external_deps(manifest)
+        name = manifest.get("package", {}).get("name", "(workspace root)")
         if "package" in manifest:
-            members.add(manifest["package"]["name"])
+            members.add(name)
+        if "features" in manifest:
+            featured.add(name)
     problems = [
         f"external crate `{name}` is declared but not on the allowlist"
         for name in sorted(declared - ALLOWED)
+    ]
+    problems += [
+        f"`{name}` declares a [features] table, which is not on the allowlist"
+        for name in sorted(featured - FEATURES_ALLOWED)
     ]
 
     lock_path = os.path.join(root, "Cargo.lock")
@@ -101,7 +115,10 @@ def main(argv):
     for problem in problems:
         print(f"check_deps: {problem}")
     if not problems:
-        print(f"check_deps: ok (allowlist: {', '.join(sorted(ALLOWED)) or 'empty'})")
+        print(
+            f"check_deps: ok (crate allowlist: {', '.join(sorted(ALLOWED)) or 'empty'}, "
+            f"feature allowlist: {', '.join(sorted(FEATURES_ALLOWED)) or 'empty'})"
+        )
     return 1 if problems else 0
 
 

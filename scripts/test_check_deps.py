@@ -51,13 +51,16 @@ version = "0.1.0"
 {extra_lock}"""
 
 
-def workspace(dirname, extra_workspace="", extra_member="", extra_lock=""):
+def workspace(
+    dirname, extra_workspace="", extra_member="", extra_lock="", root_tail="", member_tail=""
+):
     os.makedirs(os.path.join(dirname, "crates", "a"))
     files = {
-        "Cargo.toml": ROOT_MANIFEST.replace("{extra_workspace}", extra_workspace),
+        "Cargo.toml": ROOT_MANIFEST.replace("{extra_workspace}", extra_workspace) + root_tail,
         os.path.join("crates", "a", "Cargo.toml"): MEMBER_MANIFEST.replace(
             "{extra_member}", extra_member
-        ),
+        )
+        + member_tail,
         "Cargo.lock": LOCK.replace("{extra_lock}", extra_lock),
     }
     for name, text in files.items():
@@ -112,6 +115,22 @@ class CheckDepsTest(unittest.TestCase):
             problems = check_deps.check(workspace(d, extra_lock=stale))
             self.assertEqual(len(problems), 1)
             self.assertIn("Cargo.lock lists `serde`", problems[0])
+
+    def test_feature_allowlist_is_empty(self):
+        self.assertEqual(check_deps.FEATURES_ALLOWED, frozenset())
+
+    def test_features_table_in_member_manifest_fails(self):
+        with tempfile.TemporaryDirectory() as d:
+            problems = check_deps.check(workspace(d, member_tail="\n[features]\nsimd = []\n"))
+            self.assertEqual(len(problems), 1)
+            self.assertIn("`magshield-a` declares a [features] table", problems[0])
+            self.assertEqual(check_deps.main(["check_deps.py", d]), 1)
+
+    def test_empty_features_table_in_root_manifest_fails(self):
+        with tempfile.TemporaryDirectory() as d:
+            problems = check_deps.check(workspace(d, root_tail="\n[features]\n"))
+            self.assertEqual(len(problems), 1)
+            self.assertIn("`magshield` declares a [features] table", problems[0])
 
     def test_this_repository_passes(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
