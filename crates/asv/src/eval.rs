@@ -73,20 +73,6 @@ impl VerificationReport {
         ErrorRates { far, frr }
     }
 
-    /// FAR at the threshold where FRR first reaches zero — the paper's
-    /// Table I reports FAR with genuine users accepted.
-    pub fn far_at_zero_frr(&self) -> f64 {
-        if self.genuine_scores.is_empty() {
-            return 0.0;
-        }
-        let min_genuine = self
-            .genuine_scores
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        self.rates_at(min_genuine).far
-    }
-
     /// Trial counts `(genuine, impostor)`.
     pub fn counts(&self) -> (usize, usize) {
         (self.genuine_scores.len(), self.impostor_scores.len())
@@ -133,22 +119,6 @@ mod tests {
     fn eer_zero_when_separated() {
         let r = VerificationReport::from_trials(&trials());
         assert_eq!(r.eer(), 0.0);
-    }
-
-    #[test]
-    fn far_at_zero_frr() {
-        let r = VerificationReport::from_trials(&trials());
-        // Accepting every genuine trial (threshold 2.0) admits no impostor.
-        assert_eq!(r.far_at_zero_frr(), 0.0);
-        // With a higher-scoring impostor it would not be zero.
-        let mut ts = trials();
-        ts.push(TrialOutcome {
-            claimed: 0,
-            actual: 3,
-            score: 2.5,
-        });
-        let r2 = VerificationReport::from_trials(&ts);
-        assert!((r2.far_at_zero_frr() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -226,11 +226,6 @@ impl UbmBackend {
         self
     }
 
-    /// Number of cohort utterances held.
-    pub fn cohort_size(&self) -> usize {
-        self.cohort.len()
-    }
-
     /// The cohort utterances (ISV reuses them, compensated).
     pub fn cohort(&self) -> &[CohortUtterance] {
         &self.cohort
@@ -295,20 +290,8 @@ impl UbmBackend {
         with_session_scratch(|s| self.score_detailed_opts_with(model, audio, top_c, quantized, s))
     }
 
-    /// [`Self::score_detailed`] with an explicit scratch (for callers that
-    /// manage their own per-worker buffers).
-    pub fn score_detailed_with(
-        &self,
-        model: &SpeakerModel,
-        audio: &[f64],
-        top_c: usize,
-        s: &mut SessionScratch,
-    ) -> AsvScore {
-        self.score_detailed_opts_with(model, audio, top_c, false, s)
-    }
-
     /// [`Self::score_detailed_opts`] with an explicit scratch.
-    pub fn score_detailed_opts_with(
+    fn score_detailed_opts_with(
         &self,
         model: &SpeakerModel,
         audio: &[f64],
@@ -805,13 +788,14 @@ mod tests {
         let enroll: Vec<&[f64]> = utts[..2].iter().map(|u| u.audio.as_slice()).collect();
         let model = backend.enroll(sp.id, &enroll);
         let mut s = SessionScratch::new();
-        let first = backend.score_detailed_with(&model, &utts[0].audio, 4, &mut s);
+        let first = backend.score_detailed_opts_with(&model, &utts[0].audio, 4, false, &mut s);
         assert!(first.scratch_grew_bytes > 0, "cold scratch must grow");
         for u in &utts {
-            backend.score_detailed_with(&model, &u.audio, 4, &mut s); // warm-up
+            backend.score_detailed_opts_with(&model, &u.audio, 4, false, &mut s);
+            // warm-up
         }
         for u in &utts {
-            let again = backend.score_detailed_with(&model, &u.audio, 4, &mut s);
+            let again = backend.score_detailed_opts_with(&model, &u.audio, 4, false, &mut s);
             assert_eq!(
                 again.scratch_grew_bytes, 0,
                 "warm scratch regrew on an already-seen utterance"

@@ -12,13 +12,11 @@
 //!
 //! Output: `results/BENCH_kernels.json` (override with `--out`),
 //! consumed by `scripts/bench_gate.py` in the CI `bench-gate` job.
-//! `--quick` shrinks the mixture and the timing budgets for CI. The JSON
-//! is hand-rolled for the same reason as `exp_throughput`: the artifact
-//! must be produced identically in every build environment.
+//! `--quick` shrinks the mixture and the timing budgets for CI.
 
 use magshield_asv::frontend::{FeatureExtractor, FrontendScratch};
 use magshield_asv::ubm::{train_ubm, UbmConfig};
-use magshield_bench::{print_header, print_row, EXPERIMENT_SEED};
+use magshield_bench::{print_header, print_row, write_gate_json, Better, EXPERIMENT_SEED};
 use magshield_dsp::frame::FrameMatrix;
 use magshield_ml::gmm::{
     llr_score_prepared, llr_score_quantized, llr_score_sequential, PreparedGmm, QuantizedGmm,
@@ -28,7 +26,6 @@ use magshield_simkit::rng::SimRng;
 use magshield_voice::corpus::voxforge_like;
 use magshield_voice::synth::VOICE_SAMPLE_RATE;
 use std::hint::black_box;
-use std::io::Write;
 use std::time::Instant;
 
 /// Default pruning width — mirrors `DefenseConfig::asv_top_c`.
@@ -147,7 +144,71 @@ fn main() {
         ],
     );
 
-    write_json(&out, quick, &t);
+    write_gate_json(
+        &out,
+        "kernels",
+        quick,
+        |w| {
+            w.key("info")
+                .begin_object()
+                .key("frames")
+                .u64(t.frames as u64)
+                .key("components")
+                .u64(t.components as u64)
+                .key("top_c")
+                .u64(TOP_C as u64);
+            for (key, value) in [
+                ("extract_reference_ns_per_frame", t.extract_reference),
+                ("extract_fast_ns_per_frame", t.extract_fast),
+                ("llr_reference_ns_per_frame", t.llr_reference),
+                ("llr_sequential_exact_ns_per_frame", t.llr_sequential_exact),
+                ("llr_sequential_top_c_ns_per_frame", t.llr_sequential_pruned),
+                ("llr_prepared_exact_ns_per_frame", t.llr_prepared_exact),
+                ("llr_prepared_top_c_ns_per_frame", t.llr_prepared_pruned),
+                ("llr_quantized_exact_ns_per_frame", t.llr_quantized_exact),
+                (
+                    "llr_quantized_speedup",
+                    t.llr_prepared_exact / t.llr_quantized_exact,
+                ),
+            ] {
+                w.key(key).f64(value);
+            }
+            w.end_object();
+        },
+        // The production front end against its bit-identical oracle: the
+        // planned FFT kernel and windowed load are most of the gap.
+        // Frame-major batched scoring vs the retained sequential scorer on
+        // identical exhaustive work (the pruned path's speaker side is
+        // per-frame in both kernels, so exact-vs-exact is the like-for-like
+        // measure of the batching transformation). The quantized-vs-exact
+        // ratio is deliberately NOT gated: quantization trades wall clock
+        // for a 4x smaller model (it benches ~0.8x on the
+        // dequantize-on-the-fly path), so gating it "higher is better"
+        // would punish the intended tradeoff — it is reported under
+        // "info" above.
+        &[
+            (
+                "extract_fast_speedup",
+                t.extract_reference / t.extract_fast,
+                Better::Higher,
+            ),
+            (
+                "llr_prepared_exact_speedup",
+                t.llr_reference / t.llr_prepared_exact,
+                Better::Higher,
+            ),
+            (
+                "llr_pruned_speedup",
+                t.llr_reference / t.llr_prepared_pruned,
+                Better::Higher,
+            ),
+            (
+                "llr_batched_speedup",
+                t.llr_sequential_exact / t.llr_prepared_exact,
+                Better::Higher,
+            ),
+        ],
+    );
 }
 
 /// Runs `f` until `budget_s` of wall clock is spent (after a short
@@ -258,81 +319,4 @@ fn time_llr_quantized(
     time_ns_per_frame(frames.rows(), budget_s, || {
         black_box(llr_score_quantized(&spk, &bg, black_box(frames), top_c, &mut scratch).score);
     })
-}
-
-/// Hand-rolled JSON, same contract as `exp_throughput::write_json`: the
-/// gate parses it with Python. Ratios under `"metrics"` are gated;
-/// machine-dependent raw timings live under `"info"`.
-fn write_json(path: &str, quick: bool, t: &Timings) {
-    let metric = |name: &str, value: f64, last: bool| {
-        format!(
-            "    \"{name}\": {{\"value\": {value:.4}, \"direction\": \"higher\"}}{}\n",
-            if last { "" } else { "," }
-        )
-    };
-    let mut metrics = String::new();
-    // The production front end against its bit-identical oracle: the
-    // planned FFT kernel and windowed load are most of the gap.
-    metrics.push_str(&metric(
-        "extract_fast_speedup",
-        t.extract_reference / t.extract_fast,
-        false,
-    ));
-    metrics.push_str(&metric(
-        "llr_prepared_exact_speedup",
-        t.llr_reference / t.llr_prepared_exact,
-        false,
-    ));
-    metrics.push_str(&metric(
-        "llr_pruned_speedup",
-        t.llr_reference / t.llr_prepared_pruned,
-        false,
-    ));
-    // Frame-major batched scoring vs the retained sequential scorer on
-    // identical exhaustive work (the pruned path's speaker side is
-    // per-frame in both kernels, so exact-vs-exact is the like-for-like
-    // measure of the batching transformation). The
-    // quantized-vs-exact ratio is deliberately NOT gated: quantization
-    // trades wall clock for a 4x smaller model (it benches ~0.8x on the
-    // dequantize-on-the-fly path), so gating it "higher is better" would
-    // punish the intended tradeoff — it is reported under "info" below.
-    metrics.push_str(&metric(
-        "llr_batched_speedup",
-        t.llr_sequential_exact / t.llr_prepared_exact,
-        true,
-    ));
-    let json = format!(
-        "{{\n  \"experiment\": \"kernels\",\n  \"quick\": {quick},\n  \"info\": {{\n    \
-         \"frames\": {},\n    \"components\": {},\n    \"top_c\": {TOP_C},\n    \
-         \"extract_reference_ns_per_frame\": {:.1},\n    \
-         \"extract_fast_ns_per_frame\": {:.1},\n    \
-         \"llr_reference_ns_per_frame\": {:.1},\n    \
-         \"llr_sequential_exact_ns_per_frame\": {:.1},\n    \
-         \"llr_sequential_top_c_ns_per_frame\": {:.1},\n    \
-         \"llr_prepared_exact_ns_per_frame\": {:.1},\n    \
-         \"llr_prepared_top_c_ns_per_frame\": {:.1},\n    \
-         \"llr_quantized_exact_ns_per_frame\": {:.1},\n    \
-         \"llr_quantized_speedup\": {:.4}\n  }},\n  \"metrics\": {{\n{metrics}  }}\n}}\n",
-        t.frames,
-        t.components,
-        t.extract_reference,
-        t.extract_fast,
-        t.llr_reference,
-        t.llr_sequential_exact,
-        t.llr_sequential_pruned,
-        t.llr_prepared_exact,
-        t.llr_prepared_pruned,
-        t.llr_quantized_exact,
-        t.llr_prepared_exact / t.llr_quantized_exact,
-    );
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("(wrote {path})"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -19,17 +19,15 @@
 //!
 //! Output: `results/BENCH_obs.json` (override with `--out`), consumed
 //! by `scripts/bench_gate.py` in the CI `bench-gate` job. `--quick`
-//! shrinks the system and timing budgets for CI. JSON is hand-rolled so
-//! the artifact is produced identically in every build environment.
+//! shrinks the system and timing budgets for CI.
 
-use magshield_bench::{print_header, print_row, EXPERIMENT_SEED};
+use magshield_bench::{print_header, print_row, write_gate_json, Better, EXPERIMENT_SEED};
 use magshield_core::pipeline::BootstrapConfig;
 use magshield_core::scenario::{bootstrap_with, ScenarioBuilder};
 use magshield_obs::labels::Labels;
 use magshield_obs::metrics::Registry;
 use magshield_simkit::rng::SimRng;
 use std::hint::black_box;
-use std::io::Write;
 use std::time::Instant;
 
 /// Cascade stages instrumented per session (distance, SLD, sound field,
@@ -154,7 +152,45 @@ fn main() {
         100.0 * t.session_obs_ns / t.verify_ns
     );
 
-    write_json(&out, quick, &t);
+    write_gate_json(
+        &out,
+        "obs_overhead",
+        quick,
+        |w| {
+            w.key("info")
+                .begin_object()
+                .key("stages")
+                .u64(STAGES as u64);
+            for (key, value) in [
+                ("flat_inc_ns", t.flat_inc_ns),
+                ("labeled_inc_ns", t.labeled_inc_ns),
+                ("flat_record_ns", t.flat_record_ns),
+                ("exemplar_record_ns", t.exemplar_record_ns),
+                ("session_obs_ns", t.session_obs_ns),
+                ("verify_ns", t.verify_ns),
+            ] {
+                w.key(key).f64(value);
+            }
+            w.end_object();
+        },
+        &[
+            (
+                "obs_overhead_pct",
+                100.0 * t.session_obs_ns / t.verify_ns,
+                Better::Lower,
+            ),
+            (
+                "labeled_inc_vs_flat",
+                t.labeled_inc_ns / t.flat_inc_ns,
+                Better::Lower,
+            ),
+            (
+                "exemplar_record_vs_flat",
+                t.exemplar_record_ns / t.flat_record_ns,
+                Better::Lower,
+            ),
+        ],
+    );
 }
 
 /// Runs `f` (a `BATCH`-op closure) until `budget_s` of wall clock is
@@ -170,57 +206,4 @@ fn time_ns_per_op(budget_s: f64, mut f: impl FnMut()) -> f64 {
         iters += 1;
     }
     start.elapsed().as_secs_f64() * 1e9 / (iters as f64 * BATCH as f64)
-}
-
-/// Hand-rolled JSON, same contract as `exp_kernels::write_json`:
-/// ratios under `"metrics"` are gated, raw ns/op stays under `"info"`.
-fn write_json(path: &str, quick: bool, t: &Timings) {
-    let metric = |name: &str, value: f64, last: bool| {
-        format!(
-            "    \"{name}\": {{\"value\": {value:.4}, \"direction\": \"lower\"}}{}\n",
-            if last { "" } else { "," }
-        )
-    };
-    let mut metrics = String::new();
-    metrics.push_str(&metric(
-        "obs_overhead_pct",
-        100.0 * t.session_obs_ns / t.verify_ns,
-        false,
-    ));
-    metrics.push_str(&metric(
-        "labeled_inc_vs_flat",
-        t.labeled_inc_ns / t.flat_inc_ns,
-        false,
-    ));
-    metrics.push_str(&metric(
-        "exemplar_record_vs_flat",
-        t.exemplar_record_ns / t.flat_record_ns,
-        true,
-    ));
-    let json = format!(
-        "{{\n  \"experiment\": \"obs_overhead\",\n  \"quick\": {quick},\n  \"info\": {{\n    \
-         \"stages\": {STAGES},\n    \
-         \"flat_inc_ns\": {:.2},\n    \
-         \"labeled_inc_ns\": {:.2},\n    \
-         \"flat_record_ns\": {:.2},\n    \
-         \"exemplar_record_ns\": {:.2},\n    \
-         \"session_obs_ns\": {:.1},\n    \
-         \"verify_ns\": {:.1}\n  }},\n  \"metrics\": {{\n{metrics}  }}\n}}\n",
-        t.flat_inc_ns,
-        t.labeled_inc_ns,
-        t.flat_record_ns,
-        t.exemplar_record_ns,
-        t.session_obs_ns,
-        t.verify_ns,
-    );
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("(wrote {path})"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -20,16 +20,14 @@
 //!   override with `--out`) consumed by `scripts/security_gate.py`.
 //!   The committed baseline is a `--quick` artifact so CI compares
 //!   like with like.
-//!
-//! The JSON is written by hand so the artifact is produced identically
-//! in every build environment.
 
-use magshield_bench::{print_header, print_row, write_results, ResultRow, EXPERIMENT_SEED};
+use magshield_bench::{
+    print_header, print_row, write_gate_json, write_results, Better, ResultRow, EXPERIMENT_SEED,
+};
 use magshield_core::pipeline::BootstrapConfig;
-use magshield_core::robustness::{family_far, run_matrix, CellResult, MatrixSpec};
+use magshield_core::robustness::{family_far, run_matrix, MatrixSpec};
 use magshield_core::scenario::bootstrap_with;
 use magshield_simkit::rng::SimRng;
-use std::io::Write;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -70,7 +68,61 @@ fn main() {
     }
 
     if quick {
-        write_gate_json(&out, quick, &spec, &cells);
+        let fars = family_far(&cells);
+        let worst_far = fars.iter().map(|(_, f)| *f).fold(0.0f64, f64::max);
+        let mean_eer = if cells.is_empty() {
+            0.0
+        } else {
+            cells.iter().map(|c| c.eer_pct).sum::<f64>() / cells.len() as f64
+        };
+        write_gate_json(
+            &out,
+            "robustness",
+            quick,
+            |w| {
+                w.key("seed")
+                    .u64(EXPERIMENT_SEED)
+                    .key("genuine_per_env")
+                    .u64(spec.genuine_per_env as u64)
+                    .key("attacks_per_cell")
+                    .u64(spec.attacks_per_cell as u64)
+                    .key("cells")
+                    .begin_array();
+                for c in &cells {
+                    w.begin_object()
+                        .key("family")
+                        .str(c.family)
+                        .key("environment")
+                        .str(c.environment)
+                        .key("policy")
+                        .str(c.policy)
+                        .key("attacks")
+                        .u64(c.attacks as u64)
+                        .key("genuine")
+                        .u64(c.genuine as u64)
+                        .key("far_pct")
+                        .f64(c.far_pct)
+                        .key("frr_pct")
+                        .f64(c.frr_pct)
+                        .key("eer_pct")
+                        .f64(c.eer_pct)
+                        .end_object();
+                }
+                w.end_array().key("families").begin_object();
+                for (family, far) in &fars {
+                    w.key(family)
+                        .begin_object()
+                        .key("far_pct")
+                        .f64(*far)
+                        .end_object();
+                }
+                w.end_object();
+            },
+            &[
+                ("robustness_worst_family_far_pct", worst_far, Better::Lower),
+                ("robustness_mean_eer_pct", mean_eer, Better::Lower),
+            ],
+        );
     } else {
         let rows: Vec<ResultRow> = cells
             .iter()
@@ -87,62 +139,5 @@ fn main() {
             })
             .collect();
         write_results("robustness_matrix", &rows);
-    }
-}
-
-/// Hand-rolled gate JSON: per-cell table plus per-family FAR aggregates
-/// and a small `"metrics"` block (bench_gate-compatible) summarizing the
-/// security posture in two scalars.
-fn write_gate_json(path: &str, quick: bool, spec: &MatrixSpec, cells: &[CellResult]) {
-    let mut cell_lines: Vec<String> = Vec::with_capacity(cells.len());
-    for c in cells {
-        cell_lines.push(format!(
-            "    {{\"family\": \"{}\", \"environment\": \"{}\", \"policy\": \"{}\", \
-             \"attacks\": {}, \"genuine\": {}, \"far_pct\": {:.4}, \"frr_pct\": {:.4}, \
-             \"eer_pct\": {:.4}}}",
-            c.family,
-            c.environment,
-            c.policy,
-            c.attacks,
-            c.genuine,
-            c.far_pct,
-            c.frr_pct,
-            c.eer_pct
-        ));
-    }
-    let fars = family_far(cells);
-    let family_lines: Vec<String> = fars
-        .iter()
-        .map(|(f, far)| format!("    \"{f}\": {{\"far_pct\": {far:.4}}}"))
-        .collect();
-    let worst_far = fars.iter().map(|(_, f)| *f).fold(0.0f64, f64::max);
-    let mean_eer = if cells.is_empty() {
-        0.0
-    } else {
-        cells.iter().map(|c| c.eer_pct).sum::<f64>() / cells.len() as f64
-    };
-    let json = format!(
-        "{{\n  \"experiment\": \"robustness\",\n  \"quick\": {quick},\n  \
-         \"seed\": {EXPERIMENT_SEED},\n  \
-         \"genuine_per_env\": {},\n  \"attacks_per_cell\": {},\n  \
-         \"cells\": [\n{}\n  ],\n  \
-         \"families\": {{\n{}\n  }},\n  \
-         \"metrics\": {{\n    \
-         \"robustness_worst_family_far_pct\": {{\"value\": {worst_far:.4}, \"direction\": \"lower\"}},\n    \
-         \"robustness_mean_eer_pct\": {{\"value\": {mean_eer:.4}, \"direction\": \"lower\"}}\n  }}\n}}\n",
-        spec.genuine_per_env,
-        spec.attacks_per_cell,
-        cell_lines.join(",\n"),
-        family_lines.join(",\n"),
-    );
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("(wrote {path})"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
     }
 }

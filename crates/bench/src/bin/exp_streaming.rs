@@ -20,11 +20,9 @@
 //!
 //! Output: `results/BENCH_streaming.json` (override with `--out`) in the
 //! generic `"metrics"` shape consumed by the CI `bench-gate` job.
-//! `--quick` shrinks the system and the pools for CI. The JSON is
-//! written by hand so the file is produced identically in every build
-//! environment.
+//! `--quick` shrinks the system and the pools for CI.
 
-use magshield_bench::{print_header, print_row, EXPERIMENT_SEED};
+use magshield_bench::{print_header, print_row, write_gate_json, Better, EXPERIMENT_SEED};
 use magshield_core::batch::{BatchConfig, BatchEngine};
 use magshield_core::cascade::ExecutionPolicy;
 use magshield_core::pipeline::{BootstrapConfig, DefenseSystem};
@@ -37,7 +35,6 @@ use magshield_simkit::rng::SimRng;
 use magshield_voice::attacks::AttackKind;
 use magshield_voice::devices::table_iv_catalog;
 use magshield_voice::profile::SpeakerProfile;
-use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// ~100 ms of audio per chunk at the simulated 48 kHz capture rate: the
@@ -150,14 +147,56 @@ fn main() {
     );
     engine.shutdown();
 
-    write_json(
+    write_gate_json(
         &out,
+        "streaming",
         quick,
-        &gen_pop,
-        &atk_pop,
-        early_fraction,
-        one_shot_p50,
-        speedup,
+        |w| {
+            w.key("chunk_samples")
+                .u64(CHUNK_SAMPLES as u64)
+                .key("samples")
+                .u64(SAMPLES as u64)
+                .key("policy")
+                .str("short_circuit")
+                .key("genuine_sessions")
+                .u64(gen_pop.sessions as u64)
+                .key("attack_sessions")
+                .u64(atk_pop.sessions as u64)
+                .key("attack_one_shot_p50_ms")
+                .f64(one_shot_p50);
+        },
+        &[
+            (
+                "stream_genuine_first_verdict_p50_ms",
+                gen_pop.p50_ms,
+                Better::Lower,
+            ),
+            (
+                "stream_genuine_first_verdict_p99_ms",
+                gen_pop.p99_ms,
+                Better::Lower,
+            ),
+            (
+                "stream_attack_first_verdict_p50_ms",
+                atk_pop.p50_ms,
+                Better::Lower,
+            ),
+            (
+                "stream_attack_first_verdict_p99_ms",
+                atk_pop.p99_ms,
+                Better::Lower,
+            ),
+            (
+                "stream_attack_early_reject_fraction",
+                early_fraction,
+                Better::Higher,
+            ),
+            (
+                "stream_attack_early_reject_speedup",
+                speedup,
+                Better::Higher,
+            ),
+        ],
     );
 }
 
@@ -296,47 +335,4 @@ fn one_shot_p50_ms(system: &DefenseSystem, pool: &[SessionData]) -> f64 {
             latency.snapshot().p50() * 1e3
         })
         .fold(f64::INFINITY, f64::min)
-}
-
-/// Hand-rolled JSON in the generic bench-gate `"metrics"` shape.
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    quick: bool,
-    genuine: &Population,
-    attack: &Population,
-    early_fraction: f64,
-    one_shot_p50: f64,
-    speedup: f64,
-) {
-    let json = format!(
-        "{{\n  \"experiment\": \"streaming\",\n  \"quick\": {quick},\n  \
-         \"chunk_samples\": {CHUNK_SAMPLES},\n  \"samples\": {SAMPLES},\n  \
-         \"policy\": \"short_circuit\",\n  \
-         \"genuine_sessions\": {},\n  \"attack_sessions\": {},\n  \
-         \"attack_one_shot_p50_ms\": {one_shot_p50:.3},\n  \
-         \"metrics\": {{\n    \
-         \"stream_genuine_first_verdict_p50_ms\": {{\"value\": {:.3}, \"direction\": \"lower\"}},\n    \
-         \"stream_genuine_first_verdict_p99_ms\": {{\"value\": {:.3}, \"direction\": \"lower\"}},\n    \
-         \"stream_attack_first_verdict_p50_ms\": {{\"value\": {:.3}, \"direction\": \"lower\"}},\n    \
-         \"stream_attack_first_verdict_p99_ms\": {{\"value\": {:.3}, \"direction\": \"lower\"}},\n    \
-         \"stream_attack_early_reject_fraction\": {{\"value\": {early_fraction:.3}, \"direction\": \"higher\"}},\n    \
-         \"stream_attack_early_reject_speedup\": {{\"value\": {speedup:.3}, \"direction\": \"higher\"}}\n  }}\n}}\n",
-        genuine.sessions,
-        attack.sessions,
-        genuine.p50_ms,
-        genuine.p99_ms,
-        attack.p50_ms,
-        attack.p99_ms,
-    );
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("(wrote {path})"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
 }

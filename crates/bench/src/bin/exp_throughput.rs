@@ -24,7 +24,7 @@
 //! consumed by the CI `bench-gate` job. `--quick` shrinks the system and
 //! the sweep for CI.
 
-use magshield_bench::{print_header, print_row, EXPERIMENT_SEED};
+use magshield_bench::{print_header, print_row, write_gate_json, EXPERIMENT_SEED};
 use magshield_core::batch::{AdmissionPolicy, BatchConfig, BatchEngine, BatchOutcome};
 use magshield_core::cascade::ExecutionPolicy;
 use magshield_core::pipeline::{BootstrapConfig, DefenseSystem};
@@ -36,7 +36,6 @@ use magshield_simkit::rng::SimRng;
 use magshield_voice::attacks::AttackKind;
 use magshield_voice::devices::table_iv_catalog;
 use magshield_voice::profile::SpeakerProfile;
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -138,7 +137,56 @@ fn main() {
         peak / exact.sessions_per_sec
     );
 
-    write_json(&out, quick, workers, &points, peak, &exact);
+    // The legacy throughput shape: the gate keys on the top-level
+    // `peak_sessions_per_sec`, so there is no `"metrics"` object.
+    write_gate_json(
+        &out,
+        "throughput",
+        quick,
+        |w| {
+            w.key("workers")
+                .u64(workers as u64)
+                .key("samples")
+                .u64(SAMPLES as u64)
+                .key("policy")
+                .str("short_circuit")
+                .key("loads")
+                .begin_array();
+            for p in &points {
+                w.begin_object()
+                    .key("offered")
+                    .u64(p.offered as u64)
+                    .key("sessions")
+                    .u64(p.sessions as u64)
+                    .key("sessions_per_sec")
+                    .f64(p.sessions_per_sec)
+                    .key("p50_ms")
+                    .f64(p.p50_ms)
+                    .key("p95_ms")
+                    .f64(p.p95_ms)
+                    .key("p99_ms")
+                    .f64(p.p99_ms)
+                    .key("shed")
+                    .u64(p.shed)
+                    .end_object();
+            }
+            w.end_array()
+                .key("exact")
+                .begin_object()
+                .key("asv_top_c")
+                .u64(0)
+                .key("offered")
+                .u64(exact.offered as u64)
+                .key("sessions_per_sec")
+                .f64(exact.sessions_per_sec)
+                .key("p95_ms")
+                .f64(exact.p95_ms)
+                .end_object()
+                .key("peak_sessions_per_sec")
+                .f64(peak);
+        },
+        &[],
+    );
 }
 
 /// A mixed pool: two thirds genuine, one third close-range replay attacks
@@ -286,47 +334,5 @@ fn measure_once(
         p95_ms: snap.p95() * 1e3,
         p99_ms: snap.p99() * 1e3,
         shed,
-    }
-}
-
-/// Writes the gate document (the gate job parses it with Python).
-fn write_json(
-    path: &str,
-    quick: bool,
-    workers: usize,
-    points: &[LoadPoint],
-    peak: f64,
-    exact: &LoadPoint,
-) {
-    let mut loads = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            loads.push(',');
-        }
-        loads.push_str(&format!(
-            "\n    {{\"offered\": {}, \"sessions\": {}, \"sessions_per_sec\": {:.3}, \
-             \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"shed\": {}}}",
-            p.offered, p.sessions, p.sessions_per_sec, p.p50_ms, p.p95_ms, p.p99_ms, p.shed
-        ));
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"throughput\",\n  \"quick\": {quick},\n  \
-         \"workers\": {workers},\n  \"samples\": {SAMPLES},\n  \
-         \"policy\": \"short_circuit\",\n  \
-         \"loads\": [{loads}\n  ],\n  \
-         \"exact\": {{\"asv_top_c\": 0, \"offered\": {}, \"sessions_per_sec\": {:.3}, \
-         \"p95_ms\": {:.3}}},\n  \
-         \"peak_sessions_per_sec\": {peak:.3}\n}}\n",
-        exact.offered, exact.sessions_per_sec, exact.p95_ms
-    );
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("(wrote {path})"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
     }
 }

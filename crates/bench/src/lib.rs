@@ -129,6 +129,86 @@ impl ResultRow {
     }
 }
 
+/// Which way a gated metric improves: its `"direction"` in a gate file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Higher values are better (speedups, fractions kept).
+    Higher,
+    /// Lower values are better (latencies, error rates, overheads).
+    Lower,
+}
+
+impl Better {
+    fn name(self) -> &'static str {
+        match self {
+            Better::Higher => "higher",
+            Better::Lower => "lower",
+        }
+    }
+}
+
+/// Renders a gate file that `scripts/bench_gate.py` and
+/// `scripts/security_gate.py` read: one JSON object holding
+/// `"experiment"` and `"quick"`, then the keys `fields` writes (an
+/// `"info"` object, run parameters, per-cell arrays), then a
+/// `"metrics"` object mapping each gated metric to
+/// `{"value", "direction"}`. The `"metrics"` key is left out when
+/// `metrics` is empty. Floats print at full precision.
+pub fn gate_json(
+    experiment: &str,
+    quick: bool,
+    fields: impl FnOnce(&mut JsonWriter),
+    metrics: &[(&str, f64, Better)],
+) -> String {
+    let mut w = JsonWriter::default();
+    w.begin_object()
+        .key("experiment")
+        .str(experiment)
+        .key("quick")
+        .bool(quick);
+    fields(&mut w);
+    if !metrics.is_empty() {
+        w.key("metrics").begin_object();
+        for (name, value, better) in metrics {
+            w.key(name)
+                .begin_object()
+                .key("value")
+                .f64(*value)
+                .key("direction")
+                .str(better.name())
+                .end_object();
+        }
+        w.end_object();
+    }
+    w.end_object();
+    let mut json = w.finish();
+    json.push('\n');
+    json
+}
+
+/// Writes [`gate_json`] to `path`, creating its directory; exits the
+/// process with status 1 when the file cannot be written, so a gate
+/// never reads a stale file.
+pub fn write_gate_json(
+    path: &str,
+    experiment: &str,
+    quick: bool,
+    fields: impl FnOnce(&mut JsonWriter),
+    metrics: &[(&str, f64, Better)],
+) {
+    let json = gate_json(experiment, quick, fields, metrics);
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    match std::fs::write(path, json) {
+        Ok(()) => eprintln!("(wrote {path})"),
+        Err(e) => {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Percentile cells from a latency histogram, in milliseconds, keyed
 /// `<prefix>_p50_ms` … `<prefix>_max_ms` for [`ResultRow::metrics`].
 pub fn latency_metrics(prefix: &str, h: &HistogramSnapshot) -> Vec<(String, f64)> {
@@ -213,6 +293,43 @@ mod tests {
             row.to_json_line(),
             "{\"experiment\":\"fig12\",\"condition\":\"d=6cm \\\"quoted\\\"\",\
              \"metrics\":[[\"far_pct\",16.666666666666664],[\"n\",12.0],[\"bad\",null]]}"
+        );
+    }
+
+    #[test]
+    fn gate_json_puts_fields_between_header_and_metrics() {
+        let json = gate_json(
+            "kernels",
+            true,
+            |w| {
+                w.key("info")
+                    .begin_object()
+                    .key("frames")
+                    .u64(151)
+                    .end_object();
+            },
+            &[
+                ("speedup", 1.5, Better::Higher),
+                ("eer_pct", 0.0, Better::Lower),
+            ],
+        );
+        assert_eq!(
+            json,
+            "{\"experiment\":\"kernels\",\"quick\":true,\"info\":{\"frames\":151},\
+             \"metrics\":{\"speedup\":{\"value\":1.5,\"direction\":\"higher\"},\
+             \"eer_pct\":{\"value\":0.0,\"direction\":\"lower\"}}}\n"
+        );
+        let bare = gate_json(
+            "throughput",
+            false,
+            |w| {
+                w.key("peak_sessions_per_sec").f64(310.5);
+            },
+            &[],
+        );
+        assert_eq!(
+            bare,
+            "{\"experiment\":\"throughput\",\"quick\":false,\"peak_sessions_per_sec\":310.5}\n"
         );
     }
 }

@@ -413,9 +413,10 @@ pub(crate) struct Intake {
 }
 
 impl Intake {
-    /// Admits `job` with the configured deadline, starting now.
+    /// Admits a server frame `job`. Frames carry no deadline: a wire
+    /// request runs to its answer once admitted.
     pub(crate) fn submit(&self, job: Job) -> Result<(), ShedReason> {
-        self.push(job, self.batch_deadline.map(|d| Instant::now() + d))
+        self.push(job, None)
     }
 
     fn push(&self, job: Job, deadline: Option<Instant>) -> Result<(), ShedReason> {

@@ -180,7 +180,11 @@ pub struct DefenseConfig {
     /// ones at load time (no extra artifact); the LLR drift is bounded
     /// analytically (`magshield_ml::gmm::llr_drift_bound`) and the
     /// decision identity is property-tested, so flipping this on trades
-    /// a few ULPs of score for a ~2× smaller hot working set.
+    /// a few ULPs of score for a ~2× smaller hot working set. It is not
+    /// faster: the quantized kernel measures about 0.8–0.9× the exact one
+    /// (`llr_quantized_speedup` in `results/BENCH_kernels.json`). Off by
+    /// default; the serving benchmark reads the flag, so removing the
+    /// path waits for a change to that benchmark.
     pub asv_quantized: bool,
     /// Number of angle bins in the sound-field feature vector.
     pub sound_field_bins: usize,

@@ -15,15 +15,11 @@
 //! frame is answered, and later frames see
 //! [`ClientError::Disconnected`].
 //!
-//! Protocol v3 adds batch verification: a `Message::BatchRequest`
-//! carries many sessions in one frame; the worker that picks the frame
-//! up verifies its sessions one after another under an optional
-//! per-batch deadline ([`ServerConfig::batch_deadline`], anchored when
-//! the frame is queued and checked before each session starts) —
-//! sessions that cannot start in budget come back as explicit
-//! [`BatchOutcome::Shed`](crate::batch::BatchOutcome) entries, never a
-//! silent gap. [`Client::submit`] / [`PendingVerdict::wait`] provide the
-//! streaming client path, [`Client::verify_batch`] the one-frame path.
+//! Protocol v3 added batch frames that carried many sessions in one
+//! frame to one worker. They are retired (tags 6 and 7 decode as
+//! `BadType`): [`Client::submit`] / [`PendingVerdict::wait`] pipeline
+//! single verify requests across the whole pool instead, one request
+//! per session.
 //!
 //! Protocol v4 adds the model-lifecycle operations of the
 //! training/serving split: `Message::Enroll` enrolls a new speaker into
@@ -73,7 +69,7 @@
 pub mod protocol;
 
 use crate::artifact::ModelBundle;
-use crate::batch::{BatchConfig, BatchEngine, BatchOutcome, Intake, Worker};
+use crate::batch::{BatchConfig, BatchEngine, Intake, Worker};
 use crate::cascade::ExecutionPolicy;
 use crate::pipeline::DefenseSystem;
 use crate::session::SessionData;
@@ -110,10 +106,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Cascade execution policy for the whole pool.
     pub policy: ExecutionPolicy,
-    /// Batch-request sessions that have not started processing within
-    /// this budget of the request's enqueue are shed with
-    /// [`ShedReason::DeadlineExceeded`](crate::batch::ShedReason).
-    pub batch_deadline: Option<Duration>,
     /// Most concurrently open verification streams (protocol v6); a
     /// `StreamOpen` past the cap is refused with a protocol error, so a
     /// hostile client cannot grow server memory one open frame at a
@@ -131,7 +123,6 @@ impl Default for ServerConfig {
         Self {
             workers: 4,
             policy: ExecutionPolicy::FullEvaluation,
-            batch_deadline: None,
             max_open_streams: 1024,
             // ~5.8 minutes of 48 kHz audio — far beyond any
             // authentication utterance, tight enough to bound memory.
@@ -142,7 +133,7 @@ impl Default for ServerConfig {
 
 /// One server-side verification stream. The outer map lock is held only
 /// to look up / insert / remove entries; the per-stream lock serializes
-/// chunk ingestion for that stream while other streams (and batch
+/// chunk ingestion for that stream while other streams (and verify
 /// traffic) proceed in parallel on other workers. `None` marks a stream
 /// whose terminal verdict is being produced by another worker.
 type StreamSlot = Arc<Mutex<Option<StreamingVerification>>>;
@@ -237,7 +228,7 @@ impl VerificationServer {
     }
 
     /// Spawns the server under a full [`ServerConfig`] (worker count,
-    /// execution policy, batch deadline, stream caps), guarding health
+    /// execution policy, stream caps), guarding health
     /// with [`VerificationServer::default_slos`].
     ///
     /// # Panics
@@ -296,7 +287,6 @@ impl VerificationServer {
             BatchConfig {
                 workers: cfg.workers,
                 policy: cfg.policy,
-                batch_deadline: cfg.batch_deadline,
                 ..BatchConfig::default()
             },
             "server",
@@ -352,19 +342,6 @@ fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
             let verdict = w.verify(&session);
             shared.worker_processed[w.id].inc();
             encode_response(request_id, &verdict)
-        }
-        Ok(Message::BatchRequest {
-            request_id,
-            sessions,
-        }) => {
-            // One session after another; each checks the frame's
-            // deadline before it starts, so an expired budget sheds the
-            // rest instead of burning compute on answers nobody awaits.
-            let outcomes: Vec<BatchOutcome> =
-                sessions.iter().map(|s| w.verify_in_time(s)).collect();
-            let verified = outcomes.iter().filter(|o| !o.is_shed()).count() as u64;
-            shared.worker_processed[w.id].add(verified);
-            protocol::encode_batch_response(request_id, &outcomes)
         }
         Ok(Message::MetricsRequest { request_id }) => {
             // Non-draining scrape: exemplar windows stay intact for the
@@ -472,7 +449,7 @@ fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
             // Clone the slot Arc under the map lock, then ingest under
             // the per-stream lock only: chunks of the same stream
             // serialize (a stream is a stateful pipeline), while other
-            // streams and batch traffic proceed on other workers.
+            // streams and verify traffic proceed on other workers.
             let Some(slot) = lock(&shared.streams).get(&stream_id).cloned() else {
                 shared.protocol_errors.inc();
                 return protocol::encode_error(
@@ -676,47 +653,13 @@ impl Client {
         self.submit(session)?.wait()
     }
 
-    /// Submits a session without waiting: the streaming half of the
-    /// batch API. Submit many, then drain the [`PendingVerdict`]s —
-    /// requests pipeline across the worker pool instead of serializing
-    /// on one round trip each.
+    /// Submits a session without waiting. Submit many, then drain the
+    /// [`PendingVerdict`]s — requests pipeline across the worker pool
+    /// instead of serializing on one round trip each.
     pub fn submit(&self, session: &SessionData) -> Result<PendingVerdict, ClientError> {
         let id = self.next_id();
         let rx = self.send_frame(protocol::encode_request(id, session))?;
         Ok(PendingVerdict { id, rx })
-    }
-
-    /// Verifies a whole batch in one `Message::BatchRequest` frame
-    /// (protocol v3). One worker verifies the sessions in order; the
-    /// reply carries one [`BatchOutcome`] per session in request order —
-    /// a verdict, or an explicit shed when the server's batch deadline
-    /// expired before the session started.
-    pub fn verify_batch(&self, sessions: &[SessionData]) -> Result<Vec<BatchOutcome>, ClientError> {
-        let id = self.next_id();
-        let raw = self.send_raw(protocol::encode_batch_request(id, sessions))?;
-        match decode_frame(&raw) {
-            Ok(Message::BatchResponse {
-                request_id,
-                outcomes,
-            }) => {
-                if request_id != id {
-                    return Err(ClientError::BadReply(format!(
-                        "response id {request_id} != request id {id}"
-                    )));
-                }
-                if outcomes.len() != sessions.len() {
-                    return Err(ClientError::BadReply(format!(
-                        "{} outcomes for {} sessions",
-                        outcomes.len(),
-                        sessions.len()
-                    )));
-                }
-                Ok(outcomes)
-            }
-            Ok(Message::Error { message, .. }) => Err(ClientError::Server(message)),
-            Ok(_) => Err(ClientError::BadReply("unexpected message type".into())),
-            Err(e) => Err(ClientError::BadReply(e.to_string())),
-        }
     }
 
     /// Enrolls a new speaker online (`Message::Enroll`, protocol v4):
@@ -1130,103 +1073,52 @@ mod tests {
     }
 
     #[test]
-    fn batch_round_trips_verdicts_identical_to_sequential() {
+    fn streaming_submit_then_drain() {
         let (system, user) = crate::test_support::shared_tiny_system();
-        let srv = VerificationServer::spawn_with_config(
-            system.with_fresh_obs(),
-            ServerConfig {
-                workers: 2,
-                policy: ExecutionPolicy::ShortCircuit,
-                ..ServerConfig::default()
-            },
-        );
-        let client = srv.client();
         let sessions: Vec<_> = (0..5)
             .map(|i| ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(150 + i)))
             .collect();
-        let outcomes = client.verify_batch(&sessions).expect("batch reply");
-        assert_eq!(outcomes.len(), 5);
-        for (outcome, session) in outcomes.iter().zip(&sessions) {
-            let expected = system.verify_with_policy(session, ExecutionPolicy::ShortCircuit);
-            assert_eq!(
-                outcome.verdict().expect("verified, not shed"),
-                &expected,
-                "batched wire verdict must be bit-identical to a sequential run"
-            );
+        for policy in [
+            ExecutionPolicy::FullEvaluation,
+            ExecutionPolicy::ShortCircuit,
+        ] {
+            let srv = VerificationServer::spawn_with_policy(system.with_fresh_obs(), 2, policy);
+            let client = srv.client();
+            // Submit everything before waiting on anything: the requests
+            // pipeline across both workers.
+            let pending: Vec<_> = sessions
+                .iter()
+                .map(|s| client.submit(s).expect("submit"))
+                .collect();
+            for (p, s) in pending.into_iter().zip(&sessions) {
+                // The default policy must match the traced local path.
+                let expected = match policy {
+                    ExecutionPolicy::FullEvaluation => system.verify(s),
+                    _ => system.verify_with_policy(s, policy),
+                };
+                assert_eq!(
+                    p.wait().expect("verdict"),
+                    expected,
+                    "pipelined wire verdict must be bit-identical to a sequential run ({policy:?})"
+                );
+            }
+            assert_eq!(processed(&srv), 5);
+            let snap = srv.metrics().snapshot();
+            assert_eq!(snap.histograms["server.compute.seconds"].count, 5);
+            assert_eq!(snap.counters["batch.verdicts"], 5);
+            assert_eq!(snap.gauges["server.queue.depth"], 0);
+            srv.shutdown();
         }
-        assert_eq!(processed(&srv), 5);
-        let snap = srv.metrics().snapshot();
-        assert_eq!(snap.histograms["server.compute.seconds"].count, 5);
-        assert_eq!(snap.counters["batch.verdicts"], 5);
-        assert_eq!(snap.gauges["server.queue.depth"], 0);
-        srv.shutdown();
-    }
-
-    #[test]
-    fn streaming_submit_then_drain() {
-        let (system, user) = crate::test_support::shared_tiny_system();
-        let srv = VerificationServer::spawn(system.with_fresh_obs(), 2);
-        let client = srv.client();
-        let sessions: Vec<_> = (0..4)
-            .map(|i| ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(160 + i)))
-            .collect();
-        // Submit everything before waiting on anything: the requests
-        // pipeline across both workers.
-        let pending: Vec<_> = sessions
-            .iter()
-            .map(|s| client.submit(s).expect("submit"))
-            .collect();
-        for (p, s) in pending.into_iter().zip(&sessions) {
-            let verdict = p.wait().expect("verdict");
-            assert_eq!(verdict, system.verify(s));
-        }
-        assert_eq!(processed(&srv), 4);
-        srv.shutdown();
-    }
-
-    /// The sheds land in the counters the SLO shed guard reads, so the
-    /// health endpoint reports them.
-    #[test]
-    fn batch_deadline_sheds_over_the_wire() {
-        use crate::batch::ShedReason;
-        use magshield_obs::slo::HealthState;
-        let (system, user) = crate::test_support::shared_tiny_system();
-        let srv = VerificationServer::spawn_with_config(
-            system.with_fresh_obs(),
-            ServerConfig {
-                workers: 1,
-                batch_deadline: Some(Duration::from_nanos(1)),
-                ..ServerConfig::default()
-            },
-        );
-        let client = srv.client();
-        assert_eq!(client.health().expect("health").state, HealthState::Healthy);
-        let sessions: Vec<_> = (0..3)
-            .map(|i| ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(170 + i)))
-            .collect();
-        let outcomes = client.verify_batch(&sessions).expect("batch reply");
-        assert_eq!(outcomes.len(), 3, "shed sessions still get an outcome each");
-        for o in &outcomes {
-            assert_eq!(o, &BatchOutcome::Shed(ShedReason::DeadlineExceeded));
-        }
-        assert_eq!(processed(&srv), 0, "no compute spent past deadline");
-        assert_eq!(srv.metrics().counter("batch.shed").get(), 3);
-        assert_eq!(srv.metrics().counter("batch.shed.deadline").get(), 3);
-        let report = client.health().expect("health");
-        assert!(
-            report.state >= HealthState::Degraded,
-            "a server shedding its batches must not report Healthy: {report:?}"
-        );
-        srv.shutdown();
     }
 
     #[test]
     fn retired_stats_tags_are_protocol_errors() {
         let (srv, _) = server();
         let client = srv.client();
-        // Tags 4 and 5 carried the scalar stats view; both are now
-        // unknown message types, refused and counted like any other.
-        for tag in [4u8, 5] {
+        // Tags 4 and 5 carried the scalar stats view, 6 and 7 the batch
+        // frames; all are now unknown message types, refused and counted
+        // like any other.
+        for tag in [4u8, 5, 6, 7] {
             let mut frame = protocol::encode_metrics_request(1);
             frame[3] = tag;
             let reply = decode_frame(&client.send_raw(frame).unwrap()).unwrap();
@@ -1238,7 +1130,7 @@ mod tests {
                 "{message}"
             );
         }
-        assert_eq!(protocol_errors(&srv), 2);
+        assert_eq!(protocol_errors(&srv), 4);
         srv.shutdown();
     }
 
@@ -1324,27 +1216,25 @@ mod tests {
         let srv = VerificationServer::spawn(system.with_fresh_obs(), 1);
         let session = ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(58));
         let (done_tx, done_rx) = mpsc::channel();
-        // Keep the single worker busy with a long batch ...
-        let (client, batch, done) = (srv.client(), vec![session.clone(); 32], done_tx.clone());
-        std::thread::spawn(move || done.send(client.verify_batch(&batch).map(|_| ())));
+        // Keep the single worker busy with 32 pipelined requests ...
+        let client = srv.client();
+        let mut queued: Vec<_> = (0..32).map(|_| client.submit(&session).unwrap()).collect();
         let picked_up = srv.metrics().histogram("server.queue.wait.seconds");
         let waited = Instant::now();
         while picked_up.count() == 0 && waited.elapsed() < Duration::from_secs(10) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        // ... and queue frames behind it.
-        let queued: Vec<_> = (0..5)
-            .map(|_| srv.client().submit(&session).unwrap())
-            .collect();
+        // ... and queue frames from other clients behind them.
+        queued.extend((0..5).map(|_| srv.client().submit(&session).unwrap()));
         let depth = srv.metrics().gauge("server.queue.depth");
-        assert_eq!(depth.get(), 5, "frames queued behind the busy worker");
+        assert!(depth.get() >= 5, "frames queued behind the busy worker");
         for pending in queued {
             let done = done_tx.clone();
             std::thread::spawn(move || done.send(pending.wait().map(|_| ())));
         }
         let processed = srv.metrics().counter("server.worker.0.processed");
         srv.shutdown();
-        let outcomes: Vec<_> = (0..6)
+        let outcomes: Vec<_> = (0..32 + 5)
             .map(|_| {
                 done_rx
                     .recv_timeout(Duration::from_secs(10))
@@ -1353,7 +1243,7 @@ mod tests {
             .collect();
         assert!(
             outcomes.iter().all(|o| o.is_ok()),
-            "the batch and every queued frame get a verdict: {outcomes:?}"
+            "every queued frame gets a verdict: {outcomes:?}"
         );
         assert_eq!(processed.get(), 32 + 5);
         assert_eq!(depth.get(), 0, "drained frames release the depth gauge");

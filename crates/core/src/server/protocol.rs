@@ -12,7 +12,6 @@
 //! and a frame must be consumed exactly: bytes after a complete message
 //! are [`DecodeError::TrailingBytes`].
 
-use crate::batch::{BatchOutcome, ShedReason};
 use crate::cascade::ExecutionPolicy;
 use crate::session::SessionData;
 use crate::stream::{SessionChunk, StreamConfig, StreamOpenInfo};
@@ -35,9 +34,10 @@ const STRING_FRAME_HINT: usize = 64;
 /// speaks (the frame header, every encoder and the decoder all read it
 /// from here). v2 added the `Sld` component tag, per-stage
 /// outcomes (ran vs short-circuited) and the invalid-session reason to
-/// verify responses. v3 added batch verification
-/// ([`Message::BatchRequest`] / [`Message::BatchResponse`]) with
-/// per-session shed outcomes. v4 added the model-generation stamp to
+/// verify responses. v3 added batch verification frames with
+/// per-session shed outcomes; tags 6 and 7 carried them until single
+/// requests pipelined over the whole pool superseded them, and they are
+/// retired and decode as [`DecodeError::BadType`]. v4 added the model-generation stamp to
 /// every verdict plus online enrollment ([`Message::Enroll`]) and
 /// whole-bundle hot-swap ([`Message::SwapBundle`]). v5 added the
 /// telemetry plane: full labeled-metrics scrape
@@ -56,9 +56,8 @@ pub const PROTOCOL_VERSION: u8 = 6;
 const T_VERIFY_REQUEST: u8 = 1;
 const T_VERIFY_RESPONSE: u8 = 2;
 const T_ERROR: u8 = 3;
-// Tags 4 and 5 (the retired stats request/response) stay unassigned.
-const T_BATCH_REQUEST: u8 = 6;
-const T_BATCH_RESPONSE: u8 = 7;
+// Tags 4 and 5 (the retired stats request/response) and 6 and 7 (the
+// retired batch request/response) stay unassigned.
 const T_ENROLL: u8 = 8;
 const T_ENROLL_RESPONSE: u8 = 9;
 const T_SWAP_BUNDLE: u8 = 10;
@@ -77,10 +76,6 @@ const MAX_LEN: usize = 16 << 20;
 
 /// Upper bound on histogram bucket counts in metrics frames.
 const MAX_HIST_BUCKETS: usize = 4096;
-
-/// Upper bound on sessions in one batch frame (guards against hostile
-/// frames; a real batch this size would be a ~GB frame anyway).
-const MAX_BATCH_SESSIONS: usize = 4096;
 
 /// Upper bound on utterances in one enrollment frame.
 const MAX_ENROLL_UTTERANCES: usize = 64;
@@ -126,21 +121,6 @@ pub enum Message {
         request_id: u64,
         /// Description.
         message: String,
-    },
-    /// Client → server: verify a whole batch of sessions (added in v3).
-    BatchRequest {
-        /// Request correlation id.
-        request_id: u64,
-        /// The captured sessions, verified in order server-side.
-        sessions: Vec<SessionData>,
-    },
-    /// Server → client: one outcome per batched session, in request
-    /// order (added in v3).
-    BatchResponse {
-        /// Request correlation id.
-        request_id: u64,
-        /// Verdict or explicit shed per session — never a silent gap.
-        outcomes: Vec<BatchOutcome>,
     },
     /// Client → server: enroll a new speaker online (added in v4).
     Enroll {
@@ -285,8 +265,6 @@ impl Message {
             Message::VerifyRequest { request_id, .. }
             | Message::VerifyResponse { request_id, .. }
             | Message::Error { request_id, .. }
-            | Message::BatchRequest { request_id, .. }
-            | Message::BatchResponse { request_id, .. }
             | Message::Enroll { request_id, .. }
             | Message::EnrollResponse { request_id, .. }
             | Message::SwapBundle { request_id, .. }
@@ -379,66 +357,6 @@ pub fn encode_response(request_id: u64, verdict: &DefenseVerdict) -> Vec<u8> {
     let mut w = header(T_VERIFY_RESPONSE, STRING_FRAME_HINT);
     w.put_u64(request_id);
     put_verdict(&mut w, verdict);
-    w.into_bytes()
-}
-
-/// Per-session outcome tags inside a batch response.
-const BATCH_SHED: u8 = 0;
-const BATCH_VERDICT: u8 = 1;
-
-/// Shed-reason tags inside a batch response.
-const SHED_QUEUE_FULL: u8 = 0;
-const SHED_DEADLINE: u8 = 1;
-const SHED_SHUTDOWN: u8 = 2;
-
-fn shed_tag(r: ShedReason) -> u8 {
-    match r {
-        ShedReason::QueueFull => SHED_QUEUE_FULL,
-        ShedReason::DeadlineExceeded => SHED_DEADLINE,
-        ShedReason::ShuttingDown => SHED_SHUTDOWN,
-    }
-}
-
-fn shed_from_tag(t: u8) -> Result<ShedReason, DecodeError> {
-    Ok(match t {
-        SHED_QUEUE_FULL => ShedReason::QueueFull,
-        SHED_DEADLINE => ShedReason::DeadlineExceeded,
-        SHED_SHUTDOWN => ShedReason::ShuttingDown,
-        other => return Err(DecodeError::BadType(other)),
-    })
-}
-
-/// Encodes a batch verify request (protocol v3).
-pub fn encode_batch_request(request_id: u64, sessions: &[SessionData]) -> Vec<u8> {
-    let payload = 8 + 4 + sessions.iter().map(session_len).sum::<usize>();
-    let mut w = header(T_BATCH_REQUEST, payload);
-    w.put_u64(request_id);
-    w.put_len(sessions.len());
-    for s in sessions {
-        put_session(&mut w, s);
-    }
-    w.into_bytes()
-}
-
-/// Encodes a batch verify response (protocol v3): one tagged outcome per
-/// session — a full verdict (tag `BATCH_VERDICT`, same layout as a verify
-/// response) or an explicit shed reason (tag `BATCH_SHED`).
-pub fn encode_batch_response(request_id: u64, outcomes: &[BatchOutcome]) -> Vec<u8> {
-    let mut w = header(T_BATCH_RESPONSE, STRING_FRAME_HINT);
-    w.put_u64(request_id);
-    w.put_len(outcomes.len());
-    for outcome in outcomes {
-        match outcome {
-            BatchOutcome::Verdict(v) => {
-                w.put_u8(BATCH_VERDICT);
-                put_verdict(&mut w, v);
-            }
-            BatchOutcome::Shed(r) => {
-                w.put_u8(BATCH_SHED);
-                w.put_u8(shed_tag(*r));
-            }
-        }
-    }
     w.into_bytes()
 }
 
@@ -706,29 +624,6 @@ fn decode_body(ty: u8, r: &mut ByteReader<'_>) -> Result<Message, DecodeError> {
             request_id: r.get_u64()?,
             verdict: get_verdict(r)?,
         },
-        T_BATCH_REQUEST => {
-            let request_id = r.get_u64()?;
-            let n = get_len_capped(r, MAX_BATCH_SESSIONS)?;
-            Message::BatchRequest {
-                request_id,
-                sessions: get_n(r, n, get_session)?,
-            }
-        }
-        T_BATCH_RESPONSE => {
-            let request_id = r.get_u64()?;
-            let n = get_len_capped(r, MAX_BATCH_SESSIONS)?;
-            let outcomes = get_n(r, n, |r| {
-                Ok(match r.get_u8()? {
-                    BATCH_VERDICT => BatchOutcome::Verdict(get_verdict(r)?),
-                    BATCH_SHED => BatchOutcome::Shed(shed_from_tag(r.get_u8()?)?),
-                    other => return Err(DecodeError::BadType(other)),
-                })
-            })?;
-            Message::BatchResponse {
-                request_id,
-                outcomes,
-            }
-        }
         T_ENROLL => {
             let request_id = r.get_u64()?;
             let speaker_id = r.get_u32()?;
@@ -907,7 +802,7 @@ fn component_from_tag(t: u8) -> Result<Component, DecodeError> {
     })
 }
 
-/// Verdict body shared by verify responses and batch-response entries:
+/// Verdict body shared by verify responses and stream verdicts:
 /// decision byte, invalid flag (+ reason string when set), generation
 /// flag (+ generation u64 when stamped, added in v4), stage count, then
 /// per stage a component tag, an outcome tag, and either
@@ -1323,109 +1218,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_request_round_trip() {
-        let sessions = vec![sample_session(), sample_session()];
-        let frame = encode_batch_request(21, &sessions);
-        match decode_frame(&frame).unwrap() {
-            Message::BatchRequest {
-                request_id,
-                sessions: s,
-            } => {
-                assert_eq!(request_id, 21);
-                assert_eq!(s, sessions);
-            }
-            other => panic!("wrong message: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batch_response_round_trips_verdicts_and_sheds() {
-        let verdict = DefenseVerdict::from_stages(vec![
-            StageOutcome::Ran(ComponentResult {
-                component: Component::Loudspeaker,
-                attack_score: 2.0,
-                detail: "deviation 40 µT".into(),
-            }),
-            StageOutcome::Skipped(SkippedStage {
-                component: Component::SpeakerIdentity,
-                cause: Component::Loudspeaker,
-            }),
-        ]);
-        let outcomes = vec![
-            BatchOutcome::Verdict(verdict),
-            BatchOutcome::Shed(ShedReason::QueueFull),
-            BatchOutcome::Shed(ShedReason::DeadlineExceeded),
-            BatchOutcome::Shed(ShedReason::ShuttingDown),
-            BatchOutcome::Verdict(DefenseVerdict::rejected_invalid("empty audio".into())),
-        ];
-        let frame = encode_batch_response(22, &outcomes);
-        match decode_frame(&frame).unwrap() {
-            Message::BatchResponse {
-                request_id,
-                outcomes: o,
-            } => {
-                assert_eq!(request_id, 22);
-                assert_eq!(o, outcomes);
-            }
-            other => panic!("wrong message: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_batch_round_trips() {
-        let frame = encode_batch_request(23, &[]);
-        match decode_frame(&frame).unwrap() {
-            Message::BatchRequest { sessions, .. } => assert!(sessions.is_empty()),
-            other => panic!("wrong message: {other:?}"),
-        }
-        let frame = encode_batch_response(24, &[]);
-        match decode_frame(&frame).unwrap() {
-            Message::BatchResponse { outcomes, .. } => assert!(outcomes.is_empty()),
-            other => panic!("wrong message: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batch_frames_reject_truncation_everywhere() {
-        let req = encode_batch_request(1, &[sample_session()]);
-        let resp = encode_batch_response(
-            2,
-            &[
-                BatchOutcome::Shed(ShedReason::QueueFull),
-                BatchOutcome::Verdict(DefenseVerdict::from_results(vec![ComponentResult {
-                    component: Component::Sld,
-                    attack_score: 0.5,
-                    detail: "x".into(),
-                }])),
-            ],
-        );
-        for frame in [req, resp] {
-            for cut in 0..frame.len() {
-                let r = decode_frame(&frame[..cut]);
-                assert!(r.is_err(), "prefix of {cut} bytes decoded: {r:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_request_rejects_hostile_session_count() {
-        let mut b = header(T_BATCH_REQUEST, 0);
-        b.put_u64(1); // request id
-        b.put_u32((MAX_BATCH_SESSIONS + 1) as u32); // over the cap
-        assert_eq!(decode_frame(&b.into_bytes()), Err(DecodeError::BadLength));
-    }
-
-    #[test]
-    fn batch_response_rejects_bad_shed_tag() {
-        let mut b = header(T_BATCH_RESPONSE, 0);
-        b.put_u64(1); // request id
-        b.put_u32(1); // one outcome
-        b.put_u8(BATCH_SHED);
-        b.put_u8(9); // no such shed reason
-        assert_eq!(decode_frame(&b.into_bytes()), Err(DecodeError::BadType(9)));
-    }
-
-    #[test]
     fn generation_stamp_round_trips() {
         // v4: a served verdict carries the registry generation that
         // produced it; an unstamped verdict stays None on the wire.
@@ -1533,7 +1325,8 @@ mod tests {
 
     #[test]
     fn retired_stats_tags_decode_as_bad_type() {
-        for tag in [4u8, 5] {
+        // 4/5: the stats view; 6/7: the batch frames.
+        for tag in [4u8, 5, 6, 7] {
             let mut b = header(tag, 8);
             b.put_u64(1); // request id
             assert_eq!(
@@ -1981,15 +1774,10 @@ mod tests {
             detail: "LLR 0.5".into(),
         }]);
         // The decision byte leads the verdict: after the request id in a
-        // verify response; after the request id, outcome count and
-        // outcome tag in a batch response; after the request and stream
-        // ids, kind tag, chunk count and verdict flag in a stream verdict.
+        // verify response; after the request and stream ids, kind tag,
+        // chunk count and verdict flag in a stream verdict.
         let frames = [
             (encode_response(1, &verdict), HEADER_LEN + 8),
-            (
-                encode_batch_response(2, &[BatchOutcome::Verdict(verdict.clone())]),
-                HEADER_LEN + 8 + 4 + 1,
-            ),
             (
                 encode_stream_verdict(3, 4, StreamVerdictKind::Final, 5, Some(&verdict)),
                 HEADER_LEN + 8 + 8 + 1 + 4 + 1,
@@ -2001,10 +1789,6 @@ mod tests {
                 good[at] = u8::from(decision == Decision::Accept);
                 let decoded = match decode_frame(&good).unwrap() {
                     Message::VerifyResponse { verdict, .. } => verdict,
-                    Message::BatchResponse { mut outcomes, .. } => match outcomes.pop() {
-                        Some(BatchOutcome::Verdict(v)) => v,
-                        other => panic!("wrong outcome: {other:?}"),
-                    },
                     Message::StreamVerdict {
                         verdict: Some(v), ..
                     } => v,
@@ -2038,8 +1822,6 @@ mod tests {
             encode_request(1, &sample_session()),
             encode_response(2, &verdict),
             encode_error(3, "boom"),
-            encode_batch_request(6, &[sample_session()]),
-            encode_batch_response(7, &[BatchOutcome::Verdict(verdict.clone())]),
             encode_enroll(8, 9, &[vec![0.5]]),
             encode_enroll_response(9, 9, 1),
             encode_swap_bundle(10, &[1, 2, 3]),
@@ -2065,7 +1847,7 @@ mod tests {
             long.push(0);
             assert_eq!(decode_frame(&long), Err(DecodeError::TrailingBytes(1)));
         }
-        // Every assigned tag: 1..=19 less the two retired stats tags.
-        assert_eq!(kinds.len(), (T_VERIFY_REQUEST..=T_STREAM_CLOSE).count() - 2);
+        // Every assigned tag: 1..=19 less the retired stats and batch tags.
+        assert_eq!(kinds.len(), (T_VERIFY_REQUEST..=T_STREAM_CLOSE).count() - 4);
     }
 }

@@ -11,8 +11,7 @@
 //! bump.
 
 use magshield_core::server::protocol::{
-    decode_frame, encode_batch_request, encode_enroll, encode_request, encode_stream_chunk,
-    Message, PROTOCOL_VERSION,
+    decode_frame, encode_enroll, encode_request, encode_stream_chunk, Message, PROTOCOL_VERSION,
 };
 use magshield_core::session::SessionData;
 use magshield_core::stream::SessionChunk;
@@ -21,7 +20,6 @@ use magshield_simkit::vec3::Vec3;
 
 const MAGIC: u16 = 0x4D53;
 const T_VERIFY_REQUEST: u8 = 1;
-const T_BATCH_REQUEST: u8 = 6;
 const T_ENROLL: u8 = 8;
 const T_STREAM_CHUNK: u8 = 17;
 
@@ -92,16 +90,6 @@ fn oracle_request(id: u64, s: &SessionData) -> Vec<u8> {
     let mut w = OracleWriter::frame(T_VERIFY_REQUEST);
     w.u64(id);
     w.session(s);
-    w.0
-}
-
-fn oracle_batch(id: u64, sessions: &[SessionData]) -> Vec<u8> {
-    let mut w = OracleWriter::frame(T_BATCH_REQUEST);
-    w.u64(id);
-    w.u32(sessions.len() as u32);
-    for s in sessions {
-        w.session(s);
-    }
     w.0
 }
 
@@ -381,11 +369,6 @@ fn bulk_encoders_write_the_oracle_bytes() {
             "verify frame {i}"
         );
     }
-    assert_eq!(
-        encode_batch_request(7, &sessions),
-        oracle_batch(7, &sessions)
-    );
-    assert_eq!(encode_batch_request(8, &[]), oracle_batch(8, &[]));
     let utterances = edge_utterances();
     assert_eq!(
         encode_enroll(9, 4040, &utterances),
@@ -421,23 +404,6 @@ fn bulk_decoder_reads_the_oracle_bits() {
         assert_eq!(request_id, 5);
         assert_eq!(session_bits(&session), session_bits(&oracle));
         assert_eq!(session_bits(&session), session_bits(s));
-    }
-
-    let frame = oracle_batch(6, &sessions);
-    let mut r = OracleReader(&frame);
-    r.header(T_BATCH_REQUEST);
-    assert_eq!(r.u64(), 6);
-    let oracle: Vec<SessionData> = (0..r.u32()).map(|_| r.session()).collect();
-    r.finish();
-    let Message::BatchRequest {
-        sessions: decoded, ..
-    } = decode_frame(&frame).unwrap()
-    else {
-        panic!("not a batch request");
-    };
-    assert_eq!(decoded.len(), oracle.len());
-    for (d, o) in decoded.iter().zip(&oracle) {
-        assert_eq!(session_bits(d), session_bits(o));
     }
 
     let utterances = edge_utterances();
@@ -481,10 +447,9 @@ fn bulk_decoder_reads_the_oracle_bits() {
 
 /// FNV-1a/64 of each sample-carrying frame built from the closed-form
 /// session and chunk, recorded from the per-sample encoder.
-const PINNED_V6: [(&str, u64); 5] = [
+const PINNED_V6: [(&str, u64); 4] = [
     ("verify", 0x5d93_8870_201b_f7d6),
     ("verify_mono", 0x8745_90a7_b2d2_6482),
-    ("batch", 0x00d8_3917_c1e2_0b63),
     ("enroll", 0xdfcf_f0d8_90e9_194a),
     ("chunk", 0x88ce_5bac_9976_6731),
 ];
@@ -499,7 +464,6 @@ fn v6_layout_is_pinned() {
     let frames = [
         encode_request(1, &s),
         encode_request(2, &mono),
-        encode_batch_request(3, &[s.clone(), mono]),
         encode_enroll(4, 17, &[s.audio.clone(), s.audio2.clone().unwrap()]),
         encode_stream_chunk(5, 6, &closed_form_chunk()),
     ];

@@ -358,30 +358,6 @@ impl RealFftPlan {
         self.n / 2
     }
 
-    /// Packs a real signal (zero-padded to `n`) into `packed` —
-    /// `packed[j] = x[2j] + i·x[2j+1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `signal.len() > n`.
-    pub fn pack_into(&self, signal: &[f64], packed: &mut Vec<Complex>) {
-        assert!(
-            signal.len() <= self.n,
-            "signal length {} exceeds planned real-FFT size {}",
-            signal.len(),
-            self.n
-        );
-        packed.clear();
-        packed.resize(self.packed_len(), Complex::ZERO);
-        let mut pairs = signal.chunks_exact(2);
-        for (slot, p) in packed.iter_mut().zip(&mut pairs) {
-            *slot = Complex::new(p[0], p[1]);
-        }
-        if let [last] = pairs.remainder() {
-            packed[signal.len() / 2] = Complex::new(*last, 0.0);
-        }
-    }
-
     /// Transforms an already-packed buffer and writes the one-sided
     /// spectrum `X[0..=n/2]` (`n/2 + 1` bins) into `out`. `packed` is
     /// consumed as scratch (left holding the half-size transform).
@@ -413,18 +389,6 @@ impl RealFftPlan {
         let t = self.twiddles[k] * odd;
         // even − i·t: multiplying by −i maps (re, im) to (im, −re).
         Complex::new(even.re + t.im, even.im - t.re)
-    }
-
-    /// One-sided spectrum of a real signal (zero-padded to `n`), packing
-    /// through the caller's scratch buffer. Equivalent to
-    /// `rfft(signal)[..n/2 + 1]` up to rounding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `signal.len() > n`.
-    pub fn forward_into(&self, signal: &[f64], packed: &mut Vec<Complex>, out: &mut Vec<Complex>) {
-        self.pack_into(signal, packed);
-        self.spectrum_from_packed(packed, out);
     }
 }
 
@@ -610,6 +574,22 @@ mod tests {
         fft(&mut buf);
     }
 
+    /// One-sided spectrum through the plan, packing the way the STFT
+    /// does: `packed[j] = x[2j] + i·x[2j+1]`, zero-padded to `n`.
+    fn packed_spectrum(plan: &RealFftPlan, signal: &[f64]) -> Vec<Complex> {
+        let mut packed = vec![Complex::ZERO; plan.packed_len()];
+        for (j, &x) in signal.iter().enumerate() {
+            if j % 2 == 0 {
+                packed[j / 2].re = x;
+            } else {
+                packed[j / 2].im = x;
+            }
+        }
+        let mut out = Vec::new();
+        plan.spectrum_from_packed(&mut packed, &mut out);
+        out
+    }
+
     #[test]
     fn real_plan_matches_rfft_spectrum() {
         for &n in &[2usize, 4, 8, 64, 256, 512, 1024] {
@@ -620,9 +600,7 @@ mod tests {
             let plan = RealFftPlan::new(n);
             assert_eq!(plan.len(), n);
             assert_eq!(plan.packed_len(), n / 2);
-            let mut packed = Vec::new();
-            let mut half = Vec::new();
-            plan.forward_into(&signal, &mut packed, &mut half);
+            let half = packed_spectrum(&plan, &signal);
             assert_eq!(half.len(), n / 2 + 1);
             let scale: f64 = full.iter().map(|z| z.abs()).fold(1.0, f64::max);
             for (k, (h, f)) in half.iter().zip(&full).enumerate() {
@@ -649,9 +627,7 @@ mod tests {
                 padded
             });
             let plan = RealFftPlan::new(n);
-            let mut packed = Vec::new();
-            let mut half = Vec::new();
-            plan.forward_into(&signal, &mut packed, &mut half);
+            let half = packed_spectrum(&plan, &signal);
             for (k, (h, f)) in half.iter().zip(&full).enumerate() {
                 assert!(
                     (h.re - f.re).abs() < 1e-9 && (h.im - f.im).abs() < 1e-9,
@@ -665,15 +641,6 @@ mod tests {
     #[should_panic(expected = "power of two >= 2")]
     fn real_plan_rejects_length_one() {
         RealFftPlan::new(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds planned real-FFT size")]
-    fn real_plan_rejects_oversized_signal() {
-        let plan = RealFftPlan::new(8);
-        let mut packed = Vec::new();
-        let mut out = Vec::new();
-        plan.forward_into(&[0.0; 9], &mut packed, &mut out);
     }
 
     #[test]

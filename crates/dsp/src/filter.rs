@@ -204,19 +204,6 @@ pub fn moving_average(signal: &[f64], window: usize) -> Vec<f64> {
         .collect()
 }
 
-/// First difference scaled by the sample rate: discrete d/dt.
-pub fn derivative(signal: &[f64], sample_rate: f64) -> Vec<f64> {
-    if signal.len() < 2 {
-        return vec![0.0; signal.len()];
-    }
-    let mut out = Vec::with_capacity(signal.len());
-    out.push((signal[1] - signal[0]) * sample_rate);
-    for w in signal.windows(2) {
-        out.push((w[1] - w[0]) * sample_rate);
-    }
-    out
-}
-
 /// Pre-emphasis filter `y[n] = x[n] − α x[n−1]` used before MFCC analysis.
 pub fn pre_emphasis(signal: &[f64], alpha: f64) -> Vec<f64> {
     let mut out = Vec::with_capacity(signal.len());
@@ -321,15 +308,6 @@ mod tests {
         assert!((out[5] - 1.0).abs() < 1e-12);
         assert!((out[3] - 1.0).abs() < 1e-12);
         assert_eq!(out[0], 0.0);
-    }
-
-    #[test]
-    fn derivative_of_ramp_is_slope() {
-        let sig: Vec<f64> = (0..100).map(|i| 3.0 * i as f64).collect();
-        let d = derivative(&sig, 10.0);
-        for &v in &d {
-            assert!((v - 30.0).abs() < 1e-9);
-        }
     }
 
     #[test]

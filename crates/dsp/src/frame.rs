@@ -112,19 +112,9 @@ impl FrameMatrix {
         self.data.chunks_exact(self.cols.max(1))
     }
 
-    /// Iterates over frames as mutable slices.
-    pub fn iter_rows_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
-        self.data.chunks_exact_mut(self.cols.max(1))
-    }
-
     /// The whole matrix as one flat slice.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// The whole matrix as one flat mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Converts back to the reference `Vec<Vec<f64>>` layout (allocates).

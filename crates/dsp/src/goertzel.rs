@@ -40,12 +40,6 @@ pub fn tone_amplitude(signal: &[f64], freq_hz: f64, sample_rate: f64) -> f64 {
     tone_power(signal, freq_hz, sample_rate).sqrt()
 }
 
-/// Phase (radians) of the tone at `freq_hz` relative to a cosine at the
-/// start of the frame.
-pub fn tone_phase(signal: &[f64], freq_hz: f64, sample_rate: f64) -> f64 {
-    goertzel(signal, freq_hz, sample_rate).arg()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,17 +70,6 @@ mod tests {
         let sig = cosine(18_000.0, fs, 4800, 0.0);
         let a = tone_amplitude(&sig, 18_000.0, fs);
         assert!((a - 1.0).abs() < 0.01, "amplitude {a}");
-    }
-
-    #[test]
-    fn phase_recovery() {
-        let fs = 48_000.0;
-        for &phi in &[0.0, 0.5, -1.2, 2.8] {
-            // Integer number of cycles so leakage doesn't bias the phase.
-            let sig = cosine(12_000.0, fs, 480, phi);
-            let p = tone_phase(&sig, 12_000.0, fs);
-            assert!((p - phi).abs() < 1e-6, "expected {phi}, got {p}");
-        }
     }
 
     #[test]

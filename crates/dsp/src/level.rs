@@ -47,16 +47,6 @@ pub fn peak(samples: &[f64]) -> f64 {
     samples.iter().fold(0.0f64, |acc, x| acc.max(x.abs()))
 }
 
-/// Crest factor (peak / RMS) in dB; 0 dB for silence.
-pub fn crest_factor_db(samples: &[f64]) -> f64 {
-    let r = rms(samples);
-    let p = peak(samples);
-    if r <= 0.0 || p <= 0.0 {
-        return 0.0;
-    }
-    20.0 * (p / r).log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,18 +73,5 @@ mod tests {
         assert_eq!(t.len(), 10);
         assert!(l.iter().all(|&x| x.abs() < 1e-9));
         assert!((t[1] - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn crest_factor_of_sine_is_3db() {
-        let sig: Vec<f64> = (0..10_000)
-            .map(|i| (std::f64::consts::TAU * i as f64 / 100.0).sin())
-            .collect();
-        assert!((crest_factor_db(&sig) - 3.0103).abs() < 0.05);
-    }
-
-    #[test]
-    fn crest_factor_of_silence_is_zero() {
-        assert_eq!(crest_factor_db(&[0.0; 10]), 0.0);
     }
 }

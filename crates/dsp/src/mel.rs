@@ -346,15 +346,6 @@ impl MfccExtractor {
         }
         out
     }
-
-    /// Extracts MFCCs and appends delta (first-difference) features,
-    /// doubling the dimensionality.
-    pub fn extract_with_deltas(&self, signal: &[f64]) -> FrameMatrix {
-        let base = self.extract(signal);
-        let mut out = FrameMatrix::new(base.cols() * 2);
-        append_deltas_into(&base, &mut out);
-        out
-    }
 }
 
 /// Appends two-frame-window delta features to each frame (reference layout).

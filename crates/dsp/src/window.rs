@@ -33,23 +33,6 @@ impl WindowKind {
     pub fn generate(self, n: usize) -> Vec<f64> {
         (0..n).map(|i| self.coefficient(i, n)).collect()
     }
-
-    /// Sum of coefficients (for amplitude normalization).
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        self.generate(n).iter().sum::<f64>()
-    }
-}
-
-/// Multiplies `frame` by the window in place.
-///
-/// # Panics
-///
-/// Panics if `window.len() != frame.len()`.
-pub fn apply_window(frame: &mut [f64], window: &[f64]) {
-    assert_eq!(frame.len(), window.len(), "window/frame length mismatch");
-    for (x, w) in frame.iter_mut().zip(window) {
-        *x *= w;
-    }
 }
 
 #[cfg(test)]
@@ -103,18 +86,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn apply_window_multiplies() {
-        let mut frame = vec![2.0; 4];
-        apply_window(&mut frame, &[0.0, 0.5, 1.0, 0.25]);
-        assert_eq!(frame, vec![0.0, 1.0, 2.0, 0.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn apply_window_length_checked() {
-        apply_window(&mut [1.0, 2.0], &[1.0]);
     }
 }

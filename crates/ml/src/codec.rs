@@ -191,11 +191,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `f32` as its IEEE-754 bit pattern, little-endian.
-    pub fn put_f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends an `i16`, little-endian.
     pub fn put_i16(&mut self, v: i16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -385,11 +380,6 @@ impl<'a> ByteReader<'a> {
     /// Reads an `f64` bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
         self.take_array().map(f64::from_le_bytes)
-    }
-
-    /// Reads an `f32` bit pattern.
-    pub fn get_f32(&mut self) -> Result<f32, CodecError> {
-        self.take_array().map(f32::from_le_bytes)
     }
 
     /// Reads a little-endian `i16`.
@@ -786,7 +776,7 @@ mod tests {
         bulk.put_i16_slice(&h);
         let mut each = ByteWriter::new();
         f.iter().for_each(|&x| each.put_f64(x));
-        g.iter().for_each(|&x| each.put_f32(x));
+        g.iter().for_each(|&x| each.put_u32(x.to_bits()));
         h.iter().for_each(|&x| each.put_i16(x));
         let bytes = bulk.into_bytes();
         assert_eq!(bytes, each.into_bytes());

@@ -16,7 +16,7 @@
 //!    additionally retain [`metrics::Exemplar`]s — the trace IDs of the
 //!    slowest samples per scrape window.
 //! 2. [`labels`] — low-cardinality [`labels::Labels`] sets from a fixed
-//!    key vocabulary, with `CounterVec`/`GaugeVec`/`HistogramVec`
+//!    key vocabulary, with `CounterVec`/`HistogramVec`
 //!    interned fast paths and a per-family cardinality cap.
 //! 3. [`slo`] — declarative [`slo::SloSpec`] objectives evaluated by a
 //!    multi-window burn-rate [`slo::SloEngine`] driving a
@@ -80,7 +80,7 @@ pub use export::{
 };
 pub use labels::{parse_metric_key, Labels, LABEL_KEYS, MAX_CARDINALITY};
 pub use metrics::{
-    Counter, CounterVec, Exemplar, Gauge, GaugeVec, Histogram, HistogramSnapshot, HistogramVec,
+    Counter, CounterVec, Exemplar, Gauge, Histogram, HistogramSnapshot, HistogramVec,
     MetricsSnapshot, Registry, MAX_EXEMPLARS,
 };
 pub use slo::{

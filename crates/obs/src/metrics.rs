@@ -237,11 +237,6 @@ impl Histogram {
         }
     }
 
-    /// [`Histogram::record_secs_with_exemplar`] for a [`Duration`].
-    pub fn record_with_exemplar(&self, d: Duration, trace_id: &str) {
-        self.record_secs_with_exemplar(d.as_secs_f64(), trace_id);
-    }
-
     /// Drains the exemplar window, starting a fresh one. Scrapers call
     /// this once per export so each window's slowest sessions are
     /// reported exactly once.
@@ -425,18 +420,6 @@ impl HistogramSnapshot {
         self.merge(other);
         self
     }
-
-    /// One-line human summary in milliseconds.
-    pub fn summary_ms(&self) -> String {
-        format!(
-            "n={} p50={:.2}ms p95={:.2}ms p99={:.2}ms max={:.2}ms",
-            self.count,
-            self.p50() * 1e3,
-            self.p95() * 1e3,
-            self.p99() * 1e3,
-            self.max_s() * 1e3
-        )
-    }
 }
 
 /// A named collection of metrics. Cloning is shallow: clones share the
@@ -496,15 +479,6 @@ impl Registry {
     /// land in this registry under the canonical `name{k="v"}` key.
     pub fn counter_vec(&self, name: &str) -> CounterVec {
         CounterVec {
-            name: name.to_string(),
-            registry: self.clone(),
-            cache: Arc::new(RwLock::new(HashMap::new())),
-        }
-    }
-
-    /// The labeled gauge family `name`.
-    pub fn gauge_vec(&self, name: &str) -> GaugeVec {
-        GaugeVec {
             name: name.to_string(),
             registry: self.clone(),
             cache: Arc::new(RwLock::new(HashMap::new())),
@@ -601,14 +575,6 @@ pub struct CounterVec {
     cache: Arc<RwLock<HashMap<Labels, Counter>>>,
 }
 
-/// A labeled gauge family; see [`CounterVec`].
-#[derive(Debug, Clone)]
-pub struct GaugeVec {
-    name: String,
-    registry: Registry,
-    cache: Arc<RwLock<HashMap<Labels, Gauge>>>,
-}
-
 /// A labeled histogram family; see [`CounterVec`].
 #[derive(Debug, Clone)]
 pub struct HistogramVec {
@@ -643,7 +609,6 @@ macro_rules! impl_vec_with {
 }
 
 impl_vec_with!(CounterVec, Counter, counter_with);
-impl_vec_with!(GaugeVec, Gauge, gauge_with);
 impl_vec_with!(HistogramVec, Histogram, histogram_with);
 
 /// A point-in-time, serializable copy of a [`Registry`].

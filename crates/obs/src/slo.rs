@@ -2,8 +2,8 @@
 //! hysteretic health state machine.
 //!
 //! An [`SloSpec`] names an objective (availability of a counter family,
-//! or a latency threshold on a histogram family), optionally scoped to
-//! one `tenant`/`stage` label. The [`SloEngine`] ingests periodic
+//! or a latency threshold on a histogram family, summed over every label
+//! set of the family). The [`SloEngine`] ingests periodic
 //! [`MetricsSnapshot`]s, keeps a short ring of cumulative samples per
 //! spec, and computes the **burn rate** — error rate divided by the
 //! error budget `1 − objective` — over a short and a long window. Burn
@@ -19,20 +19,22 @@
 //! Time is passed in explicitly (`now_s`), which makes the math
 //! deterministic and directly property-testable.
 
-use crate::labels::parse_metric_key;
 use crate::metrics::MetricsSnapshot;
 use std::collections::VecDeque;
 
-/// Default short burn window, seconds.
-pub const DEFAULT_SHORT_WINDOW_S: f64 = 300.0;
-/// Default long burn window, seconds.
-pub const DEFAULT_LONG_WINDOW_S: f64 = 3600.0;
-/// Default burn rate that makes a spec `Unhealthy` (page severity).
-pub const DEFAULT_PAGE_BURN: f64 = 14.4;
-/// Default burn rate that makes a spec `Degraded` (ticket severity).
-pub const DEFAULT_TICKET_BURN: f64 = 6.0;
-/// Consecutive cleaner evaluations required before health improves.
-pub const DEFAULT_RECOVERY_EVALS: u32 = 3;
+/// Short burn window, seconds.
+pub const SHORT_WINDOW_S: f64 = 300.0;
+/// Long burn window, seconds.
+pub const LONG_WINDOW_S: f64 = 3600.0;
+/// Burn rate (on both windows) that makes a spec `Unhealthy` (page
+/// severity).
+pub const PAGE_BURN: f64 = 14.4;
+/// Burn rate (on both windows) that makes a spec `Degraded` (ticket
+/// severity).
+pub const TICKET_BURN: f64 = 6.0;
+/// Consecutive cleaner evaluations required before health improves
+/// (escalation is always immediate).
+pub const RECOVERY_EVALS: u32 = 3;
 
 /// Overall health, ordered from best to worst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -80,7 +82,7 @@ impl HealthState {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Objective {
     /// Good = `total − errors` over the `total` and `errors` counter
-    /// families (base names; labeled series are summed within scope).
+    /// families (base names; labeled series are summed).
     Availability {
         /// Counter family counting all events.
         total: String,
@@ -102,26 +104,14 @@ pub enum Objective {
 pub struct SloSpec {
     /// Report name, e.g. `verify-availability`.
     pub name: String,
-    /// Restrict to series carrying this `tenant` label (`None` = all).
-    pub tenant: Option<String>,
-    /// Restrict to series carrying this `stage` label (`None` = all).
-    pub stage: Option<String>,
     /// Success objective in `(0, 1)`, e.g. `0.999`.
     pub objective: f64,
     /// What is measured.
     pub source: Objective,
-    /// Short burn window, seconds.
-    pub short_window_s: f64,
-    /// Long burn window, seconds.
-    pub long_window_s: f64,
-    /// Burn rate (on both windows) that makes this spec `Unhealthy`.
-    pub page_burn: f64,
-    /// Burn rate (on both windows) that makes this spec `Degraded`.
-    pub ticket_burn: f64,
 }
 
 impl SloSpec {
-    /// An availability objective with default windows and thresholds.
+    /// An availability objective.
     ///
     /// # Panics
     ///
@@ -133,22 +123,16 @@ impl SloSpec {
         );
         SloSpec {
             name: name.to_string(),
-            tenant: None,
-            stage: None,
             objective,
             source: Objective::Availability {
                 total: total.to_string(),
                 errors: errors.to_string(),
             },
-            short_window_s: DEFAULT_SHORT_WINDOW_S,
-            long_window_s: DEFAULT_LONG_WINDOW_S,
-            page_burn: DEFAULT_PAGE_BURN,
-            ticket_burn: DEFAULT_TICKET_BURN,
         }
     }
 
     /// A latency objective: `objective` of samples at or under
-    /// `threshold_s`, with default windows and thresholds.
+    /// `threshold_s`.
     ///
     /// # Panics
     ///
@@ -161,64 +145,12 @@ impl SloSpec {
         assert!(threshold_s > 0.0, "latency threshold must be positive");
         SloSpec {
             name: name.to_string(),
-            tenant: None,
-            stage: None,
             objective,
             source: Objective::Latency {
                 histogram: histogram.to_string(),
                 threshold_s,
             },
-            short_window_s: DEFAULT_SHORT_WINDOW_S,
-            long_window_s: DEFAULT_LONG_WINDOW_S,
-            page_burn: DEFAULT_PAGE_BURN,
-            ticket_burn: DEFAULT_TICKET_BURN,
         }
-    }
-
-    /// Scopes the spec to one tenant.
-    #[must_use]
-    pub fn for_tenant(mut self, tenant: &str) -> Self {
-        self.tenant = Some(tenant.to_string());
-        self
-    }
-
-    /// Scopes the spec to one stage.
-    #[must_use]
-    pub fn for_stage(mut self, stage: &str) -> Self {
-        self.stage = Some(stage.to_string());
-        self
-    }
-
-    /// Overrides the burn windows (seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < short ≤ long`.
-    #[must_use]
-    pub fn with_windows(mut self, short_s: f64, long_s: f64) -> Self {
-        assert!(
-            short_s > 0.0 && short_s <= long_s,
-            "windows must satisfy 0 < short <= long"
-        );
-        self.short_window_s = short_s;
-        self.long_window_s = long_s;
-        self
-    }
-
-    /// Overrides the burn thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < ticket ≤ page`.
-    #[must_use]
-    pub fn with_burn_thresholds(mut self, ticket: f64, page: f64) -> Self {
-        assert!(
-            ticket > 0.0 && ticket <= page,
-            "thresholds must satisfy 0 < ticket <= page"
-        );
-        self.ticket_burn = ticket;
-        self.page_burn = page;
-        self
     }
 
     /// The error budget `1 − objective`.
@@ -226,44 +158,19 @@ impl SloSpec {
         1.0 - self.objective
     }
 
-    fn in_scope(&self, pairs: &[(String, String)]) -> bool {
-        let has = |key: &str, want: &Option<String>| match want {
-            None => true,
-            Some(v) => pairs.iter().any(|(k, val)| k == key && val == v),
-        };
-        has("tenant", &self.tenant) && has("stage", &self.stage)
-    }
-
     /// Cumulative `(total, errors)` for this spec from a snapshot.
     pub fn totals(&self, snap: &MetricsSnapshot) -> (u64, u64) {
         match &self.source {
-            Objective::Availability { total, errors } => {
-                let sum = |family: &str| -> u64 {
-                    snap.counters
-                        .iter()
-                        .filter(|(k, _)| {
-                            let (name, pairs) = parse_metric_key(k);
-                            name == family && self.in_scope(&pairs)
-                        })
-                        .map(|(_, v)| v)
-                        .sum()
-                };
-                (sum(total), sum(errors))
-            }
+            Objective::Availability { total, errors } => (
+                snap.counter_family_total(total),
+                snap.counter_family_total(errors),
+            ),
             Objective::Latency {
                 histogram,
                 threshold_s,
             } => {
-                let mut total = 0u64;
-                let mut good = 0u64;
-                for (k, h) in &snap.histograms {
-                    let (name, pairs) = parse_metric_key(k);
-                    if name == histogram && self.in_scope(&pairs) {
-                        total += h.count;
-                        good += h.count_under(*threshold_s);
-                    }
-                }
-                (total, total - good)
+                let h = snap.histogram_family_merged(histogram);
+                (h.count, h.count - h.count_under(*threshold_s))
             }
         }
     }
@@ -372,7 +279,7 @@ impl Default for GuardConfig {
             served_counter: "batch.verdicts".to_string(),
             shed_degraded_ratio: 0.05,
             shed_unhealthy_ratio: 0.50,
-            window_s: DEFAULT_SHORT_WINDOW_S,
+            window_s: SHORT_WINDOW_S,
         }
     }
 }
@@ -410,7 +317,6 @@ pub struct SloEngine {
     state: HealthState,
     candidate: HealthState,
     streak: u32,
-    recovery_evals: u32,
 }
 
 impl SloEngine {
@@ -431,14 +337,7 @@ impl SloEngine {
             state: HealthState::Healthy,
             candidate: HealthState::Healthy,
             streak: 0,
-            recovery_evals: DEFAULT_RECOVERY_EVALS,
         }
-    }
-
-    /// How many consecutive cleaner evaluations are required before the
-    /// overall state improves (escalation is always immediate).
-    pub fn set_recovery_evals(&mut self, evals: u32) {
-        self.recovery_evals = evals.max(1);
     }
 
     /// The configured specs.
@@ -450,7 +349,7 @@ impl SloEngine {
     pub fn ingest(&mut self, now_s: f64, snap: &MetricsSnapshot) {
         for (spec, ring) in self.specs.iter().zip(&mut self.rings) {
             let (total, errors) = spec.totals(snap);
-            ring.push(now_s, total, errors, spec.long_window_s);
+            ring.push(now_s, total, errors, LONG_WINDOW_S);
         }
         let family = |name: &str| snap.counter_family_total(name);
         self.panic_ring.push(
@@ -467,7 +366,7 @@ impl SloEngine {
 
     /// Evaluates all specs and guards at `now_s`, advancing the state
     /// machine. Escalation is immediate; recovery requires
-    /// [`DEFAULT_RECOVERY_EVALS`] consecutive cleaner evaluations so a
+    /// [`RECOVERY_EVALS`] consecutive cleaner evaluations so a
     /// flapping objective cannot oscillate the reported state.
     pub fn evaluate(&mut self, now_s: f64) -> HealthReport {
         let mut statuses = Vec::with_capacity(self.specs.len());
@@ -475,13 +374,13 @@ impl SloEngine {
         let mut worst = HealthState::Healthy;
 
         for (spec, ring) in self.specs.iter().zip(&self.rings) {
-            let (st, se) = ring.delta_over(now_s, spec.short_window_s);
-            let (lt, le) = ring.delta_over(now_s, spec.long_window_s);
+            let (st, se) = ring.delta_over(now_s, SHORT_WINDOW_S);
+            let (lt, le) = ring.delta_over(now_s, LONG_WINDOW_S);
             let burn = BurnRate {
                 short: burn_rate(st, se, spec.budget()),
                 long: burn_rate(lt, le, spec.budget()),
             };
-            let state = classify_burn(burn, spec.ticket_burn, spec.page_burn);
+            let state = classify_burn(burn, TICKET_BURN, PAGE_BURN);
             worst = worst.max(state);
             statuses.push(SloStatus {
                 name: spec.name.clone(),
@@ -522,7 +421,7 @@ impl SloEngine {
             self.streak = 0;
         } else if worst == self.candidate {
             self.streak += 1;
-            if self.streak >= self.recovery_evals {
+            if self.streak >= RECOVERY_EVALS {
                 self.state = worst;
                 self.streak = 0;
             }
@@ -549,7 +448,6 @@ impl SloEngine {
 mod tests {
     use super::*;
     use crate::metrics::Registry;
-    use crate::Labels;
 
     fn snap_with(total: u64, errors: u64) -> MetricsSnapshot {
         let r = Registry::default();
@@ -624,30 +522,6 @@ mod tests {
             worst < HealthState::Unhealthy,
             "short spike must not page (got {worst:?})"
         );
-    }
-
-    #[test]
-    fn tenant_scoping_isolates_burn() {
-        let r = Registry::default();
-        let totals = r.counter_vec("req.total");
-        let errors = r.counter_vec("req.errors");
-        let acme = Labels::new().tenant("acme");
-        let beta = Labels::new().tenant("beta");
-        let mut eng = SloEngine::new(vec![
-            spec().for_tenant("acme"),
-            SloSpec::availability("beta-avail", "req.total", "req.errors", 0.99).for_tenant("beta"),
-        ]);
-        for i in 1..=70u64 {
-            totals.with(&acme).add(1000);
-            totals.with(&beta).add(1000);
-            errors.with(&beta).add(400); // beta burns, acme is clean
-            let report = eng.observe(i as f64 * 60.0, &r.snapshot());
-            if i > 65 {
-                assert_eq!(report.statuses[0].state, HealthState::Healthy);
-                assert_eq!(report.statuses[1].state, HealthState::Unhealthy);
-                assert_eq!(report.state, HealthState::Unhealthy);
-            }
-        }
     }
 
     #[test]
@@ -761,7 +635,7 @@ mod props {
             prop_assert!(b >= a);
         }
 
-        /// No false-healthy: sustained error traffic at ≥ page_burn ×
+        /// No false-healthy: sustained error traffic at ≥ PAGE_BURN ×
         /// budget over the whole long window must evaluate Unhealthy.
         #[test]
         fn sustained_burn_never_reports_healthy(

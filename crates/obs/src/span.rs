@@ -166,19 +166,6 @@ impl TraceCollector {
         out
     }
 
-    /// Appends the retained spans to a size-capped JSONL log (see
-    /// [`RotatingJsonlWriter`](crate::export::RotatingJsonlWriter) for
-    /// the rotation contract): the collector's ring bounds memory, this
-    /// bounds disk.
-    pub fn write_jsonl_rotating(
-        &self,
-        path: impl Into<std::path::PathBuf>,
-        max_bytes: u64,
-    ) -> std::io::Result<()> {
-        let writer = crate::export::RotatingJsonlWriter::new(path, max_bytes);
-        writer.append_lines(self.export_jsonl().lines())
-    }
-
     fn push(&self, record: SpanRecord) {
         let mut ring = lock(&self.inner.finished);
         if ring.records.len() >= self.inner.capacity {
@@ -349,30 +336,6 @@ mod tests {
                 r#""events":[{"at_s":3.0,"key":"path\\key","value":"line\nbreak\u0002"}]}"#,
             )
         );
-    }
-
-    #[test]
-    fn rotating_export_lands_whole_lines() {
-        let dir = std::env::temp_dir().join("magshield-obs-span-rotate-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("spans.jsonl");
-        let c = TraceCollector::default();
-        for i in 0..16 {
-            let mut s = c.span("stage");
-            s.event("i", i);
-        }
-        c.write_jsonl_rotating(&path, 64).unwrap();
-        // Every file the writer produced holds only whole lines and
-        // exactly the exported content, whatever the line length.
-        let mut on_disk = String::new();
-        for p in [path.clone(), dir.join("spans.jsonl.1")] {
-            if let Ok(body) = std::fs::read_to_string(&p) {
-                assert!(body.is_empty() || body.ends_with('\n'), "{}", p.display());
-                on_disk = body + &on_disk; // rotation holds the older half
-            }
-        }
-        assert!(c.export_jsonl().ends_with(&on_disk));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -55,23 +55,6 @@ impl PipelineTrace {
         self.components.iter().find(|c| c.component == name)
     }
 
-    /// The smallest threshold margin across the components that ran —
-    /// the stage that came closest to flipping the decision. Skipped
-    /// stages have no score and are excluded; `None` when no stage ran.
-    pub fn weakest_margin(&self) -> Option<(&str, f64)> {
-        self.components
-            .iter()
-            .filter(|c| !c.skipped)
-            .map(|c| (c.component.as_str(), c.threshold_margin))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// Sum of per-component durations (≤ `total_s`, the remainder being
-    /// validation and bookkeeping).
-    pub fn components_s(&self) -> f64 {
-        self.components.iter().map(|c| c.duration_s).sum()
-    }
-
     /// Serializes the trace as a single JSON line: the fields in
     /// declaration order, components as an array of objects.
     pub fn to_json(&self) -> String {
@@ -173,32 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn component_lookup_and_margins() {
+    fn component_lookup() {
         let t = sample();
         assert!(t.component("distance").is_some());
         assert!(t.component("sld").is_none());
-        let (name, margin) = t.weakest_margin().unwrap();
-        assert_eq!(name, "loudspeaker");
-        assert!((margin - 0.1).abs() < 1e-12);
-        assert!((t.components_s() - 0.010).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skipped_stages_are_excluded_from_weakest_margin() {
-        let mut t = sample();
-        t.components.push(ComponentTrace {
-            component: "speaker_id".into(),
-            passed: false,
-            attack_score: 0.0,
-            threshold_margin: 0.0,
-            duration_s: 0.0,
-            detail: "short-circuited by loudspeaker".into(),
-            skipped: true,
-        });
-        // The skipped stage's zero margin must not win.
-        let (name, margin) = t.weakest_margin().unwrap();
-        assert_eq!(name, "loudspeaker");
-        assert!((margin - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -69,22 +69,6 @@ impl SoundTube {
         let loss_db = 0.02 * (self.length_m / self.bore_radius_m) * (freq_hz / 1000.0).sqrt();
         comb * 10f64.powf(-loss_db / 20.0)
     }
-
-    /// Spectral flatness penalty: ratio of geometric to arithmetic mean of
-    /// the power transmission over the speech band. A transparent channel
-    /// scores ~1; a comb-filtered tube scores well below.
-    pub fn spectral_flatness(&self, freqs_hz: &[f64]) -> f64 {
-        if freqs_hz.is_empty() {
-            return 1.0;
-        }
-        let powers: Vec<f64> = freqs_hz
-            .iter()
-            .map(|&f| self.transmission_gain(f).powi(2).max(1e-12))
-            .collect();
-        let log_mean = powers.iter().map(|p| p.ln()).sum::<f64>() / powers.len() as f64;
-        let mean = powers.iter().sum::<f64>() / powers.len() as f64;
-        (log_mean.exp() / mean).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -119,22 +103,6 @@ mod tests {
         let g_short = short.transmission_gain(SPEED_OF_SOUND / 0.2);
         let g_long = long.transmission_gain(SPEED_OF_SOUND / 0.8);
         assert!(g_long < g_short);
-    }
-
-    #[test]
-    fn tube_is_not_spectrally_flat() {
-        let t = SoundTube::new(0.30, 0.0125);
-        let band: Vec<f64> = (1..40).map(|i| i as f64 * 100.0).collect();
-        let flatness = t.spectral_flatness(&band);
-        assert!(
-            flatness < 0.85,
-            "tube should comb-filter: flatness {flatness}"
-        );
-    }
-
-    #[test]
-    fn empty_band_flatness_is_one() {
-        assert_eq!(SoundTube::new(0.3, 0.01).spectral_flatness(&[]), 1.0);
     }
 
     #[test]

@@ -25,19 +25,6 @@ impl EarthField {
         }
     }
 
-    /// Creates a field with explicit horizontal magnitude, declination from
-    /// the scene +y axis (radians), and vertical (downward-positive)
-    /// component, all in µT.
-    pub fn from_components(horizontal_ut: f64, declination_rad: f64, down_ut: f64) -> Self {
-        Self {
-            field_ut: Vec3::new(
-                horizontal_ut * declination_rad.sin(),
-                horizontal_ut * declination_rad.cos(),
-                -down_ut,
-            ),
-        }
-    }
-
     /// The (position-independent) field vector in µT.
     pub fn field_at(&self) -> Vec3 {
         self.field_ut
@@ -64,13 +51,5 @@ mod tests {
     #[test]
     fn typical_points_down_in_northern_hemisphere() {
         assert!(EarthField::typical().field_at().z < 0.0);
-    }
-
-    #[test]
-    fn components_constructor() {
-        let e = EarthField::from_components(20.0, 0.0, 40.0);
-        assert!((e.field_at().y - 20.0).abs() < 1e-12);
-        assert!((e.field_at().z + 40.0).abs() < 1e-12);
-        assert!((e.field_at().norm() - (20f64 * 20.0 + 1600.0).sqrt()).abs() < 1e-9);
     }
 }

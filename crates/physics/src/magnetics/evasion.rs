@@ -53,15 +53,6 @@ impl ActiveCompensation {
         }
     }
 
-    /// A crude rig: DC bias only (the easy part), no usable AC tracking.
-    pub fn dc_only() -> Self {
-        Self {
-            dc_residual: 0.15,
-            ac_residual: 1.0,
-            lag_samples: 0,
-        }
-    }
-
     /// The effective static-moment multiplier.
     pub fn dc_factor(&self) -> f64 {
         self.dc_residual.clamp(0.0, 1.0)
@@ -123,14 +114,6 @@ mod tests {
         };
         let drive = [1.0];
         assert!((c.residual_drive(&drive, 0) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dc_only_rig_leaves_drive_untouched() {
-        let c = ActiveCompensation::dc_only();
-        let drive = [0.4, -0.8];
-        assert!((c.residual_drive(&drive, 1) - (-0.8)).abs() < 1e-12);
-        assert!(c.dc_factor() > 0.0);
     }
 
     #[test]

@@ -108,12 +108,6 @@ impl Magnetometer {
     }
 }
 
-/// Derived scalar channel used by the loudspeaker detector: per-sample
-/// field magnitudes.
-pub fn magnitude_trace(readings: &[Vec3]) -> Vec<f64> {
-    readings.iter().map(|r| r.norm()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,14 +171,13 @@ mod tests {
     #[test]
     fn speaker_signal_visible_over_noise() {
         // A 100 µT near-field anomaly must dominate the ~0.4 µT noise.
-        let mut m = mag(4);
-        let quiet: Vec<f64> =
-            magnitude_trace(&m.read_series(&vec![Vec3::new(0.0, 28.0, -39.0); 300]));
-        let mut m2 = mag(4);
-        let loud: Vec<f64> =
-            magnitude_trace(&m2.read_series(&vec![Vec3::new(0.0, 128.0, -39.0); 300]));
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        assert!(mean(&loud) - mean(&quiet) > 50.0);
+        let mean_norm = |field: Vec3| {
+            let readings = mag(4).read_series(&vec![field; 300]);
+            readings.iter().map(|r| r.norm()).sum::<f64>() / readings.len() as f64
+        };
+        assert!(
+            mean_norm(Vec3::new(0.0, 128.0, -39.0)) - mean_norm(Vec3::new(0.0, 28.0, -39.0)) > 50.0
+        );
     }
 
     #[test]

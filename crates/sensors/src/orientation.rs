@@ -85,11 +85,6 @@ impl HeadingFilter {
     }
 }
 
-/// Integrates a gyro z-rate series into total direction change Δω.
-pub fn direction_change(gyro_z: &[f64], dt: f64) -> f64 {
-    gyro_z.iter().sum::<f64>() * dt
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,12 +125,6 @@ mod tests {
     fn saturated_field_yields_none() {
         let reference = Vec3::new(0.0, 28.0, -39.0);
         assert!(HeadingFilter::mag_heading(Vec3::new(0.5, 0.5, 900.0), reference).is_none());
-    }
-
-    #[test]
-    fn direction_change_integral() {
-        let rates = vec![0.2; 50];
-        assert!((direction_change(&rates, 0.01) - 0.1).abs() < 1e-12);
     }
 
     #[test]

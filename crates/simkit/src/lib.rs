@@ -16,8 +16,7 @@
 //!   independent subsystems draw independent but reproducible streams;
 //! * [`vec3`] — minimal 3-D vector math shared by magnetics, acoustics and
 //!   the trajectory stack;
-//! * [`units`] — newtypes for the physical quantities the paper reasons in
-//!   (µT, dB SPL, cm, Hz, s) with checked conversions;
+//! * [`units`] — the dB SPL newtype and decibel conversions;
 //! * [`series`] — uniformly sampled time series with statistics and
 //!   resampling;
 //! * [`noise`] — white / pink / random-walk / mains-hum noise processes used

@@ -74,19 +74,9 @@ impl TimeSeries {
         &self.samples
     }
 
-    /// Mutable view of the samples.
-    pub fn samples_mut(&mut self) -> &mut [f64] {
-        &mut self.samples
-    }
-
     /// Consumes the series and returns the sample buffer.
     pub fn into_samples(self) -> Vec<f64> {
         self.samples
-    }
-
-    /// The time (s) of sample `i`.
-    pub fn time_at(&self, i: usize) -> f64 {
-        i as f64 / self.sample_rate
     }
 
     /// Linear-interpolated value at time `t` (s); clamps outside the range.
@@ -163,17 +153,6 @@ impl TimeSeries {
     /// Peak absolute amplitude.
     pub fn peak(&self) -> f64 {
         self.samples.iter().fold(0.0f64, |acc, x| acc.max(x.abs()))
-    }
-
-    /// Maximum absolute sample-to-sample difference times the sample rate —
-    /// the peak *changing rate* in units/second. The loudspeaker detector
-    /// thresholds this (`βt`).
-    pub fn max_rate_of_change(&self) -> f64 {
-        self.samples
-            .windows(2)
-            .map(|w| (w[1] - w[0]).abs())
-            .fold(0.0f64, f64::max)
-            * self.sample_rate
     }
 
     /// Extracts `[start_s, end_s)` as a new series (clamped to bounds).
@@ -324,13 +303,6 @@ mod tests {
         let b = TimeSeries::from_samples(10.0, vec![1.0, 2.0]);
         a.mix_in(&b, 2.0);
         assert_eq!(a.samples(), &[3.0, 5.0, 1.0]);
-    }
-
-    #[test]
-    fn max_rate_of_change() {
-        let ts = TimeSeries::from_samples(100.0, vec![0.0, 0.5, 2.0, 2.1]);
-        // Largest step is 1.5 per sample at 100 Hz → 150 /s.
-        assert!((ts.max_rate_of_change() - 150.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,5 @@
-//! Newtypes for the physical quantities the paper reasons in.
-//!
-//! The evaluation of the paper is phrased in micro-tesla (magnetometer
-//! readings, Fig. 10), centimeters (sound-source distance, Fig. 12/14),
-//! decibels (sound field volumes) and hertz (pilot tone). Newtypes keep
-//! those from being confused (C-NEWTYPE) and centralize the conversions.
+//! Sound levels in decibels, the one physical quantity the simulation
+//! carries as a newtype (C-NEWTYPE), and the decibel conversions.
 
 use std::fmt;
 
@@ -52,78 +48,10 @@ macro_rules! quantity {
 }
 
 quantity!(
-    /// Magnetic flux density in micro-tesla (µT).
-    ///
-    /// The paper's magnetometer (AK8975) reads in µT; loudspeaker near
-    /// fields are 30–210 µT, Earth's field is ~25–65 µT.
-    MicroTesla,
-    "µT"
-);
-
-quantity!(
-    /// Distance in centimeters — the unit of Fig. 12/14's x-axis.
-    Centimeters,
-    "cm"
-);
-
-quantity!(
-    /// Frequency in hertz.
-    Hertz,
-    "Hz"
-);
-
-quantity!(
-    /// Time in seconds.
-    Seconds,
-    "s"
-);
-
-quantity!(
     /// Sound pressure level in decibels (dB SPL, re 20 µPa).
     DbSpl,
     "dB SPL"
 );
-
-impl Centimeters {
-    /// Converts to meters.
-    pub fn to_meters(self) -> f64 {
-        self.0 / 100.0
-    }
-    /// Creates from meters.
-    pub fn from_meters(m: f64) -> Self {
-        Self(m * 100.0)
-    }
-}
-
-impl MicroTesla {
-    /// Converts to tesla.
-    pub fn to_tesla(self) -> f64 {
-        self.0 * 1e-6
-    }
-    /// Creates from tesla.
-    pub fn from_tesla(t: f64) -> Self {
-        Self(t * 1e6)
-    }
-}
-
-/// Reference RMS pressure for 0 dB SPL, in pascal.
-pub const P_REF_PA: f64 = 20e-6;
-
-/// Converts an RMS pressure (Pa) to dB SPL.
-///
-/// Pressures at or below zero map to `-inf`-avoiding floor of −120 dB, the
-/// silence floor used throughout the workspace.
-pub fn pa_to_db_spl(p_rms: f64) -> DbSpl {
-    if p_rms <= 0.0 {
-        return DbSpl(-120.0);
-    }
-    DbSpl(20.0 * (p_rms / P_REF_PA).log10())
-}
-
-/// Converts dB SPL to an RMS pressure in pascal.
-pub fn db_spl_to_pa(db: DbSpl) -> f64 {
-    P_REF_PA * 10f64.powf(db.0 / 20.0)
-}
 
 /// Converts a linear amplitude ratio to decibels (20·log10).
 pub fn ratio_to_db(ratio: f64) -> f64 {
@@ -138,43 +66,9 @@ pub fn db_to_ratio(db: f64) -> f64 {
     10f64.powf(db / 20.0)
 }
 
-/// Converts a power ratio to decibels (10·log10).
-pub fn power_ratio_to_db(ratio: f64) -> f64 {
-    if ratio <= 0.0 {
-        return -120.0;
-    }
-    10.0 * ratio.log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn centimeters_meters_round_trip() {
-        let d = Centimeters(6.0);
-        assert!((Centimeters::from_meters(d.to_meters()).value() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn microtesla_tesla_round_trip() {
-        let b = MicroTesla(210.0);
-        assert!((MicroTesla::from_tesla(b.to_tesla()).value() - 210.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn spl_reference_point() {
-        // 94 dB SPL is 1 Pa by definition (within rounding).
-        let db = pa_to_db_spl(1.0);
-        assert!((db.value() - 93.979).abs() < 0.01, "{db}");
-        assert!((db_spl_to_pa(DbSpl(94.0)) - 1.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn spl_floor_for_silence() {
-        assert_eq!(pa_to_db_spl(0.0).value(), -120.0);
-        assert_eq!(pa_to_db_spl(-1.0).value(), -120.0);
-    }
 
     #[test]
     fn db_ratio_round_trip() {
@@ -187,15 +81,14 @@ mod tests {
     #[test]
     fn db_doubling_is_6db() {
         assert!((ratio_to_db(2.0) - 6.0206).abs() < 1e-3);
-        assert!((power_ratio_to_db(2.0) - 3.0103).abs() < 1e-3);
     }
 
     #[test]
     fn quantity_arithmetic_and_display() {
-        let a = MicroTesla(30.0) + MicroTesla(12.0);
+        let a = DbSpl(30.0) + DbSpl(12.0);
         assert_eq!(a.value(), 42.0);
-        assert_eq!((a - MicroTesla(2.0)).value(), 40.0);
+        assert_eq!((a - DbSpl(2.0)).value(), 40.0);
         assert_eq!((a * 2.0).value(), 84.0);
-        assert_eq!(format!("{}", Centimeters(6.0)), "6.000 cm");
+        assert_eq!(format!("{}", DbSpl(6.0)), "6.000 dB SPL");
     }
 }

@@ -40,11 +40,6 @@ impl AttackKind {
             AttackKind::ProtectedSynthesis,
         ]
     }
-
-    /// Whether this attack needs a loudspeaker to deliver.
-    pub fn requires_loudspeaker(self) -> bool {
-        !matches!(self, AttackKind::HumanMimicry)
-    }
 }
 
 /// Renders the audio an attacker of `kind` produces when impersonating
@@ -233,9 +228,6 @@ mod tests {
     #[test]
     fn taxonomy() {
         assert_eq!(AttackKind::machine_based().len(), 4);
-        assert!(AttackKind::Replay.requires_loudspeaker());
-        assert!(AttackKind::ProtectedSynthesis.requires_loudspeaker());
-        assert!(!AttackKind::HumanMimicry.requires_loudspeaker());
     }
 
     #[test]

@@ -367,31 +367,35 @@ mod tests {
 
     #[test]
     fn pitch_is_speaker_dependent() {
-        use magshield_dsp::fft::magnitude_spectrum;
-        // Speaker f0 should show as the spacing of harmonic peaks; compare
-        // low-frequency energy centroid of a low- vs high-pitch speaker.
+        // Measure f0 directly: the autocorrelation peak over the lags of a
+        // 60–400 Hz pitch range, on a voiced stretch of each rendering.
         let rng = SimRng::from_seed(100);
         let mut low = SpeakerProfile::sample(0, &rng);
         low.f0_hz = 95.0;
         let mut high = low.clone();
         high.f0_hz = 230.0;
         let synth = FormantSynthesizer::default();
-        let centroid = |p: &SpeakerProfile| -> f64 {
+        let f0 = |p: &SpeakerProfile| -> f64 {
             let audio =
                 synth.render_digits(p, "22", SessionEffects::neutral(), &SimRng::from_seed(4));
-            let (freqs, mags) = magnitude_spectrum(&audio[2000..6096], VOICE_SAMPLE_RATE);
-            let band: Vec<(f64, f64)> = freqs
-                .iter()
-                .zip(&mags)
-                .filter(|(f, _)| **f > 50.0 && **f < 400.0)
-                .map(|(f, m)| (*f, *m))
-                .collect();
-            let e: f64 = band.iter().map(|(_, m)| m * m).sum();
-            band.iter().map(|(f, m)| f * m * m).sum::<f64>() / e
+            let x = &audio[2000..6096];
+            let ac = |lag: usize| -> f64 { x.iter().zip(&x[lag..]).map(|(a, b)| a * b).sum() };
+            let lags = (VOICE_SAMPLE_RATE / 400.0).round() as usize
+                ..=(VOICE_SAMPLE_RATE / 60.0).round() as usize;
+            let best = lags.max_by(|&a, &b| ac(a).total_cmp(&ac(b))).unwrap();
+            VOICE_SAMPLE_RATE / best as f64
         };
+        let (f_low, f_high) = (f0(&low), f0(&high));
+        for (measured, configured) in [(f_low, low.f0_hz), (f_high, high.f0_hz)] {
+            assert!(
+                (measured / configured - 1.0).abs() < 0.08,
+                "measured f0 {measured:.1} Hz, configured {configured} Hz"
+            );
+        }
+        let ratio = f_high / f_low;
         assert!(
-            centroid(&high) > centroid(&low) + 30.0,
-            "high-pitch speaker should raise the low-band centroid"
+            (ratio / (230.0 / 95.0) - 1.0).abs() < 0.08,
+            "f0 ratio {ratio:.3} should track 230/95"
         );
     }
 

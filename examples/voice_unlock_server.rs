@@ -8,7 +8,6 @@
 //! cargo run --release --example voice_unlock_server
 //! ```
 
-use magshield::core::batch::BatchOutcome;
 use magshield::core::scenario::{self, ScenarioBuilder};
 use magshield::core::server::VerificationServer;
 use magshield::core::trainer::{BootstrapConfig, Trainer};
@@ -53,24 +52,25 @@ fn main() {
         started.elapsed().as_secs_f64() * 1000.0
     );
 
-    // A batch request (protocol v3): one frame carries a morning rush of
-    // unlock attempts, which one worker verifies in order.
+    // A morning rush of unlock attempts: one client submits them all
+    // before waiting on any, so the requests pipeline across the pool.
     let rush: Vec<_> = (0..8u64)
         .map(|i| ScenarioBuilder::genuine(&user).capture(&rng.fork_indexed("rush", i)))
         .collect();
     let t0 = Instant::now();
-    let outcomes = server
-        .client()
-        .verify_batch(&rush)
-        .expect("server reachable");
-    let accepted = outcomes
+    let client = server.client();
+    let pending: Vec<_> = rush
         .iter()
-        .filter(|o| matches!(o, BatchOutcome::Verdict(v) if v.accepted()))
+        .map(|s| client.submit(s).expect("server reachable"))
+        .collect();
+    let accepted = pending
+        .into_iter()
+        .map(|p| p.wait().expect("server reachable"))
+        .filter(|v| v.accepted())
         .count();
     println!(
-        "  batch of {}: {accepted} accepted, {} shed, in {:.1} ms wall",
+        "  rush of {}: {accepted} accepted in {:.1} ms wall",
         rush.len(),
-        outcomes.iter().filter(|o| o.is_shed()).count(),
         t0.elapsed().as_secs_f64() * 1000.0
     );
 

@@ -15,8 +15,9 @@ Two artifact shapes are understood:
   Every metric present in BOTH files is gated in its stated direction;
   metrics only one side has are reported but not gated (so adding a new
   kernel doesn't fail the gate until its baseline is committed). For
-  the kernels artifact this covers the fast-path ratios
-  (`llr_prepared_exact_speedup`, `llr_pruned_speedup`) and the
+  the kernels artifact this covers the production MFCC front end
+  against its oracle (`extract_fast_speedup`), the fast-path LLR
+  ratios (`llr_prepared_exact_speedup`, `llr_pruned_speedup`) and the
   batched-vs-sequential scoring ratio (`llr_batched_speedup`). The
   quantized-vs-exact ratio is deliberately
   informational only (under `"info"` as `llr_quantized_speedup`):
