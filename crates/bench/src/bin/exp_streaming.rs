@@ -2,16 +2,17 @@
 //! the early-reject win on attack sessions.
 //!
 //! Each pre-captured session is replayed as a chunked stream through
-//! [`BatchEngine::open_stream`] — the same admission-controlled path a
-//! deployment uses — and timed from its first chunk to its terminal
-//! verdict. Genuine sessions must ride `Progress` acks to a finalize
-//! that is decision-identical to the one-shot cascade; attack sessions
-//! should be settled mid-stream by a monotone early-reject bound, well
-//! before the utterance ends. The artifact records first-chunk→verdict
-//! p50/p99 for both populations, the fraction of attack sessions
-//! rejected early, and the wall-clock speedup of the early reject over
-//! the full-utterance path (which must wait for capture to finish
-//! before the one-shot cascade can run at all).
+//! [`DefenseSystem::open_stream`] → `ingest` / `finalize` — the code each
+//! of the server's stream frames runs — and timed from its first chunk
+//! to its terminal verdict. Genuine sessions must ride `Progress` acks
+//! to a finalize that is decision-identical to the one-shot cascade;
+//! attack sessions should be settled mid-stream by a monotone
+//! early-reject bound, well before the utterance ends. The artifact
+//! records first-chunk→verdict p50/p99 for both populations, the
+//! fraction of attack sessions rejected early, and the wall-clock
+//! speedup of the early reject over the full-utterance path (which must
+//! wait for capture to finish before the one-shot cascade can run at
+//! all).
 //!
 //! Before measuring anything, the binary asserts every streamed decision
 //! matches the one-shot cascade on the same samples under BOTH execution
@@ -23,7 +24,6 @@
 //! `--quick` shrinks the system and the pools for CI.
 
 use magshield_bench::{print_header, print_row, write_gate_json, Better, EXPERIMENT_SEED};
-use magshield_core::batch::{BatchConfig, BatchEngine};
 use magshield_core::cascade::ExecutionPolicy;
 use magshield_core::pipeline::{BootstrapConfig, DefenseSystem};
 use magshield_core::scenario::{bootstrap_with, ScenarioBuilder, UserContext};
@@ -87,19 +87,11 @@ fn main() {
 
     verify_stream_identity(&system, &genuine, &attacks);
 
-    let engine = BatchEngine::spawn(
-        system.with_fresh_obs(),
-        BatchConfig {
-            policy: ExecutionPolicy::ShortCircuit,
-            ..BatchConfig::default()
-        },
-    );
-
     print_header(
         "Streaming verification (chunk = 100 ms audio)",
         &["p50 ms", "p99 ms", "early", "sess"],
     );
-    let gen_pop = run_population(&engine, &genuine);
+    let gen_pop = run_population(&system, &genuine);
     print_row(
         "genuine",
         &[
@@ -109,7 +101,7 @@ fn main() {
             gen_pop.sessions as f64,
         ],
     );
-    let atk_pop = run_population(&engine, &attacks);
+    let atk_pop = run_population(&system, &attacks);
     print_row(
         "attack",
         &[
@@ -145,7 +137,6 @@ fn main() {
         "attack wall-clock from utterance start: streamed {streamed_ms:.0} ms vs \
          full-utterance {full_utterance_ms:.0} ms ({speedup:.2}x)"
     );
-    engine.shutdown();
 
     write_gate_json(
         &out,
@@ -214,35 +205,38 @@ fn attack_pool(user: &UserContext, n: usize, rng: &SimRng) -> Vec<SessionData> {
         .collect()
 }
 
-/// Drives one session through an engine stream. Returns the terminal
-/// verdict, whether it settled mid-stream, how many chunks it consumed,
-/// the total chunk count, and first-chunk→verdict time.
+/// Drives one session through a stream. Returns the terminal verdict,
+/// whether it settled mid-stream, how many chunks it consumed, the total
+/// chunk count, and first-chunk→verdict time.
 fn stream_one(
-    engine: &BatchEngine,
+    system: &DefenseSystem,
     session: &SessionData,
     policy: ExecutionPolicy,
 ) -> (DefenseVerdict, bool, usize, usize, Duration) {
     let chunks = chunk_session(session, CHUNK_SAMPLES);
     let total = chunks.len();
-    let mut stream = engine
-        .open_stream(
-            &StreamOpenInfo::for_session(session),
-            StreamConfig {
-                policy,
-                ..StreamConfig::default()
-            },
-        )
-        .expect("engine is accepting");
+    let mut stream = system.open_stream(
+        &StreamOpenInfo::for_session(session),
+        StreamConfig {
+            policy,
+            ..StreamConfig::default()
+        },
+    );
     let t0 = Instant::now();
     for (i, chunk) in chunks.iter().enumerate() {
-        match stream.feed(chunk).expect("stream is open") {
+        match stream
+            .ingest(chunk, &system.config, system.obs())
+            .expect("stream is open")
+        {
             StreamEvent::Progress(_) => {}
             StreamEvent::EarlyReject(v) | StreamEvent::ReverifyReject(v) => {
                 return (v, true, i + 1, total, t0.elapsed());
             }
         }
     }
-    let (verdict, _trace) = stream.finalize().expect("stream is open");
+    let (verdict, _trace) = stream
+        .finalize(&system.config, system.obs())
+        .expect("stream is open");
     (verdict, false, total, total, t0.elapsed())
 }
 
@@ -258,16 +252,9 @@ fn verify_stream_identity(
         ExecutionPolicy::FullEvaluation,
         ExecutionPolicy::ShortCircuit,
     ] {
-        let engine = BatchEngine::spawn(
-            system.with_fresh_obs(),
-            BatchConfig {
-                policy,
-                ..BatchConfig::default()
-            },
-        );
         for (i, session) in genuine.iter().chain(attacks).enumerate() {
             let one_shot = system.verify_with_policy(session, policy);
-            let (streamed, early, ..) = stream_one(&engine, session, policy);
+            let (streamed, early, ..) = stream_one(system, session, policy);
             if early {
                 assert!(
                     !one_shot.accepted(),
@@ -281,7 +268,6 @@ fn verify_stream_identity(
                 );
             }
         }
-        engine.shutdown();
     }
     eprintln!("(identity check passed: streamed == one-shot under both policies)");
 }
@@ -289,21 +275,21 @@ fn verify_stream_identity(
 /// Measures one population [`SAMPLES`] times and keeps the
 /// lowest-latency sample (the early-reject counts are deterministic
 /// across samples — only the clock varies).
-fn run_population(engine: &BatchEngine, pool: &[SessionData]) -> Population {
+fn run_population(system: &DefenseSystem, pool: &[SessionData]) -> Population {
     (0..SAMPLES)
-        .map(|_| measure_population(engine, pool))
+        .map(|_| measure_population(system, pool))
         .min_by(|a, b| a.p50_ms.total_cmp(&b.p50_ms))
         .expect("SAMPLES > 0")
 }
 
-fn measure_population(engine: &BatchEngine, pool: &[SessionData]) -> Population {
+fn measure_population(system: &DefenseSystem, pool: &[SessionData]) -> Population {
     let latency = Histogram::default();
     let mut early_rejects = 0;
     let mut early_chunks = 0;
     let mut early_total_chunks = 0;
     for session in pool {
         let (_verdict, early, consumed, total, elapsed) =
-            stream_one(engine, session, ExecutionPolicy::ShortCircuit);
+            stream_one(system, session, ExecutionPolicy::ShortCircuit);
         latency.record(elapsed);
         if early {
             early_rejects += 1;

@@ -18,13 +18,14 @@
 //! After the sweep, the best operating point is re-run with Gaussian
 //! pruning disabled (`asv_top_c = 0`) so the artifact records what the
 //! top-C fast path is worth end to end. `peak_sessions_per_sec` stays
-//! the default-config number — the CI gate keys on it.
+//! the default-config number — the CI gate keys on it, under the
+//! artifact's `"metrics"` object like every other gate file.
 //!
 //! Output: `results/BENCH_throughput.json` (override with `--out`),
 //! consumed by the CI `bench-gate` job. `--quick` shrinks the system and
 //! the sweep for CI.
 
-use magshield_bench::{print_header, print_row, write_gate_json, EXPERIMENT_SEED};
+use magshield_bench::{print_header, print_row, write_gate_json, Better, EXPERIMENT_SEED};
 use magshield_core::batch::{AdmissionPolicy, BatchConfig, BatchEngine, BatchOutcome};
 use magshield_core::cascade::ExecutionPolicy;
 use magshield_core::pipeline::{BootstrapConfig, DefenseSystem};
@@ -137,8 +138,6 @@ fn main() {
         peak / exact.sessions_per_sec
     );
 
-    // The legacy throughput shape: the gate keys on the top-level
-    // `peak_sessions_per_sec`, so there is no `"metrics"` object.
     write_gate_json(
         &out,
         "throughput",
@@ -181,11 +180,9 @@ fn main() {
                 .f64(exact.sessions_per_sec)
                 .key("p95_ms")
                 .f64(exact.p95_ms)
-                .end_object()
-                .key("peak_sessions_per_sec")
-                .f64(peak);
+                .end_object();
         },
-        &[],
+        &[("peak_sessions_per_sec", peak, Better::Higher)],
     );
 }
 
@@ -285,7 +282,6 @@ fn measure_once(
             queue_capacity: 256,
             policy: ExecutionPolicy::ShortCircuit,
             admission: AdmissionPolicy::Backpressure,
-            batch_deadline: None,
         },
     ));
     let latency = Histogram::default();
@@ -317,14 +313,17 @@ fn measure_once(
                     latency.record(t0.elapsed());
                     assert!(
                         matches!(outcome, BatchOutcome::Verdict(_)),
-                        "no deadline configured, nothing may shed"
+                        "an admitted session resolves to a verdict"
                     );
                 }
             });
         }
     });
     let elapsed = start.elapsed().as_secs_f64();
-    let shed = engine.metrics().counter("batch.shed").get();
+    let shed = engine
+        .metrics()
+        .snapshot()
+        .counter_family_total("batch.shed");
     let snap = latency.snapshot();
     LoadPoint {
         offered,

@@ -152,8 +152,7 @@ impl Better {
 /// `"experiment"` and `"quick"`, then the keys `fields` writes (an
 /// `"info"` object, run parameters, per-cell arrays), then a
 /// `"metrics"` object mapping each gated metric to
-/// `{"value", "direction"}`. The `"metrics"` key is left out when
-/// `metrics` is empty. Floats print at full precision.
+/// `{"value", "direction"}`. Floats print at full precision.
 pub fn gate_json(
     experiment: &str,
     quick: bool,
@@ -167,20 +166,17 @@ pub fn gate_json(
         .key("quick")
         .bool(quick);
     fields(&mut w);
-    if !metrics.is_empty() {
-        w.key("metrics").begin_object();
-        for (name, value, better) in metrics {
-            w.key(name)
-                .begin_object()
-                .key("value")
-                .f64(*value)
-                .key("direction")
-                .str(better.name())
-                .end_object();
-        }
-        w.end_object();
+    w.key("metrics").begin_object();
+    for (name, value, better) in metrics {
+        w.key(name)
+            .begin_object()
+            .key("value")
+            .f64(*value)
+            .key("direction")
+            .str(better.name())
+            .end_object();
     }
-    w.end_object();
+    w.end_object().end_object();
     let mut json = w.finish();
     json.push('\n');
     json
@@ -322,14 +318,13 @@ mod tests {
         let bare = gate_json(
             "throughput",
             false,
-            |w| {
-                w.key("peak_sessions_per_sec").f64(310.5);
-            },
-            &[],
+            |_| {},
+            &[("peak_sessions_per_sec", 310.5, Better::Higher)],
         );
         assert_eq!(
             bare,
-            "{\"experiment\":\"throughput\",\"quick\":false,\"peak_sessions_per_sec\":310.5}\n"
+            "{\"experiment\":\"throughput\",\"quick\":false,\"metrics\":\
+             {\"peak_sessions_per_sec\":{\"value\":310.5,\"direction\":\"higher\"}}}\n"
         );
     }
 }

@@ -16,10 +16,6 @@
 //!   [`ShedReason::QueueFull`]. Accounting is RAII ([`QueueSlot`] /
 //!   [`InflightSlot`]), so the depth gauge cannot leak on any exit path,
 //!   including unwinding.
-//! - **Deadlines**: an optional per-item deadline; sessions whose
-//!   processing has not *started* by the deadline are shed with
-//!   [`ShedReason::DeadlineExceeded`] instead of burning compute on an
-//!   answer nobody is waiting for.
 //! - **Panic containment**: every item runs under its own
 //!   `catch_unwind`. A panic is counted in `server.worker.panics` and the
 //!   worker takes the next item. A panicking session's [`Ticket`]
@@ -29,12 +25,9 @@
 //!   (late submitters see [`ShedReason::ShuttingDown`]) and then drains —
 //!   every item that was accepted is still run and answered. Nothing is
 //!   ever silently dropped: every [`Ticket`] resolves.
-//! - **Streaming admission** ([`BatchEngine::open_stream`]): chunk-fed
-//!   verification ([`crate::stream`]) runs through the *same* admission
-//!   gate as batch submissions — every chunk claims a queue slot, honors
-//!   the per-chunk deadline, and is visible to [`BatchEngine::drain`] and
-//!   shutdown, so a server mixing one-shot and streaming load gets one
-//!   coherent backpressure story.
+//!
+//! A stream's chunks reach the pool as server frames ([`crate::server`]);
+//! in-process callers drive [`DefenseSystem::open_stream`] directly.
 //!
 //! Observability (shared registry with the
 //! [`DefenseSystem`], see DESIGN.md §9): under the engine's metric prefix
@@ -42,9 +35,10 @@
 //! pool), the `<p>.queue.wait.seconds` (enqueue → pickup) and
 //! `<p>.compute.seconds` (one sample per verification) histograms and the
 //! `<p>.queue.depth` / `<p>.inflight` gauges. Whatever the prefix, the
-//! `batch.verdicts` and `batch.shed` (+ per-reason) counters, which feed
-//! the SLO engine's shed guard, and `server.worker.panics`, which feeds
-//! its panic guard.
+//! `batch.verdicts{policy}` and `batch.shed{policy,shed_reason}`
+//! counters, one count per event, whose family totals feed the SLO
+//! engine's shed guard, and `server.worker.panics`, which feeds its
+//! panic guard.
 //!
 //! [`Backpressure`]: AdmissionPolicy::Backpressure
 //! [`Shed`]: AdmissionPolicy::Shed
@@ -53,14 +47,10 @@ use crate::cascade::ExecutionPolicy;
 use crate::pipeline::DefenseSystem;
 use crate::queue::WorkQueue;
 use crate::session::SessionData;
-use crate::stream::{
-    SessionChunk, StreamConfig, StreamEvent, StreamOpenInfo, StreamingVerification,
-};
 use crate::verdict::DefenseVerdict;
 use magshield_obs::labels::Labels;
 use magshield_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use magshield_obs::sync::{lock, wait};
-use magshield_obs::trace::PipelineTrace;
 use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -85,20 +75,16 @@ pub enum AdmissionPolicy {
 pub enum ShedReason {
     /// The bounded queue was full under [`AdmissionPolicy::Shed`].
     QueueFull,
-    /// Processing had not started by the batch deadline.
-    DeadlineExceeded,
     /// The engine was shutting down (or already stopped) when the
     /// session was submitted.
     ShuttingDown,
 }
 
 impl ShedReason {
-    /// Stable snake_case identifier (used in metric names and wire
-    /// details).
+    /// Stable snake_case identifier: the `shed_reason` label value.
     pub fn name(&self) -> &'static str {
         match self {
             ShedReason::QueueFull => "queue_full",
-            ShedReason::DeadlineExceeded => "deadline",
             ShedReason::ShuttingDown => "shutdown",
         }
     }
@@ -150,11 +136,6 @@ pub struct BatchConfig {
     pub policy: ExecutionPolicy,
     /// What happens to submitters when the queue is full.
     pub admission: AdmissionPolicy,
-    /// Sessions whose processing has not started within this budget of
-    /// their submission are shed with [`ShedReason::DeadlineExceeded`].
-    /// For [`BatchEngine::verify_batch`] the budget is measured once from
-    /// the start of the batch, making it a true per-batch deadline.
-    pub batch_deadline: Option<Duration>,
 }
 
 impl Default for BatchConfig {
@@ -164,7 +145,6 @@ impl Default for BatchConfig {
             queue_capacity: 256,
             policy: ExecutionPolicy::ShortCircuit,
             admission: AdmissionPolicy::Backpressure,
-            batch_deadline: None,
         }
     }
 }
@@ -256,11 +236,6 @@ impl AdmissionGate {
         self.inner.changed.notify_all();
     }
 
-    /// Whether the gate has been closed.
-    pub fn is_closed(&self) -> bool {
-        lock(&self.inner.state).closed
-    }
-
     /// Sessions admitted but not yet picked up by a worker.
     pub fn queued(&self) -> usize {
         lock(&self.inner.state).queued
@@ -341,7 +316,6 @@ pub(crate) type Job = Box<dyn FnOnce(&Worker<'_>) + Send>;
 struct WorkItem {
     slot: QueueSlot,
     enqueued: Instant,
-    deadline: Option<Instant>,
     job: Job,
 }
 
@@ -349,14 +323,13 @@ struct EngineObs {
     registry: Registry,
     queue_wait: Histogram,
     compute: Histogram,
+    /// `batch.verdicts{policy}`.
     verdicts: Counter,
-    shed: Counter,
-    /// Labeled twin of `verdicts`: `batch.verdicts{policy}`.
-    verdicts_labeled: Counter,
-    /// Labeled shed series, one handle per [`ShedReason`] so the shed
-    /// path (already under pressure by definition) never re-interns:
-    /// `batch.shed{policy,shed_reason}`.
-    shed_labeled: [Counter; 3],
+    /// `batch.shed{policy,shed_reason}`, one handle per [`ShedReason`]
+    /// so the shed path (already under pressure by definition) never
+    /// re-interns.
+    queue_full: Counter,
+    shutting_down: Counter,
     panics: Counter,
 }
 
@@ -369,35 +342,19 @@ impl EngineObs {
         Self {
             queue_wait: registry.histogram(&format!("{prefix}.queue.wait.seconds")),
             compute: registry.histogram(&format!("{prefix}.compute.seconds")),
-            verdicts: registry.counter("batch.verdicts"),
-            shed: registry.counter("batch.shed"),
-            verdicts_labeled: registry.counter_with("batch.verdicts", &base),
-            shed_labeled: [
-                shed_for(ShedReason::QueueFull),
-                shed_for(ShedReason::DeadlineExceeded),
-                shed_for(ShedReason::ShuttingDown),
-            ],
+            verdicts: registry.counter_with("batch.verdicts", &base),
+            queue_full: shed_for(ShedReason::QueueFull),
+            shutting_down: shed_for(ShedReason::ShuttingDown),
             panics: registry.counter("server.worker.panics"),
             registry,
         }
     }
 
-    fn record_verdict(&self) {
-        self.verdicts.inc();
-        self.verdicts_labeled.inc();
-    }
-
     fn record_shed(&self, reason: ShedReason) {
-        self.shed.inc();
-        self.registry
-            .counter(&format!("batch.shed.{}", reason.name()))
-            .inc();
-        let idx = match reason {
-            ShedReason::QueueFull => 0,
-            ShedReason::DeadlineExceeded => 1,
-            ShedReason::ShuttingDown => 2,
-        };
-        self.shed_labeled[idx].inc();
+        match reason {
+            ShedReason::QueueFull => self.queue_full.inc(),
+            ShedReason::ShuttingDown => self.shutting_down.inc(),
+        }
     }
 }
 
@@ -409,17 +366,11 @@ pub(crate) struct Intake {
     queue: WorkQueue<WorkItem>,
     gate: AdmissionGate,
     obs: EngineObs,
-    batch_deadline: Option<Duration>,
 }
 
 impl Intake {
-    /// Admits a server frame `job`. Frames carry no deadline: a wire
-    /// request runs to its answer once admitted.
+    /// Admits one `job`: a server frame, or a session's verification.
     pub(crate) fn submit(&self, job: Job) -> Result<(), ShedReason> {
-        self.push(job, None)
-    }
-
-    fn push(&self, job: Job, deadline: Option<Instant>) -> Result<(), ShedReason> {
         let slot = self
             .gate
             .admit()
@@ -427,7 +378,6 @@ impl Intake {
         let item = WorkItem {
             slot,
             enqueued: Instant::now(),
-            deadline,
             job,
         };
         self.queue.push(item).map_err(|_| {
@@ -439,17 +389,13 @@ impl Intake {
     }
 
     /// Admits one session; its ticket resolves when a worker has run it.
-    fn push_session(
-        &self,
-        session: Arc<SessionData>,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, ShedReason> {
+    fn submit_session(&self, session: Arc<SessionData>) -> Result<Ticket, ShedReason> {
         let (reply, rx) = mpsc::channel();
         let job: Job = Box::new(move |w| {
             // The submitter may have given up; ignore send errors.
-            let _ = reply.send(w.verify_in_time(&session));
+            let _ = reply.send(BatchOutcome::Verdict(w.verify(&session)));
         });
-        self.push(job, deadline)?;
+        self.submit(job)?;
         Ok(Ticket { rx })
     }
 }
@@ -461,7 +407,6 @@ pub(crate) struct Worker<'a> {
     /// The trained system the pool shares.
     pub(crate) system: &'a DefenseSystem,
     policy: ExecutionPolicy,
-    deadline: Option<Instant>,
     obs: &'a EngineObs,
 }
 
@@ -482,22 +427,11 @@ impl Worker<'_> {
         verdict
     }
 
-    /// [`Worker::verify`], unless the item's deadline passed before this
-    /// session started: then it is shed with
-    /// [`ShedReason::DeadlineExceeded`] and nothing is computed.
-    pub(crate) fn verify_in_time(&self, session: &SessionData) -> BatchOutcome {
-        if self.deadline.is_some_and(|d| Instant::now() > d) {
-            self.obs.record_shed(ShedReason::DeadlineExceeded);
-            return BatchOutcome::Shed(ShedReason::DeadlineExceeded);
-        }
-        BatchOutcome::Verdict(self.verify(session))
-    }
-
     /// Records a verdict reached outside [`Worker::verify`] (a stream's
     /// terminal chunk) and the compute it took.
     pub(crate) fn record_verdict(&self, compute: Duration) {
         self.obs.compute.record(compute);
-        self.obs.record_verdict();
+        self.obs.verdicts.inc();
     }
 
     /// Records compute that reached no verdict yet (a stream chunk that
@@ -527,108 +461,6 @@ impl Ticket {
     }
 }
 
-/// Why [`EngineStream::feed`] (or finalize) did not process a chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamFeedError {
-    /// Admission control refused the chunk (queue full under
-    /// [`AdmissionPolicy::Shed`], deadline expired before processing
-    /// started, or the engine is shutting down). The stream itself is
-    /// still open; under backpressure the caller may retry.
-    Shed(ShedReason),
-    /// The stream already produced its terminal verdict (it
-    /// early-rejected on an earlier chunk).
-    Closed,
-}
-
-impl std::fmt::Display for StreamFeedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamFeedError::Shed(r) => write!(f, "chunk shed: {r}"),
-            StreamFeedError::Closed => f.write_str("stream already terminated"),
-        }
-    }
-}
-
-impl std::error::Error for StreamFeedError {}
-
-/// A chunk-fed verification stream admitted through a [`BatchEngine`].
-///
-/// Wraps a [`StreamingVerification`] so that every chunk passes the
-/// engine's [`AdmissionGate`] (sharing capacity with batch submissions),
-/// is deadline-checked like a batch item, and holds an in-flight claim
-/// while computing — [`BatchEngine::drain`] and graceful shutdown see
-/// streaming work exactly like batch work. The stream holds its own
-/// handles, so it stays valid (and sheds cleanly with
-/// [`ShedReason::ShuttingDown`]) even if the engine is torn down first.
-pub struct EngineStream {
-    inner: StreamingVerification,
-    system: Arc<DefenseSystem>,
-    gate: AdmissionGate,
-    obs: EngineObs,
-    chunk_deadline: Option<Duration>,
-}
-
-impl EngineStream {
-    /// Feeds one chunk through admission control into the stream
-    /// ([`StreamingVerification::ingest`]). Terminal events ([`StreamEvent::EarlyReject`],
-    /// [`StreamEvent::ReverifyReject`]) close the stream; later feeds
-    /// return [`StreamFeedError::Closed`].
-    pub fn feed(&mut self, chunk: &SessionChunk) -> Result<StreamEvent, StreamFeedError> {
-        let deadline = self.chunk_deadline.map(|d| Instant::now() + d);
-        let slot = self.gate.admit().map_err(|r| {
-            self.obs.record_shed(r);
-            StreamFeedError::Shed(r)
-        })?;
-        let _inflight = slot.start();
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            self.obs.record_shed(ShedReason::DeadlineExceeded);
-            return Err(StreamFeedError::Shed(ShedReason::DeadlineExceeded));
-        }
-        let t0 = Instant::now();
-        let event = self
-            .inner
-            .ingest(chunk, &self.system.config, self.system.obs())
-            .map_err(|_| StreamFeedError::Closed)?;
-        self.obs
-            .registry
-            .histogram("batch.stream.compute.seconds")
-            .record(t0.elapsed());
-        if !matches!(event, StreamEvent::Progress(_)) {
-            self.obs.record_verdict();
-        }
-        Ok(event)
-    }
-
-    /// Closes the stream through admission control: runs the stock
-    /// one-shot cascade over the accumulated session and returns the
-    /// verdict plus its trace. Errors with [`StreamFeedError::Closed`]
-    /// if the stream already terminated mid-stream.
-    pub fn finalize(self) -> Result<(DefenseVerdict, PipelineTrace), StreamFeedError> {
-        let slot = self.gate.admit().map_err(|r| {
-            self.obs.record_shed(r);
-            StreamFeedError::Shed(r)
-        })?;
-        let _inflight = slot.start();
-        let t0 = Instant::now();
-        let out = self
-            .inner
-            .finalize(&self.system.config, self.system.obs())
-            .map_err(|_| StreamFeedError::Closed)?;
-        self.obs
-            .registry
-            .histogram("batch.stream.compute.seconds")
-            .record(t0.elapsed());
-        self.obs.record_verdict();
-        Ok(out)
-    }
-
-    /// The wrapped stream state (chunk counts, termination, pinned
-    /// generation, accumulated prefix).
-    pub fn stream(&self) -> &StreamingVerification {
-        &self.inner
-    }
-}
-
 /// The verification engine: a worker pool pulling items one at a time
 /// off a bounded, admission-controlled queue.
 ///
@@ -654,9 +486,6 @@ pub struct BatchEngine {
     /// resolves their tickets.
     intake: Arc<Intake>,
     workers: Vec<JoinHandle<()>>,
-    /// Shared with the workers; streaming chunks run against the same
-    /// trained system on the submitting thread.
-    system: Arc<DefenseSystem>,
 }
 
 impl BatchEngine {
@@ -705,7 +534,6 @@ impl BatchEngine {
                 registry.gauge(&format!("{metric_prefix}.inflight")),
             ),
             obs: EngineObs::new(registry, cfg.policy, metric_prefix),
-            batch_deadline: cfg.batch_deadline,
         });
         let system = Arc::new(system);
         let handles = (0..workers)
@@ -718,7 +546,6 @@ impl BatchEngine {
         Self {
             intake,
             workers: handles,
-            system,
         }
     }
 
@@ -728,8 +555,6 @@ impl BatchEngine {
     }
 
     /// Submits one session for verification, applying admission control.
-    /// The per-item deadline (when configured) starts now; use
-    /// [`BatchEngine::verify_batch`] for a shared per-batch deadline.
     ///
     /// Accepts either an owned [`SessionData`] or an `Arc<SessionData>`:
     /// the queue holds sessions behind an `Arc`, so callers replaying a
@@ -737,21 +562,15 @@ impl BatchEngine {
     /// pointer clone instead of deep-copying megabytes of audio and IMU
     /// samples per submission.
     pub fn submit(&self, session: impl Into<Arc<SessionData>>) -> Result<Ticket, ShedReason> {
-        let deadline = self.intake.batch_deadline.map(|d| Instant::now() + d);
-        self.intake.push_session(session.into(), deadline)
+        self.intake.submit_session(session.into())
     }
 
     /// Verifies a whole batch, preserving input order. Sessions refused
     /// by admission appear as [`BatchOutcome::Shed`] in place; accepted
-    /// sessions resolve to verdicts (or deadline sheds). When
-    /// [`BatchConfig::batch_deadline`] is set, the deadline is anchored
-    /// at the start of the call — one budget for the whole batch.
+    /// sessions resolve to verdicts.
     pub fn verify_batch(&self, sessions: Vec<SessionData>) -> Vec<BatchOutcome> {
-        let deadline = self.intake.batch_deadline.map(|d| Instant::now() + d);
-        let tickets: Vec<Result<Ticket, ShedReason>> = sessions
-            .into_iter()
-            .map(|s| self.intake.push_session(Arc::new(s), deadline))
-            .collect();
+        let tickets: Vec<Result<Ticket, ShedReason>> =
+            sessions.into_iter().map(|s| self.submit(s)).collect();
         tickets
             .into_iter()
             .map(|t| match t {
@@ -759,37 +578,6 @@ impl BatchEngine {
                 Err(reason) => BatchOutcome::Shed(reason),
             })
             .collect()
-    }
-
-    /// Opens a chunk-fed verification stream whose ingestion shares this
-    /// engine's admission control: every [`EngineStream::feed`] claims a
-    /// queue slot (blocking or shedding at capacity per the engine's
-    /// [`AdmissionPolicy`]), honors the configured per-chunk deadline,
-    /// and registers as in-flight work so [`BatchEngine::drain`] and
-    /// graceful shutdown account for mid-chunk compute. Refused with
-    /// [`ShedReason::ShuttingDown`] once admission has closed.
-    ///
-    /// Chunks run synchronously on the feeding thread (a stream is a
-    /// stateful pipeline — its chunks cannot be reordered across
-    /// workers); the worker pool keeps serving batch traffic
-    /// concurrently.
-    pub fn open_stream(
-        &self,
-        info: &StreamOpenInfo,
-        stream: StreamConfig,
-    ) -> Result<EngineStream, ShedReason> {
-        if self.intake.gate.is_closed() {
-            self.intake.obs.record_shed(ShedReason::ShuttingDown);
-            return Err(ShedReason::ShuttingDown);
-        }
-        let inner = self.system.open_stream(info, stream);
-        Ok(EngineStream {
-            inner,
-            system: Arc::clone(&self.system),
-            gate: self.intake.gate.clone(),
-            obs: EngineObs::new(self.system.metrics().clone(), stream.policy, "batch"),
-            chunk_deadline: self.intake.batch_deadline,
-        })
     }
 
     /// Blocks until every admitted item has run and answered.
@@ -850,7 +638,6 @@ fn worker_loop(id: usize, intake: &Intake, system: &DefenseSystem, policy: Execu
             id,
             system,
             policy,
-            deadline: item.deadline,
             obs: &intake.obs,
         };
         let job = item.job;
@@ -892,6 +679,16 @@ mod tests {
         }
     }
 
+    /// `batch.verdicts{policy="short_circuit"}` or a
+    /// `batch.shed{policy="short_circuit",shed_reason}` series.
+    fn labeled(engine: &BatchEngine, family: &str, reason: Option<ShedReason>) -> u64 {
+        let mut labels = Labels::new().policy(ExecutionPolicy::ShortCircuit.name());
+        if let Some(r) = reason {
+            labels = labels.shed_reason(r.name());
+        }
+        engine.metrics().counter_with(family, &labels).get()
+    }
+
     #[test]
     fn batch_verdicts_and_metrics() {
         let (sys, _) = crate::test_support::shared_tiny_system();
@@ -904,13 +701,13 @@ mod tests {
         // Replies land just before the in-flight slots release; drain to
         // observe the settled gauges.
         engine.drain();
+        assert_eq!(labeled(&engine, "batch.verdicts", None), 6);
         let m = engine.metrics().snapshot();
-        assert_eq!(m.counters["batch.verdicts"], 6);
         assert_eq!(m.histograms["batch.queue.wait.seconds"].count, 6);
         assert_eq!(m.histograms["batch.compute.seconds"].count, 6);
         assert_eq!(m.gauges["batch.queue.depth"], 0, "queue drained");
         assert_eq!(m.gauges["batch.inflight"], 0, "nothing left in flight");
-        assert!(!m.counters.contains_key("batch.shed.queue_full"));
+        assert_eq!(m.counter_family_total("batch.shed"), 0);
         engine.shutdown();
     }
 
@@ -933,8 +730,14 @@ mod tests {
             Some(ShedReason::QueueFull)
         );
         assert_eq!(engine.gate().queued(), 2);
-        assert_eq!(engine.metrics().counter("batch.shed").get(), 1);
-        assert_eq!(engine.metrics().counter("batch.shed.queue_full").get(), 1);
+        assert_eq!(
+            labeled(&engine, "batch.shed", Some(ShedReason::QueueFull)),
+            1
+        );
+        assert_eq!(
+            labeled(&engine, "batch.shed", Some(ShedReason::ShuttingDown)),
+            0
+        );
         assert_eq!(engine.metrics().gauge("batch.queue.depth").get(), 2);
         // Tearing the paused engine down still resolves every ticket —
         // never a silent drop.
@@ -952,32 +755,45 @@ mod tests {
             engine.submit(genuine(720)).err(),
             Some(ShedReason::ShuttingDown)
         );
-        assert_eq!(engine.metrics().counter("batch.shed.shutdown").get(), 1);
+        assert_eq!(
+            labeled(&engine, "batch.shed", Some(ShedReason::ShuttingDown)),
+            1
+        );
         engine.shutdown();
     }
 
+    /// Each verdict and each shed is one count in its family: the SLO
+    /// shed guard sums families, so a second (unlabeled) series per event
+    /// would double both sides of its ratio.
     #[test]
-    fn expired_deadline_sheds_instead_of_computing() {
+    fn each_engine_event_is_counted_once() {
         let (sys, _) = crate::test_support::shared_tiny_system();
+        // Two engines on one registry: the running one serves N
+        // verdicts, the paused one sheds M submissions at capacity.
         let sys = sys.with_fresh_obs();
-        let engine = BatchEngine::spawn(
+        let running = BatchEngine::spawn(sys.clone(), cfg());
+        let paused = BatchEngine::spawn_paused(
             sys,
             BatchConfig {
-                workers: 1,
-                batch_deadline: Some(Duration::from_nanos(1)),
+                queue_capacity: 1,
+                admission: AdmissionPolicy::Shed,
                 ..cfg()
             },
         );
-        let outcomes = engine.verify_batch((0..4).map(|i| genuine(730 + i)).collect());
-        assert!(
-            outcomes
-                .iter()
-                .all(|o| *o == BatchOutcome::Shed(ShedReason::DeadlineExceeded)),
-            "a 1 ns budget must shed every session: {outcomes:?}"
-        );
-        assert_eq!(engine.metrics().counter("batch.verdicts").get(), 0);
-        assert_eq!(engine.metrics().counter("batch.shed.deadline").get(), 4);
-        engine.shutdown();
+        let (n, m) = (3u64, 4u64);
+        let outcomes = running.verify_batch((0..n).map(|i| genuine(730 + i)).collect());
+        assert!(outcomes.iter().all(|o| !o.is_shed()));
+        let _queued = paused.submit(genuine(735)).expect("one slot");
+        for _ in 0..m {
+            assert_eq!(
+                paused.submit(genuine(736)).err(),
+                Some(ShedReason::QueueFull)
+            );
+        }
+        let snap = running.metrics().snapshot();
+        assert_eq!(snap.counter_family_total("batch.verdicts"), n);
+        assert_eq!(snap.counter_family_total("batch.shed"), m);
+        running.shutdown();
     }
 
     #[test]
@@ -996,88 +812,13 @@ mod tests {
         let outcomes = engine.verify_batch((0..6).map(|i| genuine(740 + i)).collect());
         assert_eq!(outcomes.len(), 6);
         assert!(outcomes.iter().all(|o| !o.is_shed()));
-        assert_eq!(engine.metrics().counter("batch.shed").get(), 0);
-        engine.shutdown();
-    }
-
-    #[test]
-    fn engine_stream_matches_one_shot_decision() {
-        let (sys, _) = crate::test_support::shared_tiny_system();
-        let engine = BatchEngine::spawn(sys.with_fresh_obs(), cfg());
-        let s = genuine(760);
-        let expected = sys.verify(&s);
-        let mut stream = engine
-            .open_stream(&StreamOpenInfo::for_session(&s), StreamConfig::default())
-            .expect("open stream");
-        for chunk in crate::stream::chunk_session(&s, 9600) {
-            match stream.feed(&chunk).expect("feed") {
-                StreamEvent::Progress(_) => {}
-                other => panic!("genuine stream terminated early: {other:?}"),
-            }
-        }
-        let (verdict, _trace) = stream.finalize().expect("finalize");
-        assert_eq!(verdict.decision, expected.decision);
-        engine.drain();
-        let m = engine.metrics().snapshot();
-        assert_eq!(m.gauges["batch.queue.depth"], 0, "stream slots released");
-        assert_eq!(m.gauges["batch.inflight"], 0, "stream inflight released");
-        assert!(m.histograms["batch.stream.compute.seconds"].count >= 2);
-        engine.shutdown();
-    }
-
-    #[test]
-    fn engine_stream_early_rejects_replay_and_then_refuses_chunks() {
-        let (sys, _) = crate::test_support::shared_tiny_system();
-        let engine = BatchEngine::spawn(sys.with_fresh_obs(), cfg());
-        let s = replay(761);
-        let chunks = crate::stream::chunk_session(&s, 4800);
-        let mut stream = engine
-            .open_stream(&StreamOpenInfo::for_session(&s), StreamConfig::default())
-            .expect("open stream");
-        let mut rejected_at = None;
-        for (i, chunk) in chunks.iter().enumerate() {
-            match stream.feed(chunk) {
-                Ok(StreamEvent::EarlyReject(v)) => {
-                    assert!(!v.accepted());
-                    rejected_at = Some(i);
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) => panic!("unexpected feed error: {e}"),
-            }
-        }
-        let at = rejected_at.expect("replay must early-reject through the engine");
-        assert!(at + 1 < chunks.len(), "reject must land mid-stream");
-        assert!(matches!(
-            stream.feed(&chunks[0]),
-            Err(StreamFeedError::Closed)
-        ));
-        assert!(stream.stream().terminated());
-        assert_eq!(engine.metrics().counter("batch.verdicts").get(), 1);
-        engine.shutdown();
-    }
-
-    #[test]
-    fn engine_stream_sheds_after_shutdown() {
-        let (sys, _) = crate::test_support::shared_tiny_system();
-        let engine = BatchEngine::spawn(sys.with_fresh_obs(), cfg());
-        let s = genuine(762);
-        let mut stream = engine
-            .open_stream(&StreamOpenInfo::for_session(&s), StreamConfig::default())
-            .expect("open stream");
-        engine.initiate_shutdown();
-        let chunk = crate::stream::chunk_session(&s, 9600).remove(0);
-        assert!(matches!(
-            stream.feed(&chunk),
-            Err(StreamFeedError::Shed(ShedReason::ShuttingDown))
-        ));
-        assert!(
+        assert_eq!(
             engine
-                .open_stream(&StreamOpenInfo::for_session(&s), StreamConfig::default())
-                .is_err(),
-            "no new streams after shutdown"
+                .metrics()
+                .snapshot()
+                .counter_family_total("batch.shed"),
+            0
         );
-        assert!(engine.metrics().counter("batch.shed.shutdown").get() >= 2);
         engine.shutdown();
     }
 

@@ -441,6 +441,16 @@ impl<'a> Cascade<'a> {
         self.stages.iter().map(|s| s.component()).collect()
     }
 
+    /// The components of the enabled stages that apply to `session`, in
+    /// execution order: the stages a run over it records.
+    pub(crate) fn applicable(&self, session: &SessionData) -> Vec<Component> {
+        self.stages
+            .iter()
+            .filter(|s| self.mask.contains(s.component()) && s.applies_to(session))
+            .map(|s| s.component())
+            .collect()
+    }
+
     /// Runs the cascade on one session.
     ///
     /// Per stage that runs: one child span under the `verify` root, one

@@ -34,11 +34,11 @@
 //! `server.compute.seconds` (per verification) histograms, the
 //! `server.queue.depth` / `server.inflight` gauges (RAII admission slots,
 //! so a panicking job cannot leak them), the `server.worker.panics`
-//! counter and the `batch.verdicts` / `batch.shed` counters the health
-//! guards read; the server adds per-worker `server.worker.<i>.processed`
-//! counters and a `server.protocol.errors` counter, all sharing the
-//! [`DefenseSystem`]'s registry so one snapshot covers pipeline and
-//! server alike.
+//! counter and the `batch.verdicts{policy}` /
+//! `batch.shed{policy,shed_reason}` counters the health guards read; the
+//! server adds per-worker `server.worker.<i>.processed` counters and a
+//! `server.protocol.errors` counter, all sharing the [`DefenseSystem`]'s
+//! registry so one snapshot covers pipeline and server alike.
 //!
 //! Protocol v5 adds the telemetry plane (DESIGN.md §12):
 //! [`Client::metrics`] scrapes the full labeled snapshot — every
@@ -59,9 +59,10 @@
 //! finalizes the genuine path with a verdict decision-identical to a
 //! one-shot verification of the same samples. Open-stream count and
 //! accumulated samples are capped ([`ServerConfig::max_open_streams`],
-//! [`ServerConfig::max_stream_samples`]); unknown ids, duplicate opens
-//! and chunks after a terminal verdict are protocol errors. First-chunk
-//! → terminal-verdict latency feeds the
+//! [`ServerConfig::max_stream_samples`]); unknown ids, duplicate opens,
+//! a non-zero [`StreamConfig::reverify_every_chunks`] and chunks after a
+//! terminal verdict are protocol errors. First-chunk → terminal-verdict
+//! latency feeds the
 //! `server.stream.first_verdict.seconds` histogram, guarded by the
 //! `stream-verdict-latency` SLO in
 //! [`VerificationServer::default_slos`].
@@ -412,6 +413,16 @@ fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
             info,
             stream,
         }) => {
+            // A re-verification pass runs the whole cascade over every
+            // sample received so far, so a client-chosen cadence would
+            // buy O(n²) stage work per stream of n chunks.
+            if stream.reverify_every_chunks != 0 {
+                shared.protocol_errors.inc();
+                return protocol::encode_error(
+                    request_id,
+                    "the server does not run client-requested re-verification",
+                );
+            }
             let mut streams = lock(&shared.streams);
             if streams.len() >= cfg.max_open_streams {
                 drop(streams);
@@ -498,7 +509,9 @@ fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
                         None,
                     )
                 }
-                Ok(StreamEvent::EarlyReject(verdict)) => {
+                // With no re-verification cadence (refused at open),
+                // the only mid-stream verdict is the early reject.
+                Ok(StreamEvent::EarlyReject(verdict) | StreamEvent::ReverifyReject(verdict)) => {
                     let (chunks, age) = (verification.chunks(), verification.age());
                     *guard = None;
                     drop(guard);
@@ -507,19 +520,6 @@ fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
                         request_id,
                         stream_id,
                         StreamVerdictKind::EarlyReject,
-                        chunks,
-                        Some(&verdict),
-                    )
-                }
-                Ok(StreamEvent::ReverifyReject(verdict)) => {
-                    let (chunks, age) = (verification.chunks(), verification.age());
-                    *guard = None;
-                    drop(guard);
-                    finish_stream(shared, w, stream_id, age, start.elapsed());
-                    protocol::encode_stream_verdict(
-                        request_id,
-                        stream_id,
-                        StreamVerdictKind::ReverifyReject,
                         chunks,
                         Some(&verdict),
                     )
@@ -1105,7 +1105,7 @@ mod tests {
             assert_eq!(processed(&srv), 5);
             let snap = srv.metrics().snapshot();
             assert_eq!(snap.histograms["server.compute.seconds"].count, 5);
-            assert_eq!(snap.counters["batch.verdicts"], 5);
+            assert_eq!(snap.counter_family_total("batch.verdicts"), 5);
             assert_eq!(snap.gauges["server.queue.depth"], 0);
             srv.shutdown();
         }
@@ -1694,6 +1694,33 @@ mod tests {
             .expect("slot freed after close")
             .close()
             .expect("final verdict");
+        srv.shutdown();
+    }
+
+    #[test]
+    fn client_requested_reverify_cadence_is_refused() {
+        let (system, user) = crate::test_support::shared_tiny_system();
+        let srv = VerificationServer::spawn(system.with_fresh_obs(), 1);
+        let client = srv.client();
+        let session = ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(577));
+        let info = StreamOpenInfo::for_session(&session);
+        let every_chunk = StreamConfig {
+            reverify_every_chunks: 1,
+            ..StreamConfig::default()
+        };
+        match client.open_stream(&info, every_chunk) {
+            Err(ClientError::Server(m)) => assert!(m.contains("re-verification"), "got: {m}"),
+            Err(other) => panic!("expected a cadence refusal, got {other:?}"),
+            Ok(_) => panic!("a client-chosen cadence must be refused"),
+        }
+        assert_eq!(protocol_errors(&srv), 1);
+        assert_eq!(srv.metrics().gauge("server.stream.open").get(), 0);
+        assert_eq!(srv.metrics().counter("pipeline.stream.opened").get(), 0);
+        let stream = client
+            .open_stream(&info, StreamConfig::default())
+            .expect("cadence 0 opens");
+        assert_eq!(srv.metrics().gauge("server.stream.open").get(), 1);
+        stream.close().expect("final verdict");
         srv.shutdown();
     }
 }

@@ -11,20 +11,26 @@
 //! The streaming path is **decision-identical to the one-shot path by
 //! construction**:
 //!
-//! * every terminal verdict is produced by running the *stock* one-shot
-//!   cascade ([`Cascade::run`]) over the accumulated chunk data — the
-//!   exact code path [`DefenseSystem::verify_with_policy`] uses;
-//! * a mid-stream [`StreamEvent::EarlyReject`] fires only when a
-//!   **monotone lower bound** on the loudspeaker detector's final raw
-//!   score crosses its boundary; the one-shot cascade is then run on the
-//!   accumulated prefix, and the bound guarantees it rejects. The
-//!   loudspeaker detector is the only stage with such a bound (its
-//!   changing-rate maximum over stable centered-smoothed pairs only grows
-//!   with more data, and its baseline-deviation bound confines the final
-//!   baseline median to the observed pre-close-range interval — see
+//! * [`StreamingVerification::finalize`] and re-verification passes run
+//!   the *stock* one-shot cascade ([`Cascade::run`]) over the
+//!   accumulated chunk data — the exact code path
+//!   [`DefenseSystem::verify_with_policy`] uses;
+//! * a mid-stream [`StreamEvent::EarlyReject`] is the loudspeaker
+//!   stage's own verdict: it fires only when a **monotone lower bound**
+//!   on the detector's final raw score crosses its boundary, so the
+//!   one-shot loudspeaker stage rejects every completion of the stream.
+//!   The verdict records the loudspeaker stage as run with the bound as
+//!   its score (≥ 1) and every later applicable stage as skipped by it,
+//!   exactly as a short-circuiting one-shot run would. No cascade runs
+//!   on the prefix, which would fail session validation (the sweep
+//!   has not been captured yet). The loudspeaker detector is the only
+//!   stage with such a bound (its changing-rate maximum over stable
+//!   centered-smoothed pairs only grows with more data, and its
+//!   baseline-deviation bound confines the final baseline median to the
+//!   observed pre-close-range interval — see
 //!   [`loudspeaker::StreamingRateTracker`]), and it is precisely the
-//!   stage that condemns magnet-and-coil replay hardware within the first
-//!   few hundred milliseconds.
+//!   stage that condemns magnet-and-coil replay hardware within the
+//!   first few hundred milliseconds.
 //!
 //! The other stages score the whole utterance or the whole approach
 //! sweep, so no prefix statistic of theirs can decide anything; a stream
@@ -49,7 +55,7 @@ use crate::config::DefenseConfig;
 use crate::pipeline::PipelineObs;
 use crate::registry::ModelSnapshot;
 use crate::session::SessionData;
-use crate::verdict::{Component, DefenseVerdict};
+use crate::verdict::{Component, ComponentResult, DefenseVerdict, SkippedStage, StageOutcome};
 use magshield_obs::trace::PipelineTrace;
 use magshield_simkit::vec3::Vec3;
 use std::fmt;
@@ -69,8 +75,7 @@ pub struct StreamConfig {
     /// session would reject, so enabling this forfeits strict decision
     /// identity with the one-shot path.
     pub terminate_on_reverify: bool,
-    /// Execution policy for finalize, early-reject confirmation and
-    /// re-verification passes.
+    /// Execution policy for finalize and re-verification passes.
     pub policy: ExecutionPolicy,
 }
 
@@ -157,8 +162,8 @@ pub enum StreamEvent {
     /// Keep streaming.
     Progress(StreamProgress),
     /// The loudspeaker detector's monotone bound crossed its boundary
-    /// mid-stream. The verdict is the stock one-shot cascade run on the
-    /// accumulated prefix (guaranteed to reject). The stream is
+    /// mid-stream. The verdict is that stage's rejection, every later
+    /// stage skipped by it (see the module docs). The stream is
     /// terminated.
     EarlyReject(DefenseVerdict),
     /// A re-verification pass rejected the prefix and
@@ -294,15 +299,12 @@ impl StreamingVerification {
         for r in &chunk.mag {
             self.tracker.push(r.norm());
         }
-        let boundary = config.stage_boundaries.get(Component::Loudspeaker);
-        if self.tracker.raw_score_bound(config) / boundary >= 1.0 {
+        let bound = self.tracker.raw_score_bound(config)
+            / config.stage_boundaries.get(Component::Loudspeaker);
+        if bound >= 1.0 {
             self.terminated = true;
-            let (verdict, _trace) = self.run_one_shot(config, obs);
-            debug_assert!(
-                !verdict.accepted(),
-                "monotone bound crossed the boundary but the one-shot \
-                 cascade accepted the prefix"
-            );
+            let verdict = self.early_reject(bound);
+            obs.registry.counter("pipeline.rejects").inc();
             let elapsed = self.opened.elapsed().as_secs_f64().max(1e-9);
             obs.registry
                 .histogram("pipeline.stream.first_verdict.seconds")
@@ -374,22 +376,57 @@ impl StreamingVerification {
         &self.data
     }
 
-    /// Runs the stock one-shot cascade over the accumulated data under
-    /// the stream's policy, stamping the pinned generation.
-    fn run_one_shot(
-        &self,
-        config: &DefenseConfig,
-        obs: &PipelineObs,
-    ) -> (DefenseVerdict, PipelineTrace) {
-        let (mut verdict, trace) = Cascade::standard(
+    /// The stock cascade over the pinned snapshot, under the stream's
+    /// policy.
+    fn cascade(&self) -> Cascade<'_> {
+        Cascade::standard(
             &self.snapshot.sound_field,
             &self.snapshot.engine,
             &self.snapshot.speakers,
         )
         .with_policy(self.stream.policy)
-        .run(&self.data, config, obs);
-        verdict.generation = Some(self.generation);
-        (verdict, trace)
+    }
+
+    /// Runs the stock one-shot cascade over the accumulated data,
+    /// stamping the pinned generation.
+    fn run_one_shot(
+        &self,
+        config: &DefenseConfig,
+        obs: &PipelineObs,
+    ) -> (DefenseVerdict, PipelineTrace) {
+        let (verdict, trace) = self.cascade().run(&self.data, config, obs);
+        (verdict.with_generation(self.generation), trace)
+    }
+
+    /// The early reject's verdict: the loudspeaker stage ran, scoring
+    /// its crossed lower bound (`bound` ≥ 1, boundary-normalized), and
+    /// every other stage that applies to the session is skipped by it.
+    fn early_reject(&self, bound: f64) -> DefenseVerdict {
+        let loudspeaker = ComponentResult {
+            component: Component::Loudspeaker,
+            attack_score: bound,
+            detail: format!(
+                "lower bound on the full-session score after {} chunks",
+                self.chunks
+            ),
+        };
+        let skipped = self
+            .cascade()
+            .applicable(&self.data)
+            .into_iter()
+            .filter(|&c| c != Component::Loudspeaker)
+            .map(|component| {
+                StageOutcome::Skipped(SkippedStage {
+                    component,
+                    cause: Component::Loudspeaker,
+                })
+            });
+        DefenseVerdict::from_stages(
+            std::iter::once(StageOutcome::Ran(loudspeaker))
+                .chain(skipped)
+                .collect(),
+        )
+        .with_generation(self.generation)
     }
 }
 
@@ -551,6 +588,51 @@ mod tests {
         assert!(early, "magnet+coil replay must be caught mid-stream");
         assert!(!streamed.accepted());
         assert_eq!(streamed.decision, one_shot.decision);
+    }
+
+    /// An early reject is the loudspeaker stage's verdict on its crossed
+    /// bound, shaped like the one-shot short-circuit verdict: no cascade
+    /// runs on the prefix, so nothing is counted as invalid.
+    #[test]
+    fn early_reject_is_the_loudspeaker_stages_verdict() {
+        let (sys, _) = crate::test_support::shared_tiny_system();
+        let sys = sys.with_fresh_obs();
+        let s = replay_session(97);
+        let one_shot = sys.verify_with_policy(&s, ExecutionPolicy::ShortCircuit);
+        let one_shot_skips: Vec<_> = one_shot.skipped().copied().collect();
+        for policy in [
+            ExecutionPolicy::FullEvaluation,
+            ExecutionPolicy::ShortCircuit,
+        ] {
+            let stream = StreamConfig {
+                policy,
+                ..StreamConfig::default()
+            };
+            let mut v = sys.open_stream(&StreamOpenInfo::for_session(&s), stream);
+            let verdict = chunk_session(&s, 4800)
+                .iter()
+                .find_map(|c| match v.ingest(c, &sys.config, sys.obs()).unwrap() {
+                    StreamEvent::EarlyReject(verdict) => Some(verdict),
+                    _ => None,
+                })
+                .expect("a 5 cm replay early-rejects");
+            assert_eq!(verdict.invalid, None, "{policy:?}");
+            assert_eq!(verdict.generation, Some(v.generation()));
+            let rejector = verdict.results().find(|r| !r.passes_at(1.0));
+            assert_eq!(
+                rejector.map(|r| r.component),
+                Some(Component::Loudspeaker),
+                "{policy:?}: {verdict:?}"
+            );
+            assert!(rejector.unwrap().attack_score >= 1.0);
+            assert_eq!(verdict.results().count(), 1, "only the loudspeaker ran");
+            assert_eq!(
+                verdict.skipped().copied().collect::<Vec<_>>(),
+                one_shot_skips
+            );
+        }
+        assert_eq!(sys.metrics().counter("pipeline.invalid").get(), 0);
+        assert_eq!(sys.metrics().counter("pipeline.rejects").get(), 3);
     }
 
     #[test]

@@ -6,23 +6,21 @@ the job when any gated metric regressed by more than the tolerance.
 
   bench_gate.py <baseline.json> <current.json> [--tolerance 0.20]
 
-Two artifact shapes are understood:
-
-* Throughput (`results/BENCH_throughput.json`): a single top-level
-  `peak_sessions_per_sec` number, gated higher-is-better.
-* Generic (`results/BENCH_kernels.json`): a top-level `"metrics"` object
-  mapping name -> {"value": float, "direction": "higher"|"lower"}.
-  Every metric present in BOTH files is gated in its stated direction;
-  metrics only one side has are reported but not gated (so adding a new
-  kernel doesn't fail the gate until its baseline is committed). For
-  the kernels artifact this covers the production MFCC front end
-  against its oracle (`extract_fast_speedup`), the fast-path LLR
-  ratios (`llr_prepared_exact_speedup`, `llr_pruned_speedup`) and the
-  batched-vs-sequential scoring ratio (`llr_batched_speedup`). The
-  quantized-vs-exact ratio is deliberately
-  informational only (under `"info"` as `llr_quantized_speedup`):
-  quantization trades wall clock for a 4x smaller model, so a
-  higher-is-better gate on it would punish the intended tradeoff.
+Every artifact (`results/BENCH_throughput.json`, `BENCH_kernels.json`,
+`BENCH_obs.json`, `BENCH_streaming.json`) holds a top-level `"metrics"`
+object mapping name -> {"value": float, "direction": "higher"|"lower"};
+a file without one is refused. Every metric present in BOTH files is
+gated in its stated direction; metrics only one side has are reported
+but not gated (so adding a new kernel doesn't fail the gate until its
+baseline is committed). For the throughput artifact that is
+`peak_sessions_per_sec`; for the kernels artifact it covers the
+production MFCC front end against its oracle (`extract_fast_speedup`),
+the fast-path LLR ratios (`llr_prepared_exact_speedup`,
+`llr_pruned_speedup`) and the batched-vs-sequential scoring ratio
+(`llr_batched_speedup`). The quantized-vs-exact ratio is deliberately
+informational only (under `"info"` as `llr_quantized_speedup`):
+quantization trades wall clock for a 4x smaller model, so a
+higher-is-better gate on it would punish the intended tradeoff.
 
 The comparison math is shared with `security_gate.py` via `gate_core`.
 

@@ -26,29 +26,19 @@ def load(path):
 def gated_metrics(doc):
     """Extracts {name: (value, direction)} from a gate artifact.
 
-    Understands the generic shape (top-level `"metrics"` object mapping
-    name -> {"value": float, "direction": "higher"|"lower"}) and the
-    legacy throughput shape (top-level `peak_sessions_per_sec`, gated
-    higher-is-better). Raises ValueError when neither is present.
+    Every gate file holds a top-level `"metrics"` object mapping
+    name -> {"value": float, "direction": "higher"|"lower"}. Raises
+    ValueError when it is missing or empty.
     """
-    out = {}
     metrics = doc.get("metrics")
-    if isinstance(metrics, dict):
-        for name, spec in metrics.items():
-            direction = spec.get("direction", "higher")
-            if direction not in ("higher", "lower"):
-                raise ValueError(f"metric {name}: bad direction {direction!r}")
-            out[name] = (float(spec["value"]), direction)
-    if "peak_sessions_per_sec" in doc:
-        out["peak_sessions_per_sec"] = (
-            float(doc["peak_sessions_per_sec"]),
-            "higher",
-        )
-    if not out:
-        raise ValueError(
-            "no gateable metrics (expected 'metrics' object or "
-            "'peak_sessions_per_sec')"
-        )
+    if not isinstance(metrics, dict) or not metrics:
+        raise ValueError("no gateable metrics (expected a 'metrics' object)")
+    out = {}
+    for name, spec in metrics.items():
+        direction = spec.get("direction", "higher")
+        if direction not in ("higher", "lower"):
+            raise ValueError(f"metric {name}: bad direction {direction!r}")
+        out[name] = (float(spec["value"]), direction)
     return out
 
 

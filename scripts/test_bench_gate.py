@@ -132,18 +132,37 @@ class BenchGateCliTest(unittest.TestCase):
         )
         self.assertEqual(self.run_gate(base, cur), 1)
 
-    def test_legacy_throughput_shape(self):
+    def test_throughput_gates_under_metrics(self):
+        base = write_json(
+            self.dir.name,
+            "base.json",
+            metrics_doc(peak_sessions_per_sec=(100.0, "higher")),
+        )
+        cur = write_json(
+            self.dir.name,
+            "cur.json",
+            metrics_doc(peak_sessions_per_sec=(85.0, "higher")),
+        )
+        self.assertEqual(self.run_gate(base, cur), 0)
+        cur_bad = write_json(
+            self.dir.name,
+            "cur2.json",
+            metrics_doc(peak_sessions_per_sec=(60.0, "higher")),
+        )
+        self.assertEqual(self.run_gate(base, cur_bad), 1)
+
+    def test_baseline_without_metrics_is_refused(self):
+        # The top-level `peak_sessions_per_sec` shape is retired: a
+        # baseline with no `metrics` object is unusable, not a pass.
         base = write_json(
             self.dir.name, "base.json", {"peak_sessions_per_sec": 100.0}
         )
         cur = write_json(
-            self.dir.name, "cur.json", {"peak_sessions_per_sec": 85.0}
+            self.dir.name,
+            "cur.json",
+            metrics_doc(peak_sessions_per_sec=(100.0, "higher")),
         )
-        self.assertEqual(self.run_gate(base, cur), 0)
-        cur_bad = write_json(
-            self.dir.name, "cur2.json", {"peak_sessions_per_sec": 60.0}
-        )
-        self.assertEqual(self.run_gate(base, cur_bad), 1)
+        self.assertEqual(self.run_gate(base, cur), 1)
 
     def test_usage_error(self):
         self.assertEqual(bench_gate.main(["bench_gate.py", "one-arg"]), 1)

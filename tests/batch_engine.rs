@@ -8,6 +8,7 @@ use magshield::core::cascade::ExecutionPolicy;
 use magshield::core::pipeline::{BootstrapConfig, DefenseSystem};
 use magshield::core::scenario::{bootstrap_with, ScenarioBuilder, UserContext};
 use magshield::core::session::SessionData;
+use magshield::obs::labels::Labels;
 use magshield::simkit::rng::SimRng;
 use std::sync::OnceLock;
 
@@ -31,7 +32,6 @@ fn graceful_shutdown_under_load_never_drops_a_session() {
             queue_capacity: 8, // small on purpose: rapid submits may shed
             policy: ExecutionPolicy::ShortCircuit,
             admission: AdmissionPolicy::Shed,
-            batch_deadline: None,
         },
     );
     // Pre-capture so the submit loop outpaces the workers.
@@ -65,11 +65,23 @@ fn graceful_shutdown_under_load_never_drops_a_session() {
     assert!(verdicts > 0, "the admitted work was drained, not discarded");
     let registry = engine.metrics().clone();
     engine.shutdown();
-    assert_eq!(registry.counter("batch.verdicts").get(), verdicts);
-    assert_eq!(registry.counter("batch.shed.queue_full").get(), shed_full);
-    // +1 for the post-shutdown submission.
-    assert_eq!(registry.counter("batch.shed").get(), shed_full + 1);
-    assert_eq!(registry.counter("batch.shed.shutdown").get(), 1);
+    let policy = Labels::new().policy(ExecutionPolicy::ShortCircuit.name());
+    let shed = |r: ShedReason| {
+        registry
+            .counter_with("batch.shed", &policy.clone().shed_reason(r.name()))
+            .get()
+    };
+    assert_eq!(
+        registry.counter_with("batch.verdicts", &policy).get(),
+        verdicts
+    );
+    assert_eq!(shed(ShedReason::QueueFull), shed_full);
+    // The post-shutdown submission.
+    assert_eq!(shed(ShedReason::ShuttingDown), 1);
+    // Each event counted once: the families hold nothing else.
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter_family_total("batch.verdicts"), verdicts);
+    assert_eq!(snap.counter_family_total("batch.shed"), shed_full + 1);
     assert_eq!(
         registry.gauge("batch.queue.depth").get(),
         0,
@@ -92,7 +104,6 @@ fn backpressure_shutdown_drains_every_admitted_session() {
             queue_capacity: 4,
             policy: ExecutionPolicy::FullEvaluation,
             admission: AdmissionPolicy::Backpressure,
-            batch_deadline: None,
         },
     );
     // Backpressure admission never refuses: all 12 are admitted (some

@@ -149,7 +149,6 @@ fn hot_swap_under_load_never_mixes_generations() {
             queue_capacity: 16,
             policy: ExecutionPolicy::ShortCircuit,
             admission: AdmissionPolicy::Backpressure,
-            batch_deadline: None,
         },
     );
     let (_, user) = fixture();

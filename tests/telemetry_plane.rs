@@ -39,7 +39,6 @@ fn shed_storm_degrades_health_over_the_wire() {
             queue_capacity: 2, // tiny on purpose: the storm must shed
             policy: ExecutionPolicy::ShortCircuit,
             admission: AdmissionPolicy::Shed,
-            batch_deadline: None,
         },
     );
     let srv = VerificationServer::spawn_with_config(
@@ -83,15 +82,10 @@ fn shed_storm_degrades_health_over_the_wire() {
 
     // The labeled evidence is scrapeable too.
     let (snap, exposition) = client.metrics().expect("metrics");
-    let shed_total: u64 = snap
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("batch.shed{"))
-        .map(|(_, v)| v)
-        .sum();
     assert_eq!(
-        shed_total, sheds,
-        "labeled shed series must sum to the storm"
+        snap.counter_family_total("batch.shed"),
+        sheds,
+        "the shed family must sum to the storm"
     );
     assert!(
         snap.counters
