@@ -12,8 +12,9 @@
 //! each part runs the same [`Biquad::process`] recurrence, each frame's
 //! level sums the same squares in the same order as
 //! [`level_track`](magshield_dsp::level::level_track) over the filtered
-//! buffer (without materializing it), and the ASV audio is read through
-//! the same [`TimeSeries::lerp_sample`] kernel.
+//! buffer (without materializing it), and the ASV audio is resampled by
+//! [`TimeSeries::lerp_resample`], whose per-thread plan reproduces
+//! [`TimeSeries::lerp_sample`] at every output bit for bit.
 
 use crate::session::SessionData;
 use magshield_dsp::filter::Biquad;
@@ -149,9 +150,11 @@ impl<'s> SessionAnalysis<'s> {
                     (false, _, _) => pass::<false, false, true>(session, audio, &[], filtered),
                 };
                 if asv {
-                    let _ = self
-                        .asv_audio
-                        .set(resample_to_voice_rate(filtered, session.audio_rate));
+                    let _ = self.asv_audio.set(TimeSeries::lerp_resample(
+                        filtered,
+                        session.audio_rate,
+                        magshield_voice::synth::VOICE_SAMPLE_RATE,
+                    ));
                 }
             });
         }
@@ -295,20 +298,6 @@ fn pass<const L1: bool, const L2: bool, const ASV: bool>(
             .for_each(|v| *v = asv2.process(*v));
     }
     out
-}
-
-/// Resamples the filtered full-rate audio to the ASV rate by linear
-/// interpolation.
-fn resample_to_voice_rate(filtered: &[f64], audio_rate: f64) -> Vec<f64> {
-    if filtered.is_empty() {
-        return Vec::new();
-    }
-    let voice_rate = magshield_voice::synth::VOICE_SAMPLE_RATE;
-    let duration = filtered.len() as f64 / audio_rate;
-    let n = (duration * voice_rate).round() as usize;
-    (0..n)
-        .map(|i| TimeSeries::lerp_sample(filtered, audio_rate, i as f64 / voice_rate))
-        .collect()
 }
 
 std::thread_local! {

@@ -6,11 +6,12 @@
 //!   block. It is the oracle, and corpus synthesis runs it (through
 //!   [`magnitude_spectrum`]), so it is never rewritten for speed.
 //! * [`FftPlan`] — the hot-loop form: precomputed bit-reversal and
-//!   twiddle tables, one bounds-free butterfly kernel, and a windowed
-//!   load ([`FftPlan::forward_windowed`]) that places a real frame
-//!   straight into bit-reversed order. It performs exactly [`fft`]'s
-//!   float operations, so its output is `to_bits`-identical for every
-//!   input, non-finite input included.
+//!   twiddle tables, one bounds-free butterfly kernel over split real and
+//!   imaginary buffers, and a windowed load
+//!   ([`FftPlan::forward_windowed`]) that places a real frame straight
+//!   into bit-reversed order. It performs exactly [`fft`]'s float
+//!   operations, so its output is `to_bits`-identical for every input,
+//!   non-finite input included.
 //!
 //! [`RealFftPlan`] builds the half-size real-input transform on an inner
 //! [`FftPlan`]; it reorders operations and matches [`rfft`] to rounding.
@@ -100,23 +101,27 @@ pub fn next_pow2(n: usize) -> usize {
 /// Precomputed forward-FFT plan for one fixed transform size.
 ///
 /// [`fft`] re-derives its twiddle factors with a serial `w *= wlen`
-/// recurrence inside every butterfly block and walks its buffer by index.
-/// The plan runs that exact recurrence **once** at construction and
-/// stores the values, then drives one bounds-free butterfly kernel over
-/// them:
+/// recurrence inside every butterfly block and walks an interleaved
+/// buffer by index. The plan runs that exact recurrence **once** at
+/// construction, stores the values split into real and imaginary
+/// tables, and drives one bounds-free butterfly kernel over a
+/// split-complex buffer (`re` and `im` slices):
 ///
 /// * the first three stages (lengths 2, 4 and 8) run per 8-point block
 ///   held in locals, so each block is loaded and stored once for all
 ///   three instead of once per stage;
-/// * every later stage walks `chunks_exact_mut(len)` split at the half
-///   and zipped with that stage's twiddle slice — no indexing in the
-///   inner loop.
+/// * the wider stages run two per pass over contiguous `re` and `im`
+///   quarters of each block, so each point is loaded and stored once per
+///   two stages, and a last stage runs alone when their count is odd.
+///   Independent butterflies sit in adjacent `f64` lanes, which the
+///   compiler packs into vector registers.
 ///
 /// Input reaches the kernel in bit-reversed order either through
-/// [`Self::forward`] (an in-place swap pass over the `rev` table, for a
-/// caller-filled buffer) or through [`Self::forward_windowed`], which
-/// writes `x[k]·w[k]` straight into slot `rev[k]` and zero-fills the
-/// rest — the MFCC frame load, swap pass included, in one scatter.
+/// [`Self::forward`] (an interleaved buffer, scattered into split
+/// buffers and gathered back), or through [`Self::forward_windowed`],
+/// which writes `x[k]·w[k]` straight into slot `rev[k]` of a
+/// caller-owned `re` buffer and zero-fills the rest — the MFCC frame
+/// load in one scatter.
 ///
 /// **Contract:** every butterfly performs the same floating-point
 /// operations on the same values in the same order as [`fft`] — the
@@ -132,8 +137,9 @@ pub struct FftPlan {
     /// reversed (an involution).
     rev: Vec<u32>,
     /// Per-stage twiddle tables, concatenated: lengths 1, 2, …, n/2, so
-    /// the stage of length `len` owns `twiddles[len/2 - 1..len - 1]`.
-    twiddles: Vec<Complex>,
+    /// the stage of length `len` owns `[len/2 - 1..len - 1]` of both.
+    tw_re: Vec<f64>,
+    tw_im: Vec<f64>,
 }
 
 impl FftPlan {
@@ -160,19 +166,26 @@ impl FftPlan {
             .collect();
         // The same recurrence fft() runs per block, evaluated once: the
         // stored values are bitwise what the k-th butterfly would see.
-        let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
+        let mut tw_re = Vec::with_capacity(n.saturating_sub(1));
+        let mut tw_im = Vec::with_capacity(n.saturating_sub(1));
         let mut len = 2;
         while len <= n {
             let ang = -std::f64::consts::TAU / len as f64;
             let wlen = Complex::from_polar(1.0, ang);
             let mut w = Complex::ONE;
             for _ in 0..len / 2 {
-                twiddles.push(w);
+                tw_re.push(w.re);
+                tw_im.push(w.im);
                 w = w * wlen;
             }
             len <<= 1;
         }
-        Self { n, rev, twiddles }
+        Self {
+            n,
+            rev,
+            tw_re,
+            tw_im,
+        }
     }
 
     /// Transform size the plan was built for.
@@ -187,32 +200,41 @@ impl FftPlan {
 
     /// In-place forward FFT; bit-identical to [`fft`] on the same input.
     ///
+    /// The buffer is scattered into two split buffers allocated per call
+    /// and gathered back after the kernel; hot loops hold their own split
+    /// buffers and call [`Self::forward_windowed`].
+    ///
     /// # Panics
     ///
     /// Panics if `buf.len()` differs from the planned size.
     pub fn forward(&self, buf: &mut [Complex]) {
-        self.check_len(buf);
-        for (i, &j) in self.rev.iter().enumerate() {
-            let j = j as usize;
-            if i < j {
-                buf.swap(i, j);
-            }
+        self.check_len(buf.len());
+        let (mut re, mut im) = (vec![0.0; self.n], vec![0.0; self.n]);
+        for (&r, z) in self.rev.iter().zip(buf.iter()) {
+            re[r as usize] = z.re;
+            im[r as usize] = z.im;
         }
-        self.butterflies(buf);
+        self.butterflies(&mut re, &mut im);
+        for (z, (&re, &im)) in buf.iter_mut().zip(re.iter().zip(&im)) {
+            *z = Complex::new(re, im);
+        }
     }
 
     /// Forward FFT of the windowed, zero-padded real frame `x[k]·w[k]`,
-    /// written into `buf`; bit-identical to filling `buf` with
-    /// `Complex::new(x[k] * w[k], 0.0)`, zero-padding, and calling
-    /// [`fft`]. Each product lands directly in its bit-reversed slot, so
-    /// there is no separate fill, tail clear or swap pass.
+    /// written into the split buffers `re` and `im`; bit-identical to
+    /// filling a buffer with `Complex::new(x[k] * w[k], 0.0)`,
+    /// zero-padding, and calling [`fft`]. Each product lands directly in
+    /// its bit-reversed slot, so there is no separate fill, tail clear or
+    /// swap pass.
     ///
     /// # Panics
     ///
-    /// Panics if `buf.len()` differs from the planned size, if `x` and
-    /// `window` differ in length, or if they are longer than the plan.
-    pub fn forward_windowed(&self, x: &[f64], window: &[f64], buf: &mut [Complex]) {
-        self.check_len(buf);
+    /// Panics if `re` or `im` differs in length from the planned size, if
+    /// `x` and `window` differ in length, or if they are longer than the
+    /// plan.
+    pub fn forward_windowed(&self, x: &[f64], window: &[f64], re: &mut [f64], im: &mut [f64]) {
+        self.check_len(re.len());
+        self.check_len(im.len());
         assert!(
             x.len() == window.len() && x.len() <= self.n,
             "frame of {} samples with a {}-point window does not fit planned FFT size {}",
@@ -222,72 +244,161 @@ impl FftPlan {
         );
         let (head, tail) = self.rev.split_at(x.len());
         for ((&r, &s), &w) in head.iter().zip(x).zip(window) {
-            buf[r as usize] = Complex::new(s * w, 0.0);
+            re[r as usize] = s * w;
         }
         for &r in tail {
-            buf[r as usize] = Complex::ZERO;
+            re[r as usize] = 0.0;
         }
-        self.butterflies(buf);
+        im.fill(0.0);
+        self.butterflies(re, im);
     }
 
-    fn check_len(&self, buf: &[Complex]) {
+    fn check_len(&self, len: usize) {
         assert_eq!(
-            buf.len(),
-            self.n,
-            "buffer length {} does not match planned FFT size {}",
-            buf.len(),
+            len, self.n,
+            "buffer length {len} does not match planned FFT size {}",
             self.n
         );
     }
 
-    /// The butterfly kernel over a bit-reversed buffer of the planned
-    /// length: stages 2, 4 and 8 per 8-point block in locals, then every
-    /// wider stage over `chunks_exact_mut`. Each butterfly is
-    /// [`butterfly`], in [`fft`]'s order.
-    fn butterflies(&self, buf: &mut [Complex]) {
-        let mut tw = self.twiddles.as_slice();
+    /// The butterfly kernel over a bit-reversed split buffer of the
+    /// planned length: stages 2, 4 and 8 per 8-point block in locals
+    /// ([`first_three_stages`]), then the wider stages two at a time
+    /// ([`stage_pair`]), and a last one on its own ([`stage`]) when
+    /// their count is odd.
+    fn butterflies(&self, re: &mut [f64], im: &mut [f64]) {
+        let mut tw = Twiddles {
+            re: &self.tw_re,
+            im: &self.tw_im,
+        };
         let mut len = 2;
         if self.n >= 8 {
-            let (&[w2, w4a, w4b, w8a, w8b, w8c, w8d], rest) = tw
-                .split_first_chunk::<7>()
-                .expect("an 8-point plan has seven early twiddles");
-            let (blocks, _) = buf.as_chunks_mut::<8>();
-            for block in blocks {
-                let [x0, x1, x2, x3, x4, x5, x6, x7] = *block;
-                let (x0, x1) = butterfly(x0, x1, w2);
-                let (x2, x3) = butterfly(x2, x3, w2);
-                let (x4, x5) = butterfly(x4, x5, w2);
-                let (x6, x7) = butterfly(x6, x7, w2);
-                let (x0, x2) = butterfly(x0, x2, w4a);
-                let (x1, x3) = butterfly(x1, x3, w4b);
-                let (x4, x6) = butterfly(x4, x6, w4a);
-                let (x5, x7) = butterfly(x5, x7, w4b);
-                let (x0, x4) = butterfly(x0, x4, w8a);
-                let (x1, x5) = butterfly(x1, x5, w8b);
-                let (x2, x6) = butterfly(x2, x6, w8c);
-                let (x3, x7) = butterfly(x3, x7, w8d);
-                *block = [x0, x1, x2, x3, x4, x5, x6, x7];
-            }
-            tw = rest;
+            first_three_stages(re, im, tw.take(7));
             len = 16;
         }
-        while len <= self.n {
-            let half = len / 2;
-            let (stage, rest) = tw.split_at(half);
-            for block in buf.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
-                    (*a, *b) = butterfly(*a, *b, w);
-                }
-            }
-            tw = rest;
-            len <<= 1;
+        while 2 * len <= self.n {
+            let t = tw.take(len / 2);
+            stage_pair(re, im, t, tw.take(len));
+            len *= 4;
+        }
+        if len <= self.n {
+            stage(re, im, tw.take(len / 2));
+        }
+    }
+}
+
+/// A run of twiddle factors, split like the buffer.
+#[derive(Clone, Copy)]
+struct Twiddles<'a> {
+    re: &'a [f64],
+    im: &'a [f64],
+}
+
+impl<'a> Twiddles<'a> {
+    /// Splits off the first `k` twiddles.
+    fn take(&mut self, k: usize) -> Twiddles<'a> {
+        let (re, rest_re) = self.re.split_at(k);
+        let (im, rest_im) = self.im.split_at(k);
+        (self.re, self.im) = (rest_re, rest_im);
+        Twiddles { re, im }
+    }
+}
+
+/// Stages 2, 4 and 8 of the kernel, per 8-point block held in locals,
+/// with the seven twiddles `w` of those stages.
+fn first_three_stages(re: &mut [f64], im: &mut [f64], w: Twiddles) {
+    let [w2, w4a, w4b, w8a, w8b, w8c, w8d] =
+        std::array::from_fn(|k| Complex::new(w.re[k], w.im[k]));
+    let (re_blocks, _) = re.as_chunks_mut::<8>();
+    let (im_blocks, _) = im.as_chunks_mut::<8>();
+    for (br, bi) in re_blocks.iter_mut().zip(im_blocks) {
+        let [x0, x1, x2, x3, x4, x5, x6, x7] = std::array::from_fn(|k| Complex::new(br[k], bi[k]));
+        let (x0, x1) = butterfly(x0, x1, w2);
+        let (x2, x3) = butterfly(x2, x3, w2);
+        let (x4, x5) = butterfly(x4, x5, w2);
+        let (x6, x7) = butterfly(x6, x7, w2);
+        let (x0, x2) = butterfly(x0, x2, w4a);
+        let (x1, x3) = butterfly(x1, x3, w4b);
+        let (x4, x6) = butterfly(x4, x6, w4a);
+        let (x5, x7) = butterfly(x5, x7, w4b);
+        let (x0, x4) = butterfly(x0, x4, w8a);
+        let (x1, x5) = butterfly(x1, x5, w8b);
+        let (x2, x6) = butterfly(x2, x6, w8c);
+        let (x3, x7) = butterfly(x3, x7, w8d);
+        let out = [x0, x1, x2, x3, x4, x5, x6, x7];
+        *br = out.map(|z| z.re);
+        *bi = out.map(|z| z.im);
+    }
+}
+
+/// The stages of length `len` and `2·len` in one pass, `t` holding the
+/// `len/2` twiddles of the first and `s` the `len` of the second. Each
+/// block of `2·len` points has quarters `a`, `b`, `c`, `d`; at offset
+/// `k` the first stage pairs `(a, b)` and `(c, d)` with `t[k]`, the
+/// second `(a, c)` with `s[k]` and `(b, d)` with `s[k + len/2]`: the
+/// butterflies the two stages run one after the other, on the same
+/// operands, with each point loaded and stored once for both.
+fn stage_pair(re: &mut [f64], im: &mut [f64], t: Twiddles, s: Twiddles) {
+    // Every slice the loop reads is cut to `h` here, so the compiler
+    // sees each index in bounds and vectorizes across `k`.
+    let h = t.re.len();
+    let (t_re, t_im) = (&t.re[..h], &t.im[..h]);
+    let (s_re_lo, s_re_hi) = s.re.split_at(h);
+    let (s_im_lo, s_im_hi) = s.im.split_at(h);
+    let (s_re_hi, s_im_hi) = (&s_re_hi[..h], &s_im_hi[..h]);
+    for (block_re, block_im) in re.chunks_exact_mut(4 * h).zip(im.chunks_exact_mut(4 * h)) {
+        let [ar, br, cr, dr] = quarters(block_re, h);
+        let [ai, bi, ci, di] = quarters(block_im, h);
+        for k in 0..h {
+            let t = Complex::new(t_re[k], t_im[k]);
+            let (a, b) = butterfly(Complex::new(ar[k], ai[k]), Complex::new(br[k], bi[k]), t);
+            let (c, d) = butterfly(Complex::new(cr[k], ci[k]), Complex::new(dr[k], di[k]), t);
+            let (a, c) = butterfly(a, c, Complex::new(s_re_lo[k], s_im_lo[k]));
+            let (b, d) = butterfly(b, d, Complex::new(s_re_hi[k], s_im_hi[k]));
+            (ar[k], ai[k], br[k], bi[k]) = (a.re, a.im, b.re, b.im);
+            (cr[k], ci[k], dr[k], di[k]) = (c.re, c.im, d.re, d.im);
+        }
+    }
+}
+
+/// One block's four consecutive quarters of `h` points.
+fn quarters(block: &mut [f64], h: usize) -> [&mut [f64]; 4] {
+    let (a, rest) = block.split_at_mut(h);
+    let (b, rest) = rest.split_at_mut(h);
+    let (c, d) = rest.split_at_mut(h);
+    [a, b, c, &mut d[..h]]
+}
+
+/// One stage of length `2·t.len()`, each block split at the half and
+/// zipped with the twiddles `t`.
+fn stage(re: &mut [f64], im: &mut [f64], t: Twiddles) {
+    let half = t.re.len();
+    for (block_re, block_im) in re
+        .chunks_exact_mut(2 * half)
+        .zip(im.chunks_exact_mut(2 * half))
+    {
+        let (lo_re, hi_re) = block_re.split_at_mut(half);
+        let (lo_im, hi_im) = block_im.split_at_mut(half);
+        let lanes = lo_re
+            .iter_mut()
+            .zip(lo_im.iter_mut())
+            .zip(hi_re.iter_mut().zip(hi_im.iter_mut()))
+            .zip(t.re.iter().zip(t.im));
+        for (((ar, ai), (br, bi)), (&wr, &wi)) in lanes {
+            let (u, v) = butterfly(
+                Complex::new(*ar, *ai),
+                Complex::new(*br, *bi),
+                Complex::new(wr, wi),
+            );
+            (*ar, *ai, *br, *bi) = (u.re, u.im, v.re, v.im);
         }
     }
 }
 
 /// One radix-2 butterfly, `(u + b·w, u − b·w)`: the exact operations and
-/// operand order of [`fft`]'s inner loop.
+/// operand order of [`fft`]'s inner loop. The kernel assembles its
+/// operands from, and splits its results back into, separate real and
+/// imaginary lanes.
 #[inline(always)]
 fn butterfly(u: Complex, b: Complex, w: Complex) -> (Complex, Complex) {
     let v = b * w;
@@ -513,8 +624,8 @@ mod tests {
     #[should_panic(expected = "does not fit planned FFT size")]
     fn windowed_load_rejects_oversized_frame() {
         let plan = FftPlan::new(8);
-        let mut buf = vec![Complex::ZERO; 8];
-        plan.forward_windowed(&[1.0; 9], &[1.0; 9], &mut buf);
+        let (mut re, mut im) = ([0.0; 8], [0.0; 8]);
+        plan.forward_windowed(&[1.0; 9], &[1.0; 9], &mut re, &mut im);
     }
 
     #[test]

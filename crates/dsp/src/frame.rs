@@ -11,8 +11,6 @@
 //! [`FrameSource`] abstracts over both layouts so numeric consumers (the
 //! GMM scorer, ISV supervectors, …) accept either without conversion.
 
-use crate::complex::Complex;
-
 /// A dense row-major matrix of feature frames in one contiguous buffer.
 ///
 /// `rows` frames of `cols` values each. Row boundaries are implicit
@@ -227,8 +225,11 @@ impl FrameSourceMut for Vec<Vec<f64>> {
 /// workers keep one pad per thread.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchPad {
-    /// Complex FFT work buffer (zero-padded frame, transformed in place).
-    pub fft: Vec<Complex>,
+    /// Real half of the split FFT work buffer (zero-padded frame,
+    /// transformed in place).
+    pub fft_re: Vec<f64>,
+    /// Imaginary half of the split FFT work buffer.
+    pub fft_im: Vec<f64>,
     /// One-sided power spectrum of the current frame.
     pub power: Vec<f64>,
     /// Log-mel energies of the current frame.
@@ -249,9 +250,12 @@ impl ScratchPad {
     /// exactly the heap the fast path had to acquire, which the pipeline
     /// reports as `dsp.extract.alloc_bytes`.
     pub fn footprint_bytes(&self) -> usize {
-        self.fft.capacity() * std::mem::size_of::<Complex>()
-            + (self.power.capacity() + self.mel.capacity() + self.emphasized.capacity())
-                * std::mem::size_of::<f64>()
+        (self.fft_re.capacity()
+            + self.fft_im.capacity()
+            + self.power.capacity()
+            + self.mel.capacity()
+            + self.emphasized.capacity())
+            * std::mem::size_of::<f64>()
     }
 }
 

@@ -11,20 +11,23 @@
 //! * [`MfccExtractor::extract_into`] — the production fast path: writes into
 //!   a [`FrameMatrix`] through a caller-owned [`ScratchPad`], performing zero
 //!   heap allocations once the scratch buffers have reached their high-water
-//!   mark. Each frame is windowed straight into bit-reversed order and
-//!   transformed by the planned FFT kernel
-//!   ([`FftPlan::forward_windowed`]); the filterbank sums only each band's
-//!   non-zero bin span and the DCT-II uses a cosine table precomputed at
-//!   construction.
+//!   mark. Each frame is windowed straight into bit-reversed order in the
+//!   pad's split real and imaginary buffers and transformed there by the
+//!   planned split-complex FFT kernel ([`FftPlan::forward_windowed`]); the
+//!   power spectrum is read from the two halves, the filterbank sums only
+//!   each band's non-zero bin span and the DCT-II uses a cosine table
+//!   precomputed at construction.
 //! * [`MfccExtractor::extract_reference`] — the straightforward
 //!   `Vec<Vec<f64>>` pipeline over the free [`rfft`], retained as the oracle
 //!   for parity tests.
 //!
 //! Both paths evaluate the same floating-point operations in the same order
-//! (the planned FFT is `to_bits`-identical to the free one, zero filter
+//! (the planned FFT is `to_bits`-identical to the free one, the power
+//! of each bin is `re·re + im·im` as in `Complex::norm_sqr`, zero filter
 //! weights contribute exactly `+0.0`, and the cosine table stores the raw
 //! `cos` values with the orthonormal scale applied last), so the parity
-//! contract is `to_bits` equality, not a tolerance.
+//! contract is `to_bits` equality, not a tolerance (a NaN matches any NaN:
+//! Rust leaves the payload of an arithmetic NaN unspecified).
 
 use crate::fft::{next_pow2, rfft, FftPlan};
 use crate::filter::{pre_emphasis, pre_emphasis_into};
@@ -190,9 +193,9 @@ pub struct MfccExtractor {
     pub pre_emphasis: f64,
     filterbank: MelFilterbank,
     window: Vec<f64>,
-    /// Precomputed FFT plan for the frame size, fed by its windowed load —
-    /// bit-identical to the free [`fft`](crate::fft::fft) the reference
-    /// path runs via [`rfft`].
+    /// Precomputed FFT plan for the frame size, fed by its windowed load
+    /// into the pad's split buffers — bit-identical to the free
+    /// [`fft`](crate::fft::fft) the reference path runs via [`rfft`].
     fft_plan: FftPlan,
     /// DCT-II basis, row-major: `dct_cos[k * num_filters + j] =
     /// cos(π k (j + ½) / num_filters)`. Raw cosines — the orthonormal scale
@@ -289,18 +292,22 @@ impl MfccExtractor {
         let nfft = next_pow2(self.frame_len);
         let half = nfft / 2 + 1;
         let mut start = 0;
+        pad.fft_re.resize(nfft, 0.0);
+        pad.fft_im.resize(nfft, 0.0);
         while start + self.frame_len <= pad.emphasized.len() {
-            pad.fft.resize(nfft, crate::complex::Complex::ZERO);
             self.fft_plan.forward_windowed(
                 &pad.emphasized[start..start + self.frame_len],
                 &self.window,
-                &mut pad.fft,
+                &mut pad.fft_re,
+                &mut pad.fft_im,
             );
+            // `Complex::norm_sqr` over the split halves.
             pad.power.clear();
             pad.power.extend(
-                pad.fft[..half]
+                pad.fft_re[..half]
                     .iter()
-                    .map(|z| z.norm_sqr() / self.frame_len as f64),
+                    .zip(&pad.fft_im[..half])
+                    .map(|(re, im)| (re * re + im * im) / self.frame_len as f64),
             );
             // Mel filterbank → log → DCT-II: the operations of [`dct2`] in
             // its order, over the precomputed cosine table.

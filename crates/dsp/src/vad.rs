@@ -95,24 +95,24 @@ pub fn trim_silence(signal: &[f64], sample_rate: f64, config: VadConfig) -> Vec<
 #[derive(Debug, Clone, Default)]
 pub struct VadScratch {
     energies: Vec<f64>,
-    sorted: Vec<f64>,
+    ranked: Vec<f64>,
     active: Vec<bool>,
 }
 
 impl VadScratch {
     /// Bytes currently reserved across the scratch buffers (capacities).
     pub fn footprint_bytes(&self) -> usize {
-        (self.energies.capacity() + self.sorted.capacity()) * std::mem::size_of::<f64>()
+        (self.energies.capacity() + self.ranked.capacity()) * std::mem::size_of::<f64>()
             + self.active.capacity()
     }
 }
 
 /// [`trim_silence`] into a caller-owned buffer through reusable scratch.
 ///
-/// Decision-identical to [`detect`] + [`trim_silence`]: the unstable sort
-/// used for the noise-floor percentile selects the same order statistic as
-/// the reference's stable sort. Performs no allocations once the scratch and
-/// output buffers have reached their high-water marks.
+/// Decision-identical to [`detect`] + [`trim_silence`]: selecting the
+/// noise-floor percentile under [`f64::total_cmp`] yields the same order
+/// statistic as the reference's stable sort. Performs no allocations once
+/// the scratch and output buffers have reached their high-water marks.
 pub fn trim_silence_into(
     signal: &[f64],
     sample_rate: f64,
@@ -131,10 +131,16 @@ pub fn trim_silence_into(
     if scratch.energies.is_empty() {
         return;
     }
-    scratch.sorted.clear();
-    scratch.sorted.extend_from_slice(&scratch.energies);
-    scratch.sorted.sort_unstable_by(f64::total_cmp);
-    let floor = scratch.sorted[scratch.sorted.len() / 10].max(1e-12);
+    scratch.ranked.clear();
+    scratch.ranked.extend_from_slice(&scratch.energies);
+    // The 10th-percentile element: selecting it under the total order
+    // gives the bits a full sort would put there, in linear time.
+    let tenth = scratch.ranked.len() / 10;
+    let floor = scratch
+        .ranked
+        .select_nth_unstable_by(tenth, f64::total_cmp)
+        .1
+        .max(1e-12);
     let thresh = floor * 10f64.powf(config.threshold_db / 10.0);
 
     scratch.active.clear();

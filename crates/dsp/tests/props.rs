@@ -3,6 +3,7 @@
 use magshield_dsp::complex::Complex;
 use magshield_dsp::fft::{fft, FftPlan};
 use magshield_dsp::filter::{moving_average, pre_emphasis, Biquad, OnePole};
+use magshield_dsp::frame::{FrameMatrix, ScratchPad};
 use magshield_dsp::goertzel::{goertzel, tone_amplitude};
 use magshield_dsp::level::{amplitude_to_dbfs, rms};
 use magshield_dsp::mel::MfccExtractor;
@@ -63,18 +64,23 @@ fn first_lane_difference(got: &[Complex], want: &[Complex]) -> Option<String> {
     if got.len() != want.len() {
         return Some(format!("length {} vs {}", got.len(), want.len()));
     }
+    first_nan_equal_mismatch(&got, &want).map(|i| {
+        format!(
+            "lane {}.{}: got {:#018x}, want {:#018x}",
+            i / 2,
+            ["re", "im"][i % 2],
+            got[i].to_bits(),
+            want[i].to_bits()
+        )
+    })
+}
+
+/// The first index where `got` and `want` differ by `to_bits`, a NaN
+/// matching any NaN.
+fn first_nan_equal_mismatch(got: &[f64], want: &[f64]) -> Option<usize> {
     got.iter()
-        .zip(&want)
+        .zip(want)
         .position(|(g, w)| g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan()))
-        .map(|i| {
-            format!(
-                "lane {}.{}: got {:#018x}, want {:#018x}",
-                i / 2,
-                ["re", "im"][i % 2],
-                got[i].to_bits(),
-                want[i].to_bits()
-            )
-        })
 }
 
 proptest! {
@@ -109,10 +115,47 @@ proptest! {
             }
             fft(&mut reference);
             // Stale contents must not leak through the windowed load.
-            let mut windowed = vec![Complex::new(f64::NAN, -0.0); n];
-            plan.forward_windowed(&x, &w, &mut windowed);
+            let (mut re, mut im) = (vec![f64::NAN; n], vec![-0.0; n]);
+            plan.forward_windowed(&x, &w, &mut re, &mut im);
+            let windowed: Vec<Complex> = re.iter().zip(&im).map(|(&re, &im)| Complex::new(re, im)).collect();
             let diff = first_lane_difference(&windowed, &reference);
             prop_assert!(diff.is_none(), "windowed, n={}, len={}, {}", n, len, diff.unwrap_or_default());
+        }
+    }
+
+    /// `MfccExtractor::extract_into` (split-complex planned FFT, sparse
+    /// filterbank, DCT table) is `to_bits`-identical to
+    /// `extract_reference` (free `rfft`, dense steps), a NaN matching any
+    /// NaN, on random signals salted with NaN payloads, infinities,
+    /// signed zeros, subnormals and overflowing values, at zero, one and
+    /// many frames. One scratch pad serves every call, so stale contents
+    /// from a longer or poisoned signal must not leak.
+    #[test]
+    fn mfcc_extract_into_is_bit_identical_to_reference(seed in 0u64..u64::MAX, density in 0usize..4) {
+        let special_every = [u64::MAX, 509, 31, 2][density];
+        let mut mix = Mix(seed);
+        let ex = MfccExtractor::new(16_000.0);
+        let (frame_len, hop) = (ex.frame_len as u64, ex.hop as u64);
+        let mut pad = ScratchPad::new();
+        let mut out = FrameMatrix::default();
+        for frames in [2 + mix.next() % 60, 0, 1] {
+            let len = match frames {
+                0 => mix.next() % frame_len,
+                f => frame_len + (f - 1) * hop + mix.next() % hop,
+            } as usize;
+            let signal: Vec<f64> = (0..len).map(|_| mix.sample(special_every)).collect();
+            ex.extract_into(&signal, &mut pad, &mut out);
+            let reference = ex.extract_reference(&signal);
+            prop_assert_eq!(out.rows(), frames as usize, "len={}", len);
+            prop_assert_eq!(reference.len(), frames as usize, "len={}", len);
+            for (t, want) in reference.iter().enumerate() {
+                let diff = first_nan_equal_mismatch(out.row(t), want);
+                prop_assert!(
+                    diff.is_none(),
+                    "len={}, frame {}, coefficient {:?}: got {:?}, want {:?}",
+                    len, t, diff, out.row(t), want
+                );
+            }
         }
     }
 
