@@ -208,9 +208,10 @@ fn main() {
     print_header("cascade ablation: FAR per attack class", &header);
     let mut rows = Vec::new();
     for (label, mask) in ablations {
+        let masked = system.cascade().with_mask(mask);
         let frr = genuine
             .iter()
-            .filter(|s| !system.verify_masked(s, mask).accepted())
+            .filter(|s| !masked.run(s, &system.config, system.obs()).0.accepted())
             .count() as f64
             / genuine.len() as f64
             * 100.0;
@@ -219,7 +220,7 @@ fn main() {
         for (name, set) in &attack_sets {
             let far = set
                 .iter()
-                .filter(|s| system.verify_masked(s, mask).accepted())
+                .filter(|s| masked.run(s, &system.config, system.obs()).0.accepted())
                 .count() as f64
                 / set.len() as f64
                 * 100.0;

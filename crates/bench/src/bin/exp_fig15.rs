@@ -24,6 +24,7 @@ use magshield_bench::*;
 use magshield_core::cascade::ExecutionPolicy;
 use magshield_core::scenario::ScenarioBuilder;
 use magshield_core::server::VerificationServer;
+use magshield_obs::labels::Labels;
 use magshield_voice::attacks::AttackKind;
 use magshield_voice::devices::table_iv_catalog;
 use magshield_voice::profile::SpeakerProfile;
@@ -163,7 +164,12 @@ fn main() {
     let short_snap = short_h.snapshot();
     let skipped_asv = short_sys
         .metrics()
-        .counter("pipeline.speaker_id.skipped")
+        .counter_with(
+            "pipeline.stage.skipped",
+            &Labels::new()
+                .stage("speaker_id")
+                .policy(ExecutionPolicy::ShortCircuit.name()),
+        )
         .get();
     print_header(
         "rejected replay sessions: execution-policy latency (seconds)",

@@ -8,7 +8,11 @@
 //! budget is spent) and reported in ns/frame. Absolute ns/frame varies
 //! across machines, so the CI gate compares only the **speedup ratios**
 //! under the `"metrics"` key — those track the code, not the hardware.
-//! Raw timings land under `"info"` for humans reading the artifact.
+//! Each gated ratio is timed as a pair in alternating slices (reference,
+//! kernel, reference, …) and reported as the median of the per-slice
+//! ratios, so a clock-frequency shift during the run moves both sides of
+//! a ratio alike instead of skewing it. Raw timings (each side's fastest
+//! slice) land under `"info"` for humans reading the artifact.
 //!
 //! Output: `results/BENCH_kernels.json` (override with `--out`),
 //! consumed by `scripts/bench_gate.py` in the CI `bench-gate` job.
@@ -85,15 +89,36 @@ fn main() {
 
     let audio = corpus.of_speaker(sp_id)[0].audio.clone();
     let frames = fx.extract(&audio);
+    let (spk, ubm) = (&speaker, &ubm);
+    let extract = time_pair(
+        extract_reference(&fx, &audio),
+        extract_fast(&fx, &audio),
+        budget_s,
+    );
+    let prepared = time_pair(
+        llr_reference(spk, ubm, &frames),
+        llr_prepared(spk, ubm, &frames, 0),
+        budget_s,
+    );
+    let pruned = time_pair(
+        llr_reference(spk, ubm, &frames),
+        llr_prepared(spk, ubm, &frames, TOP_C),
+        budget_s,
+    );
+    let batched = time_pair(
+        llr_sequential(spk, ubm, &frames, 0),
+        llr_prepared(spk, ubm, &frames, 0),
+        budget_s,
+    );
     let t = Timings {
-        extract_reference: time_extract_reference(&fx, &audio, budget_s),
-        extract_fast: time_extract_fast(&fx, &audio, budget_s),
-        llr_reference: time_llr_reference(&speaker, &ubm, &frames, budget_s),
-        llr_sequential_exact: time_llr_sequential(&speaker, &ubm, &frames, 0, budget_s),
-        llr_sequential_pruned: time_llr_sequential(&speaker, &ubm, &frames, TOP_C, budget_s),
-        llr_prepared_exact: time_llr_prepared(&speaker, &ubm, &frames, 0, budget_s),
-        llr_prepared_pruned: time_llr_prepared(&speaker, &ubm, &frames, TOP_C, budget_s),
-        llr_quantized_exact: time_llr_quantized(&speaker, &ubm, &frames, 0, budget_s),
+        extract_reference: extract.reference,
+        extract_fast: extract.kernel,
+        llr_reference: prepared.reference.min(pruned.reference),
+        llr_sequential_exact: batched.reference,
+        llr_sequential_pruned: time_alone(llr_sequential(spk, ubm, &frames, TOP_C), budget_s),
+        llr_prepared_exact: prepared.kernel.min(batched.kernel),
+        llr_prepared_pruned: pruned.kernel,
+        llr_quantized_exact: time_alone(llr_quantized(spk, ubm, &frames, 0), budget_s),
         frames: frames.rows(),
         components,
     };
@@ -106,10 +131,7 @@ fn main() {
         &["ns/frame", "speedup"],
     );
     print_row("extract ref", &[t.extract_reference, 1.0]);
-    print_row(
-        "extract fast",
-        &[t.extract_fast, t.extract_reference / t.extract_fast],
-    );
+    print_row("extract fast", &[t.extract_fast, extract.ratio]);
     print_row("llr ref", &[t.llr_reference, 1.0]);
     print_row(
         "llr seq exact",
@@ -125,16 +147,10 @@ fn main() {
             t.llr_reference / t.llr_sequential_pruned,
         ],
     );
-    print_row(
-        "llr batched",
-        &[t.llr_prepared_exact, t.llr_reference / t.llr_prepared_exact],
-    );
+    print_row("llr batched", &[t.llr_prepared_exact, prepared.ratio]);
     print_row(
         &format!("llr top-{TOP_C}"),
-        &[
-            t.llr_prepared_pruned,
-            t.llr_reference / t.llr_prepared_pruned,
-        ],
+        &[t.llr_prepared_pruned, pruned.ratio],
     );
     print_row(
         "llr quantized",
@@ -187,136 +203,187 @@ fn main() {
         // would punish the intended tradeoff — it is reported under
         // "info" above.
         &[
-            (
-                "extract_fast_speedup",
-                t.extract_reference / t.extract_fast,
-                Better::Higher,
-            ),
-            (
-                "llr_prepared_exact_speedup",
-                t.llr_reference / t.llr_prepared_exact,
-                Better::Higher,
-            ),
-            (
-                "llr_pruned_speedup",
-                t.llr_reference / t.llr_prepared_pruned,
-                Better::Higher,
-            ),
-            (
-                "llr_batched_speedup",
-                t.llr_sequential_exact / t.llr_prepared_exact,
-                Better::Higher,
-            ),
+            ("extract_fast_speedup", extract.ratio, Better::Higher),
+            ("llr_prepared_exact_speedup", prepared.ratio, Better::Higher),
+            ("llr_pruned_speedup", pruned.ratio, Better::Higher),
+            ("llr_batched_speedup", batched.ratio, Better::Higher),
         ],
     );
 }
 
-/// Runs `f` until `budget_s` of wall clock is spent (after a short
-/// warm-up) and returns ns per frame of the *fastest* of four
-/// equal-budget slices. The minimum is the standard noise-robust
-/// estimator on shared machines: interference (CI neighbors, kernel
-/// housekeeping) only ever adds time, so the fastest slice is the
-/// closest observation of the kernel's true cost.
-fn time_ns_per_frame(frames: usize, budget_s: f64, mut f: impl FnMut()) -> f64 {
-    for _ in 0..3 {
-        f();
+/// Timing slices per kernel: a lone kernel reports its fastest slice, a
+/// gated pair alternates this many slices of each side.
+const SLICES: usize = 8;
+
+/// One timed kernel: the frames each call processes, and the call.
+struct Kernel<'a> {
+    frames: usize,
+    call: Box<dyn FnMut() + 'a>,
+}
+
+impl Kernel<'_> {
+    fn warm_up(&mut self) {
+        for _ in 0..3 {
+            (self.call)();
+        }
     }
-    let slice_s = budget_s / 4.0;
-    let mut best = f64::INFINITY;
-    for _ in 0..4 {
+
+    /// Runs the call until `slice_s` of wall clock is spent and returns
+    /// ns per frame.
+    fn slice_ns(&mut self, slice_s: f64) -> f64 {
         let start = Instant::now();
         let mut iters = 0u64;
         while start.elapsed().as_secs_f64() < slice_s {
-            f();
+            (self.call)();
             iters += 1;
         }
-        let ns = start.elapsed().as_secs_f64() * 1e9 / (iters as f64 * frames as f64);
-        best = best.min(ns);
+        start.elapsed().as_secs_f64() * 1e9 / (iters as f64 * self.frames as f64)
     }
-    best
+}
+
+/// A gated pair's timings: each side's fastest slice (ns/frame) and the
+/// median of the per-slice `reference / kernel` ratios.
+struct Pair {
+    reference: f64,
+    kernel: f64,
+    ratio: f64,
+}
+
+/// Times `kernel` alone over `budget_s` of wall clock (after a short
+/// warm-up) and returns ns per frame of the *fastest* of [`SLICES`]
+/// equal slices. The minimum is the standard noise-robust estimator on
+/// shared machines: interference (CI neighbors, kernel housekeeping)
+/// only ever adds time, so the fastest slice is the closest observation
+/// of the kernel's true cost.
+fn time_alone(mut kernel: Kernel, budget_s: f64) -> f64 {
+    kernel.warm_up();
+    let slice_s = budget_s / SLICES as f64;
+    (0..SLICES)
+        .map(|_| kernel.slice_ns(slice_s))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Times a gated pair in alternating slices, `budget_s` of wall clock per
+/// side. Adjacent slices run at nearly the same clock frequency, so each
+/// slice pair's ratio reflects the code rather than host drift; the
+/// median discards the pairs a burst of interference hit.
+fn time_pair(mut reference: Kernel, mut kernel: Kernel, budget_s: f64) -> Pair {
+    reference.warm_up();
+    kernel.warm_up();
+    let slice_s = budget_s / SLICES as f64;
+    let mut pair = Pair {
+        reference: f64::INFINITY,
+        kernel: f64::INFINITY,
+        ratio: 0.0,
+    };
+    let mut ratios: Vec<f64> = (0..SLICES)
+        .map(|_| {
+            let r = reference.slice_ns(slice_s);
+            let k = kernel.slice_ns(slice_s);
+            pair.reference = pair.reference.min(r);
+            pair.kernel = pair.kernel.min(k);
+            r / k
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    pair.ratio = (ratios[SLICES / 2 - 1] + ratios[SLICES / 2]) / 2.0;
+    pair
 }
 
 /// The oracle front end: every call allocates, and the MFCCs come from
 /// the free `fft` over per-frame buffers.
-fn time_extract_reference(fx: &FeatureExtractor, audio: &[f64], budget_s: f64) -> f64 {
-    let frames = fx.extract_reference(audio).rows();
-    time_ns_per_frame(frames, budget_s, || {
-        black_box(fx.extract_reference(black_box(audio)));
-    })
+fn extract_reference<'a>(fx: &'a FeatureExtractor, audio: &'a [f64]) -> Kernel<'a> {
+    Kernel {
+        frames: fx.extract_reference(audio).rows(),
+        call: Box::new(move || {
+            black_box(fx.extract_reference(black_box(audio)));
+        }),
+    }
 }
 
 /// The production front end: scratch and output buffers reused across
 /// calls, and the planned FFT fed by its bit-reversed windowed load.
-fn time_extract_fast(fx: &FeatureExtractor, audio: &[f64], budget_s: f64) -> f64 {
+fn extract_fast<'a>(fx: &'a FeatureExtractor, audio: &'a [f64]) -> Kernel<'a> {
     let mut scratch = FrontendScratch::new();
     let mut out = FrameMatrix::new(0);
     fx.extract_into(audio, &mut scratch, &mut out);
-    let frames = out.rows();
-    time_ns_per_frame(frames, budget_s, || {
-        fx.extract_into(black_box(audio), &mut scratch, &mut out);
-        black_box(out.rows());
-    })
+    Kernel {
+        frames: out.rows(),
+        call: Box::new(move || {
+            fx.extract_into(black_box(audio), &mut scratch, &mut out);
+            black_box(out.rows());
+        }),
+    }
 }
 
 /// Naive LLR: `DiagonalGmm::llr_score`, re-deriving Gaussian constants
 /// per frame per component.
-fn time_llr_reference(
-    speaker: &magshield_ml::DiagonalGmm,
-    ubm: &magshield_ml::DiagonalGmm,
-    frames: &FrameMatrix,
-    budget_s: f64,
-) -> f64 {
-    time_ns_per_frame(frames.rows(), budget_s, || {
-        black_box(speaker.llr_score(ubm, black_box(frames)));
-    })
+fn llr_reference<'a>(
+    speaker: &'a magshield_ml::DiagonalGmm,
+    ubm: &'a magshield_ml::DiagonalGmm,
+    frames: &'a FrameMatrix,
+) -> Kernel<'a> {
+    Kernel {
+        frames: frames.rows(),
+        call: Box::new(move || {
+            black_box(speaker.llr_score(ubm, black_box(frames)));
+        }),
+    }
 }
 
 /// Prepared-constant LLR, exact (`top_c == 0`) or top-C pruned.
-fn time_llr_prepared(
+fn llr_prepared<'a>(
     speaker: &magshield_ml::DiagonalGmm,
     ubm: &magshield_ml::DiagonalGmm,
-    frames: &FrameMatrix,
+    frames: &'a FrameMatrix,
     top_c: usize,
-    budget_s: f64,
-) -> f64 {
+) -> Kernel<'a> {
     let (spk, bg) = (PreparedGmm::new(speaker), PreparedGmm::new(ubm));
     let mut scratch = ScoreScratch::new();
-    time_ns_per_frame(frames.rows(), budget_s, || {
-        black_box(llr_score_prepared(&spk, &bg, black_box(frames), top_c, &mut scratch).score);
-    })
+    Kernel {
+        frames: frames.rows(),
+        call: Box::new(move || {
+            black_box(llr_score_prepared(&spk, &bg, black_box(frames), top_c, &mut scratch).score);
+        }),
+    }
 }
 
 /// The retained one-frame-at-a-time prepared scorer — the baseline the
 /// frame-major batched kernel is measured against.
-fn time_llr_sequential(
+fn llr_sequential<'a>(
     speaker: &magshield_ml::DiagonalGmm,
     ubm: &magshield_ml::DiagonalGmm,
-    frames: &FrameMatrix,
+    frames: &'a FrameMatrix,
     top_c: usize,
-    budget_s: f64,
-) -> f64 {
-    let spk = PreparedGmm::new(speaker);
-    let bg = PreparedGmm::new(ubm);
+) -> Kernel<'a> {
+    let (spk, bg) = (PreparedGmm::new(speaker), PreparedGmm::new(ubm));
     let mut scratch = ScoreScratch::new();
-    time_ns_per_frame(frames.rows(), budget_s, || {
-        black_box(llr_score_sequential(&spk, &bg, black_box(frames), top_c, &mut scratch).score);
-    })
+    Kernel {
+        frames: frames.rows(),
+        call: Box::new(move || {
+            black_box(
+                llr_score_sequential(&spk, &bg, black_box(frames), top_c, &mut scratch).score,
+            );
+        }),
+    }
 }
 
 /// The quantized batched scorer: i16 means / f32 inverse variances
 /// dequantized on the fly — a quarter of the exact model's memory
 /// traffic.
-fn time_llr_quantized(
+fn llr_quantized<'a>(
     speaker: &magshield_ml::DiagonalGmm,
     ubm: &magshield_ml::DiagonalGmm,
-    frames: &FrameMatrix,
+    frames: &'a FrameMatrix,
     top_c: usize,
-    budget_s: f64,
-) -> f64 {
+) -> Kernel<'a> {
     let spk = QuantizedGmm::from_prepared(&PreparedGmm::new(speaker));
     let bg = QuantizedGmm::from_prepared(&PreparedGmm::new(ubm));
     let mut scratch = ScoreScratch::new();
-    time_ns_per_frame(frames.rows(), budget_s, || {
-        black_box(llr_score_quantized(&spk, &bg, black_box(frames), top_c, &mut scratch).score);
-    })
+    Kernel {
+        frames: frames.rows(),
+        call: Box::new(move || {
+            black_box(llr_score_quantized(&spk, &bg, black_box(frames), top_c, &mut scratch).score);
+        }),
+    }
 }

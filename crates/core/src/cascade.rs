@@ -8,29 +8,32 @@
 //! - [`CascadeStage`] is the uniform stage interface — a stable
 //!   [`Component`] identity, an applicability check, and an
 //!   `evaluate(&SessionData, &SessionAnalysis, &DefenseConfig) ->
-//!   ComponentResult` body — that the five existing components implement
+//!   ComponentResult` body — that the five components implement
 //!   ([`DistanceStage`], [`SldStage`], [`SoundFieldStage`],
 //!   [`LoudspeakerStage`], [`SpeakerIdStage`]);
-//! - [`Cascade`] is the executor: an ordered stage list, a [`StageMask`]
-//!   for real ablation, and an [`ExecutionPolicy`] selecting between
-//!   full evaluation and short-circuiting. It gives each session one
+//! - [`Cascade`] is the executor and the one place a cascade run is
+//!   built and recorded: pinned to one registry generation's model
+//!   snapshot, it walks the five stages with a [`StageMask`] for real
+//!   ablation and an [`ExecutionPolicy`] selecting between full
+//!   evaluation and short-circuiting. It gives each session one
 //!   [`SessionAnalysis`] shared by its stages, so the full-rate
 //!   speech-band audio is walked once, by the first stage that reads it
 //!   (recorded as a `speech_pass` child span of that stage's span).
 //!
-//! Stages run **cheapest first** (see [`Cascade::standard`]): the
-//! loudspeaker detector touches only the IMU-rate magnetometer stream,
-//! while speaker identity resamples audio and scores a GMM — per the
-//! Fig. 15 latency data the ASV back end dominates per-session compute,
-//! so under [`ExecutionPolicy::ShortCircuit`] a session the magnetometer
-//! already condemned never pays for it. The order is decision-invariant
-//! under [`ExecutionPolicy::FullEvaluation`] (every stage always runs and
-//! the verdict is the conjunction of all stage decisions).
+//! Stages run **cheapest first**: the loudspeaker detector touches only
+//! the IMU-rate magnetometer stream, while speaker identity resamples
+//! audio and scores a GMM — per the Fig. 15 latency data the ASV back end
+//! dominates per-session compute, so under
+//! [`ExecutionPolicy::ShortCircuit`] a session the magnetometer already
+//! condemned never pays for it. The order is decision-invariant under
+//! [`ExecutionPolicy::FullEvaluation`] (every stage always runs and the
+//! verdict is the conjunction of all stage decisions).
 //!
-//! All metric, span and trace names derive from [`Component::name`]:
-//! `pipeline.<name>.seconds` latency histograms for stages that ran and
-//! `pipeline.<name>.skipped` counters for stages the executor
-//! short-circuited past.
+//! Each stage event is recorded once, in a labeled family whose `stage`
+//! label is [`Component::name`]: `pipeline.stage.seconds{stage,policy}`
+//! latency histograms for stages that ran, `pipeline.stage.skipped{stage,
+//! policy}` counters for stages the executor short-circuited past, and
+//! one `pipeline.session.seconds{policy}` sample per session.
 
 use crate::analysis::{SessionAnalysis, SpeechParts};
 use crate::components::sound_field::SoundFieldModel;
@@ -38,6 +41,7 @@ use crate::components::speaker_id::AsvEngine;
 use crate::components::{distance, loudspeaker, sld, sound_field, speaker_id};
 use crate::config::DefenseConfig;
 use crate::pipeline::PipelineObs;
+use crate::registry::ModelSnapshot;
 use crate::session::SessionData;
 use crate::verdict::{Component, ComponentResult, DefenseVerdict, SkippedStage, StageOutcome};
 use magshield_asv::model::SpeakerModel;
@@ -350,8 +354,8 @@ pub enum ExecutionPolicy {
     FullEvaluation,
     /// Stop evaluating at the first rejecting stage. Later stages are
     /// recorded as [`StageOutcome::Skipped`] in the verdict and as
-    /// skipped entries in the [`PipelineTrace`], and each bumps its
-    /// `pipeline.<stage>.skipped` counter. The accept/reject decision is
+    /// skipped entries in the [`PipelineTrace`], and each counts once in
+    /// `pipeline.stage.skipped{stage,policy}`. The accept/reject decision is
     /// identical to [`ExecutionPolicy::FullEvaluation`] — a rejection is
     /// final either way — but skipped stages have no scores, so the
     /// verdict cannot be re-thresholded.
@@ -369,47 +373,34 @@ impl ExecutionPolicy {
     }
 }
 
-/// The cascade executor: an ordered stage list, a stage mask and an
-/// execution policy.
+/// The cascade executor, pinned to one registry generation: the five
+/// stages over one model snapshot, a stage mask and an execution policy.
 ///
-/// Borrow-built from a trained
-/// [`DefenseSystem`](crate::pipeline::DefenseSystem) via
-/// [`DefenseSystem::cascade`](crate::pipeline::DefenseSystem::cascade),
+/// Built by [`DefenseSystem::cascade`](crate::pipeline::DefenseSystem::cascade)
+/// (and held by every stream from
+/// [`DefenseSystem::open_stream`](crate::pipeline::DefenseSystem::open_stream)),
 /// then customized with [`Cascade::with_mask`] / [`Cascade::with_policy`].
-pub struct Cascade<'a> {
-    stages: Vec<Box<dyn CascadeStage + Send + Sync + 'a>>,
+/// It owns an `Arc<ModelSnapshot>`, so the models it scores against cannot
+/// change under it: a hot-swap mid-run only affects *later* cascades.
+/// Every verdict it produces carries [`DefenseVerdict::generation`] naming
+/// the pinned generation.
+pub struct Cascade {
+    snapshot: Arc<ModelSnapshot>,
+    generation: u64,
     mask: StageMask,
     policy: ExecutionPolicy,
 }
 
-impl<'a> Cascade<'a> {
-    /// A cascade over an explicit stage list (run in the given order),
-    /// with all stages enabled and full evaluation.
-    pub fn new(stages: Vec<Box<dyn CascadeStage + Send + Sync + 'a>>) -> Self {
+impl Cascade {
+    /// A cascade over `snapshot` (served as `generation`), with all
+    /// stages enabled and full evaluation.
+    pub(crate) fn pinned(snapshot: Arc<ModelSnapshot>, generation: u64) -> Self {
         Self {
-            stages,
+            snapshot,
+            generation,
             mask: StageMask::all(),
             policy: ExecutionPolicy::FullEvaluation,
         }
-    }
-
-    /// The standard five-stage cascade in cheapest-first order:
-    /// loudspeaker (IMU-rate magnetometer only), distance (trajectory +
-    /// pilot ranging), SLD (dual-mic level difference), sound field
-    /// (SVM over sweep features), speaker identity (resample + MFCC +
-    /// GMM — the dominant cost per Fig. 15, so it always runs last).
-    pub fn standard(
-        sound_field: &'a SoundFieldModel,
-        engine: &'a AsvEngine,
-        speakers: &'a HashMap<u32, Arc<SpeakerModel>>,
-    ) -> Self {
-        Self::new(vec![
-            Box::new(LoudspeakerStage),
-            Box::new(DistanceStage),
-            Box::new(SldStage),
-            Box::new(SoundFieldStage::new(sound_field)),
-            Box::new(SpeakerIdStage::new(engine, speakers)),
-        ])
     }
 
     /// Returns the cascade with the given stage mask.
@@ -426,39 +417,46 @@ impl<'a> Cascade<'a> {
         self
     }
 
-    /// The active stage mask.
-    pub fn mask(&self) -> StageMask {
-        self.mask
+    /// The registry generation this cascade is pinned to.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
-    /// The active execution policy.
-    pub fn policy(&self) -> ExecutionPolicy {
-        self.policy
+    /// Calls `f` with the five stages over the pinned snapshot in
+    /// cheapest-first order: loudspeaker (IMU-rate magnetometer only),
+    /// distance (trajectory + pilot ranging), SLD (dual-mic level
+    /// difference), sound field (SVM over sweep features), speaker
+    /// identity (resample + MFCC + GMM — the dominant cost per Fig. 15,
+    /// so it always runs last).
+    fn with_stages<R>(&self, f: impl FnOnce(&[&dyn CascadeStage; 5]) -> R) -> R {
+        let snap = &*self.snapshot;
+        let sound_field = SoundFieldStage::new(&snap.sound_field);
+        let speaker_id = SpeakerIdStage::new(&snap.engine, &snap.speakers);
+        f(&[
+            &LoudspeakerStage,
+            &DistanceStage,
+            &SldStage,
+            &sound_field,
+            &speaker_id,
+        ])
     }
 
-    /// The components of the configured stages, in execution order.
-    pub fn components(&self) -> Vec<Component> {
-        self.stages.iter().map(|s| s.component()).collect()
-    }
-
-    /// The components of the enabled stages that apply to `session`, in
-    /// execution order: the stages a run over it records.
-    pub(crate) fn applicable(&self, session: &SessionData) -> Vec<Component> {
-        self.stages
-            .iter()
-            .filter(|s| self.mask.contains(s.component()) && s.applies_to(session))
-            .map(|s| s.component())
-            .collect()
+    /// Whether `stage` is enabled and applies to `session`: the stages a
+    /// run over it records.
+    fn selects(&self, stage: &dyn CascadeStage, session: &SessionData) -> bool {
+        self.mask.contains(stage.component()) && stage.applies_to(session)
     }
 
     /// Runs the cascade on one session.
     ///
     /// Per stage that runs: one child span under the `verify` root, one
-    /// `pipeline.<name>.seconds` histogram sample, and one
+    /// `pipeline.stage.seconds{stage,policy}` histogram sample, and one
     /// [`ComponentTrace`] entry. Per stage short-circuited past: a
-    /// `pipeline.<name>.skipped` counter bump and a skipped trace entry,
-    /// with **no** span and **no** histogram sample. Masked-out and
-    /// inapplicable stages are omitted entirely.
+    /// `pipeline.stage.skipped{stage,policy}` count and a skipped trace
+    /// entry, with **no** span and **no** histogram sample. Masked-out
+    /// and inapplicable stages are omitted entirely. Per session: one
+    /// `pipeline.session.seconds{policy}` sample (none for an invalid
+    /// session) and one `pipeline.accepts` / `pipeline.rejects` count.
     ///
     /// Raw stage scores are divided by the per-stage boundary from
     /// `config.stage_boundaries`, so downstream decision logic keeps its
@@ -469,46 +467,71 @@ impl<'a> Cascade<'a> {
         config: &DefenseConfig,
         obs: &PipelineObs,
     ) -> (DefenseVerdict, PipelineTrace) {
-        let mut state = self.begin(session, obs);
-        if !state.invalid {
-            for stage in &self.stages {
-                self.step(stage.as_ref(), session, config, obs, &mut state);
+        let (verdict, trace) = self.with_stages(|stages| {
+            // The session's one speech pass covers the parts every
+            // selected stage reads.
+            let planned = stages
+                .iter()
+                .filter(|s| self.selects(**s, session))
+                .fold(SpeechParts::NONE, |parts, s| parts.with(s.speech_parts()));
+            let mut state =
+                SessionRun::begin(SessionAnalysis::new(session, planned), obs, self.policy);
+            if !state.invalid {
+                for stage in stages {
+                    self.step(*stage, session, config, obs, &mut state);
+                }
             }
-        }
-        state.finish(obs)
+            state.finish(obs)
+        });
+        (verdict.with_generation(self.generation), trace)
     }
 
-    /// Starts a session's run, planning its speech pass for the parts
-    /// every enabled stage that applies to the session reads.
-    fn begin<'s>(&self, session: &'s SessionData, obs: &PipelineObs) -> SessionRun<'s> {
-        let planned = self
-            .stages
-            .iter()
-            .filter(|s| self.mask.contains(s.component()) && s.applies_to(session))
-            .fold(SpeechParts::NONE, |parts, s| parts.with(s.speech_parts()));
-        SessionRun::begin(SessionAnalysis::new(session, planned), obs, self.policy)
+    /// The verdict of a stream whose loudspeaker bound crossed its
+    /// boundary mid-stream: `loudspeaker` ran, and every other stage that
+    /// applies to `session` is skipped by it — the shape a
+    /// short-circuiting run would give.
+    pub(crate) fn early_reject(
+        &self,
+        session: &SessionData,
+        loudspeaker: ComponentResult,
+    ) -> DefenseVerdict {
+        let skipped = self.with_stages(|stages| {
+            stages
+                .iter()
+                .filter(|s| self.selects(**s, session) && s.component() != Component::Loudspeaker)
+                .map(|s| {
+                    StageOutcome::Skipped(SkippedStage {
+                        component: s.component(),
+                        cause: Component::Loudspeaker,
+                    })
+                })
+                .collect::<Vec<_>>()
+        });
+        DefenseVerdict::from_stages(
+            std::iter::once(StageOutcome::Ran(loudspeaker))
+                .chain(skipped)
+                .collect(),
+        )
+        .with_generation(self.generation)
     }
 
     /// One stage of one session's run.
     fn step(
         &self,
-        stage: &(dyn CascadeStage + Send + Sync),
+        stage: &dyn CascadeStage,
         session: &SessionData,
         config: &DefenseConfig,
         obs: &PipelineObs,
         state: &mut SessionRun<'_>,
     ) {
-        let registry = &obs.registry;
-        let component = stage.component();
-        if !self.mask.contains(component) || !stage.applies_to(session) {
+        if !self.selects(stage, session) {
             return;
         }
+        let component = stage.component();
         let name = component.name();
+        let labels = Labels::new().stage(name).policy(self.policy.name());
         if let (ExecutionPolicy::ShortCircuit, Some(cause)) = (self.policy, state.rejector) {
-            registry.counter(&format!("pipeline.{name}.skipped")).inc();
-            obs.stage_skipped
-                .with(&Labels::new().stage(name).policy(self.policy.name()))
-                .inc();
+            obs.stage_skipped.with(&labels).inc();
             state.trace.components.push(ComponentTrace {
                 component: name.to_string(),
                 passed: false,
@@ -532,18 +555,15 @@ impl<'a> Cascade<'a> {
             let _pass = span.child("speech_pass");
             state.analysis.speech_pass(parts);
         }
-        let mut r = stage.evaluate_observed(session, &state.analysis, config, registry);
+        let mut r = stage.evaluate_observed(session, &state.analysis, config, &obs.registry);
         r.attack_score /= config.stage_boundaries.get(component);
         // Clamped to 1 ns so "every stage took strictly positive
         // time" holds even on coarse-clock platforms.
         let duration_s = stage_started.elapsed().as_secs_f64().max(1e-9);
-        registry
-            .histogram(&format!("pipeline.{name}.seconds"))
-            .record_secs(duration_s);
-        // Labeled twin with the session's trace id as exemplar: a p99
+        // The session's trace id rides along as the exemplar: a p99
         // spike in the scrape points straight at its JSONL trace record.
         obs.stage_seconds
-            .with(&Labels::new().stage(name).policy(self.policy.name()))
+            .with(&labels)
             .record_secs_with_exemplar(duration_s, &state.trace.session);
         span.event("attack_score", format!("{:.4}", r.attack_score));
         span.event("passed", r.passes_at(1.0));
@@ -618,9 +638,6 @@ impl<'s> SessionRun<'s> {
         }
         let verdict = DefenseVerdict::from_stages(self.outcomes);
         self.trace.accepted = verdict.accepted();
-        registry
-            .histogram("pipeline.verify.seconds")
-            .record_secs(self.trace.total_s);
         obs.verify_seconds
             .with(&Labels::new().policy(self.policy.name()))
             .record_secs_with_exemplar(self.trace.total_s, &self.trace.session);
@@ -665,7 +682,10 @@ mod tests {
     #[test]
     fn standard_order_is_cheapest_first() {
         let (sys, _) = crate::test_support::shared_tiny_system();
-        assert_eq!(sys.cascade().components(), Component::all().to_vec());
+        let order: Vec<_> = sys
+            .cascade()
+            .with_stages(|stages| stages.iter().map(|s| s.component()).collect());
+        assert_eq!(order, Component::all().to_vec());
     }
 
     #[test]
@@ -696,9 +716,16 @@ mod tests {
         assert!(v.result_of(Component::SpeakerIdentity).is_none());
         assert!(v.skipped_of(Component::SpeakerIdentity).is_none());
         assert!(trace.component("speaker_id").is_none());
-        // Omitted means no metrics either: the histogram never existed.
+        // Omitted means no metrics either: the series never existed.
         let snap = sys.metrics().snapshot();
-        assert!(!snap.histograms.contains_key("pipeline.speaker_id.seconds"));
+        assert!(!snap
+            .histograms
+            .keys()
+            .any(|k| k.starts_with("pipeline.stage.seconds{") && k.contains("speaker_id")));
+        assert_eq!(
+            snap.histogram_family_merged("pipeline.stage.seconds").count,
+            v.results().count() as u64
+        );
     }
 
     #[test]
@@ -720,12 +747,71 @@ mod tests {
             .expect("ASV must be short-circuited");
         assert_eq!(sk.cause, Component::Loudspeaker);
         // Skip bookkeeping: counter bumped, no latency sample, trace entry.
-        assert!(sys.metrics().counter("pipeline.speaker_id.skipped").get() >= 1);
+        let asv = Labels::new()
+            .stage("speaker_id")
+            .policy(ExecutionPolicy::ShortCircuit.name());
         let snap = sys.metrics().snapshot();
-        assert!(!snap.histograms.contains_key("pipeline.speaker_id.seconds"));
+        assert_eq!(
+            snap.counters[&asv.key_for("pipeline.stage.skipped")],
+            1,
+            "{snap:?}"
+        );
+        assert!(!snap
+            .histograms
+            .contains_key(&asv.key_for("pipeline.stage.seconds")));
         let t = trace.component("speaker_id").expect("skipped trace entry");
         assert!(t.skipped);
         assert_eq!(t.duration_s, 0.0);
+    }
+
+    #[test]
+    fn each_cascade_event_is_recorded_once() {
+        use magshield_obs::labels::parse_metric_key;
+        let (sys, user) = crate::test_support::shared_tiny_system();
+        let sys = sys.with_fresh_obs();
+        let genuine = ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(330));
+        let full = sys.verify_with_policy(&genuine, ExecutionPolicy::FullEvaluation);
+        let short = sys.verify_with_policy(&replay_session(331), ExecutionPolicy::ShortCircuit);
+        assert_eq!(full.skipped().count(), 0);
+        assert!(short.skipped().count() > 0, "the replay short-circuits");
+        let snap = sys.metrics().snapshot();
+        // Only the labeled families (and the verdict counters) exist: no
+        // per-stage or whole-session flat twin.
+        fn families<'a>(keys: impl Iterator<Item = &'a String>) -> Vec<&'a str> {
+            let mut names: Vec<_> = keys
+                .map(|k| parse_metric_key(k).0)
+                .filter(|n| n.starts_with("pipeline."))
+                .collect();
+            names.dedup();
+            names
+        }
+        assert_eq!(
+            families(snap.histograms.keys()),
+            ["pipeline.session.seconds", "pipeline.stage.seconds"]
+        );
+        assert_eq!(
+            families(snap.counters.keys()),
+            [
+                "pipeline.accepts",
+                "pipeline.rejects",
+                "pipeline.stage.skipped"
+            ]
+        );
+        let ran = full.results().count() + short.results().count();
+        let skipped = short.skipped().count();
+        assert_eq!(
+            snap.histogram_family_merged("pipeline.stage.seconds").count,
+            ran as u64
+        );
+        assert_eq!(
+            snap.counter_family_total("pipeline.stage.skipped"),
+            skipped as u64
+        );
+        assert_eq!(
+            snap.histogram_family_merged("pipeline.session.seconds")
+                .count,
+            2
+        );
     }
 
     #[test]
@@ -804,31 +890,31 @@ mod tests {
     #[test]
     fn standalone_stage_runs_match_the_shared_analysis() {
         let (sys, _) = crate::test_support::shared_tiny_system();
-        let snap = sys.models();
         let sessions = mixed_sessions();
         assert!(sessions[1].audio2.is_some(), "the SLD stage must run");
         for policy in [
             ExecutionPolicy::FullEvaluation,
             ExecutionPolicy::ShortCircuit,
         ] {
-            let cascade = Cascade::standard(&snap.sound_field, &snap.engine, &snap.speakers)
-                .with_policy(policy);
+            let cascade = sys.cascade().with_policy(policy);
             for s in &sessions {
                 let (single, _) = cascade.run(s, &sys.config, sys.obs());
-                for stage in &cascade.stages {
-                    let component = stage.component();
-                    let Some(shared) = single.result_of(component) else {
-                        continue;
-                    };
-                    let mut alone = stage.run(s, &sys.config);
-                    alone.attack_score /= sys.config.stage_boundaries.get(component);
-                    assert_eq!(
-                        shared.attack_score.to_bits(),
-                        alone.attack_score.to_bits(),
-                        "{component:?} under {policy:?}"
-                    );
-                    assert_eq!(shared.detail, alone.detail, "{component:?}");
-                }
+                cascade.with_stages(|stages| {
+                    for stage in stages {
+                        let component = stage.component();
+                        let Some(shared) = single.result_of(component) else {
+                            continue;
+                        };
+                        let mut alone = stage.run(s, &sys.config);
+                        alone.attack_score /= sys.config.stage_boundaries.get(component);
+                        assert_eq!(
+                            shared.attack_score.to_bits(),
+                            alone.attack_score.to_bits(),
+                            "{component:?} under {policy:?}"
+                        );
+                        assert_eq!(shared.detail, alone.detail, "{component:?}");
+                    }
+                });
             }
         }
     }
@@ -1004,15 +1090,15 @@ mod tests {
             let mut rejected_seen = false;
             for outcome in &v.stages {
                 let name = outcome.component().name();
+                let labels = Labels::new().stage(name).policy(ExecutionPolicy::ShortCircuit.name());
+                let seconds = labels.key_for("pipeline.stage.seconds");
                 match outcome {
                     StageOutcome::Ran(r) => {
                         prop_assert!(!rejected_seen, "no stage runs after the first rejection");
                         let t = trace.component(name).expect("ran stage is traced");
                         prop_assert!(!t.skipped);
                         prop_assert!(t.duration_s > 0.0);
-                        prop_assert!(
-                            snap.histograms[&format!("pipeline.{name}.seconds")].count >= 1
-                        );
+                        prop_assert_eq!(snap.histograms[&seconds].count, 1);
                         if r.attack_score >= 1.0 {
                             rejected_seen = true;
                         }
@@ -1023,10 +1109,10 @@ mod tests {
                         prop_assert!(t.skipped);
                         prop_assert!(t.duration_s == 0.0);
                         prop_assert!(
-                            !snap.histograms.contains_key(&format!("pipeline.{name}.seconds")),
+                            !snap.histograms.contains_key(&seconds),
                             "skipped stage must not have a latency sample"
                         );
-                        prop_assert!(sys.metrics().counter(&format!("pipeline.{name}.skipped")).get() >= 1);
+                        prop_assert_eq!(snap.counters[&labels.key_for("pipeline.stage.skipped")], 1);
                     }
                 }
             }

@@ -22,9 +22,10 @@
 //!    GMM–UBM / ISV ASV rejects human imitators.
 //!
 //! The cascade is a first-class subsystem ([`cascade`]): each stage
-//! implements the [`cascade::CascadeStage`] trait and a
-//! [`cascade::Cascade`] executor runs them under a stage mask (real
-//! ablation) and an execution policy — full evaluation for FAR/FRR
+//! implements the [`cascade::CascadeStage`] trait, and one
+//! [`cascade::Cascade`] type, pinned to a registry generation, runs them
+//! for one-shot verifications and streams alike, under a stage mask
+//! (real ablation) and an execution policy — full evaluation for FAR/FRR
 //! sweeps, or short-circuiting so the expensive ASV back end never runs
 //! on sessions the magnetometer already condemned.
 //!
@@ -49,10 +50,13 @@
 //!
 //! The pipeline and server are instrumented against `magshield-obs`:
 //! [`pipeline::DefenseSystem::verify_traced`] returns a per-session
-//! trace of each component's decision and duration, and the server
-//! serves queue/compute latency histograms over the wire
-//! (`server::protocol::Message::StatsRequest`). See DESIGN.md §7 for the
-//! metric and span naming scheme.
+//! trace of each component's decision and duration, each stage event
+//! lands once in a labeled family (`pipeline.stage.seconds{stage,policy}`,
+//! `pipeline.stage.skipped{stage,policy}`,
+//! `pipeline.session.seconds{policy}`), and the server serves those and
+//! its queue/compute latency histograms over the wire
+//! (`server::protocol::Message::MetricsRequest`). See DESIGN.md §7 for
+//! the metric and span naming scheme.
 //!
 //! # Quickstart
 //!

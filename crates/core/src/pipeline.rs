@@ -11,26 +11,27 @@
 //! without restarting the server, while in-flight verifications finish on
 //! the snapshot they pinned.
 //!
-//! The cascade itself lives in [`crate::cascade`]: a [`Cascade`] executor
-//! over [`CascadeStage`](crate::cascade::CascadeStage) trait objects.
-//! [`DefenseSystem::cascade`] pins the current registry generation into a
-//! [`CascadeSession`], which builds the executor over that snapshot and
-//! stamps every verdict with the generation that produced it. Every
-//! verification is instrumented against `magshield-obs`: one span per
-//! stage that runs, a `pipeline.<stage>.seconds` histogram per stage, a
-//! `pipeline.<stage>.skipped` counter per short-circuited stage, and a
-//! per-session [`PipelineTrace`] carrying each stage's decision, score,
+//! The cascade itself lives in [`crate::cascade`]. [`DefenseSystem::cascade`]
+//! pins the current registry generation into a [`Cascade`], which runs
+//! the five stages over that snapshot and stamps every verdict with the
+//! generation that produced it; [`DefenseSystem::open_stream`] hands a
+//! stream the same pinned type. Every verification is instrumented
+//! against `magshield-obs`: one span per stage that runs, one
+//! `pipeline.stage.seconds{stage,policy}` sample per stage that runs,
+//! one `pipeline.stage.skipped{stage,policy}` count per short-circuited
+//! stage, one `pipeline.session.seconds{policy}` sample per session, and
+//! a per-session [`PipelineTrace`] carrying each stage's decision, score,
 //! threshold margin and duration (see DESIGN.md §7).
 
 use crate::artifact::ModelBundle;
-use crate::cascade::{Cascade, ExecutionPolicy, StageMask};
+use crate::cascade::{Cascade, ExecutionPolicy};
 use crate::config::{ConfigError, DefenseConfig};
 use crate::registry::{ModelRegistry, ModelSnapshot};
 use crate::scenario::UserContext;
 use crate::session::SessionData;
 use crate::store::{DurableStore, RecoveredState, StoreError, StoreMetrics};
 use crate::trainer::Trainer;
-use crate::verdict::{Component, DefenseVerdict};
+use crate::verdict::DefenseVerdict;
 use magshield_obs::metrics::{CounterVec, HistogramVec, Registry};
 use magshield_obs::span::TraceCollector;
 use magshield_obs::trace::PipelineTrace;
@@ -47,7 +48,7 @@ pub use crate::trainer::BootstrapConfig;
 /// span collector, so one snapshot sees the whole fleet.
 #[derive(Debug, Clone)]
 pub struct PipelineObs {
-    /// Named metrics: `pipeline.<stage>.seconds` histograms plus
+    /// Named metrics: the labeled families below plus the
     /// `pipeline.accepts` / `pipeline.rejects` / `pipeline.invalid`
     /// counters and the `registry.*` serving-state gauges.
     pub registry: Registry,
@@ -274,8 +275,8 @@ impl DefenseSystem {
     }
 
     /// The metrics registry this system records into
-    /// (`pipeline.<stage>.seconds` histograms, accept/reject counters,
-    /// `registry.{generation,speakers,swap}` serving state).
+    /// (`pipeline.stage.seconds{stage,policy}` histograms, accept/reject
+    /// counters, `registry.{generation,speakers,swap}` serving state).
     pub fn metrics(&self) -> &Registry {
         &self.obs.registry
     }
@@ -318,23 +319,18 @@ impl DefenseSystem {
             .set(self.registry.speaker_count() as i64);
     }
 
-    /// Pins the current registry generation into a [`CascadeSession`]:
-    /// the standard five-stage cascade over that snapshot, cheapest-first,
-    /// with all stages enabled and [`ExecutionPolicy::FullEvaluation`].
-    /// Customize with [`CascadeSession::with_mask`] /
-    /// [`CascadeSession::with_policy`] and run via [`CascadeSession::run`].
+    /// Pins the current registry generation into a [`Cascade`]: the five
+    /// stages over that snapshot, cheapest-first, with all stages enabled
+    /// and [`ExecutionPolicy::FullEvaluation`]. Customize with
+    /// [`Cascade::with_mask`] / [`Cascade::with_policy`] and run via
+    /// [`Cascade::run`].
     ///
-    /// Everything run through one session is scored against that single
+    /// Everything run through one cascade is scored against that single
     /// pinned snapshot, even if an enrollment
     /// or bundle swap lands mid-flight.
-    pub fn cascade(&self) -> CascadeSession {
+    pub fn cascade(&self) -> Cascade {
         let (generation, snapshot) = self.registry.load();
-        CascadeSession {
-            snapshot,
-            generation,
-            mask: StageMask::all(),
-            policy: ExecutionPolicy::default(),
-        }
+        Cascade::pinned(snapshot, generation)
     }
 
     /// Opens a streaming verification pinned to the currently served
@@ -349,9 +345,8 @@ impl DefenseSystem {
         info: &crate::stream::StreamOpenInfo,
         stream: crate::stream::StreamConfig,
     ) -> crate::stream::StreamingVerification {
-        let (generation, snapshot) = self.registry.load();
         self.obs.registry.counter("pipeline.stream.opened").inc();
-        crate::stream::StreamingVerification::open(snapshot, generation, info, stream)
+        crate::stream::StreamingVerification::open(self.cascade(), info, stream)
     }
 
     /// Runs the full cascade at the nominal thresholds.
@@ -366,7 +361,7 @@ impl DefenseSystem {
         session: &SessionData,
         config: &DefenseConfig,
     ) -> DefenseVerdict {
-        self.verify_traced_with_config(session, config).0
+        self.cascade().run(session, config, &self.obs).0
     }
 
     /// Runs the cascade at the nominal thresholds under the given
@@ -384,111 +379,12 @@ impl DefenseSystem {
             .0
     }
 
-    /// Runs only the stages in `mask` at the nominal thresholds — real
-    /// ablation: masked-out stages never execute and are omitted from the
-    /// verdict (used by `exp_ablation`).
-    pub fn verify_masked(&self, session: &SessionData, mask: StageMask) -> DefenseVerdict {
-        self.cascade()
-            .with_mask(mask)
-            .run(session, &self.config, &self.obs)
-            .0
-    }
-
     /// Runs the full cascade at the nominal thresholds, returning the
-    /// verdict together with its per-session [`PipelineTrace`].
+    /// verdict together with a [`PipelineTrace`] carrying each stage's
+    /// decision, attack score, threshold margin and duration. Also emits
+    /// one span per stage and updates the system's metrics registry.
     pub fn verify_traced(&self, session: &SessionData) -> (DefenseVerdict, PipelineTrace) {
-        self.verify_traced_with_config(session, &self.config)
-    }
-
-    /// Runs the cascade under explicit thresholds, returning the verdict
-    /// together with a [`PipelineTrace`] carrying each stage's decision,
-    /// attack score, threshold margin and duration. Also emits one span
-    /// per stage and updates the system's metrics registry.
-    pub fn verify_traced_with_config(
-        &self,
-        session: &SessionData,
-        config: &DefenseConfig,
-    ) -> (DefenseVerdict, PipelineTrace) {
-        self.cascade().run(session, config, &self.obs)
-    }
-}
-
-/// A cascade execution pinned to one registry generation.
-///
-/// Produced by [`DefenseSystem::cascade`]. Owns an
-/// `Arc<ModelSnapshot>`, so the models it scores against cannot change
-/// under it — a hot-swap mid-run only affects *later* sessions. Every
-/// verdict it produces carries [`DefenseVerdict::generation`] naming the
-/// pinned generation.
-pub struct CascadeSession {
-    snapshot: Arc<ModelSnapshot>,
-    generation: u64,
-    mask: StageMask,
-    policy: ExecutionPolicy,
-}
-
-impl CascadeSession {
-    /// The registry generation this session is pinned to.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The pinned model snapshot.
-    pub fn snapshot(&self) -> &ModelSnapshot {
-        &self.snapshot
-    }
-
-    /// Returns the session with the given stage mask.
-    #[must_use]
-    pub fn with_mask(mut self, mask: StageMask) -> Self {
-        self.mask = mask;
-        self
-    }
-
-    /// Returns the session with the given execution policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: ExecutionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The active stage mask.
-    pub fn mask(&self) -> StageMask {
-        self.mask
-    }
-
-    /// The active execution policy.
-    pub fn policy(&self) -> ExecutionPolicy {
-        self.policy
-    }
-
-    /// The components of the configured stages, in execution order.
-    pub fn components(&self) -> Vec<Component> {
-        self.build().components()
-    }
-
-    /// The cascade executor over the pinned snapshot.
-    fn build(&self) -> Cascade<'_> {
-        Cascade::standard(
-            &self.snapshot.sound_field,
-            &self.snapshot.engine,
-            &self.snapshot.speakers,
-        )
-        .with_mask(self.mask)
-        .with_policy(self.policy)
-    }
-
-    /// Runs the cascade on one session (see [`Cascade::run`]); the
-    /// verdict is stamped with the pinned generation.
-    pub fn run(
-        &self,
-        session: &SessionData,
-        config: &DefenseConfig,
-        obs: &PipelineObs,
-    ) -> (DefenseVerdict, PipelineTrace) {
-        let (mut verdict, trace) = self.build().run(session, config, obs);
-        verdict.generation = Some(self.generation);
-        (verdict, trace)
+        self.cascade().run(session, &self.config, &self.obs)
     }
 }
 
@@ -498,6 +394,7 @@ mod tests {
     use crate::artifact::{BundleMeta, ModelBundle};
     use crate::registry::ModelRegistry;
     use crate::scenario::ScenarioBuilder;
+    use crate::verdict::Component;
     use magshield_ml::codec::BinaryCodec;
     use magshield_voice::attacks::AttackKind;
     use magshield_voice::devices::table_iv_catalog;
@@ -656,12 +553,12 @@ mod tests {
     }
 
     #[test]
-    fn cascade_session_pins_a_generation() {
+    fn cascade_pins_a_generation() {
         let sys = isolated_system();
         let (_, user) = system();
         let pinned = sys.cascade();
         let g1 = pinned.generation();
-        // A swap lands while the session is outstanding.
+        // A swap lands while the cascade is outstanding.
         let bundle = ModelBundle::from_snapshot(
             BundleMeta {
                 producer: "pin-test".to_string(),
@@ -677,7 +574,7 @@ mod tests {
         assert!(g2 > g1);
         let s = ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(900));
         let (v, _) = pinned.run(&s, &sys.config, sys.obs());
-        assert_eq!(v.generation, Some(g1), "pinned session serves its pin");
+        assert_eq!(v.generation, Some(g1), "a pinned cascade serves its pin");
         let fresh = sys.verify(&s);
         assert_eq!(fresh.generation, Some(g2), "new sessions see the swap");
         assert_eq!(v.decision, fresh.decision, "same models, same decision");
@@ -709,8 +606,11 @@ mod tests {
         assert!(trace.total_s >= components_s * 0.5);
         // Metrics and spans landed too.
         let snap = sys.metrics().snapshot();
-        assert!(snap.histograms["pipeline.verify.seconds"].count >= 1);
-        assert!(snap.histograms["pipeline.distance.seconds"].count >= 1);
+        let full =
+            magshield_obs::labels::Labels::new().policy(ExecutionPolicy::FullEvaluation.name());
+        assert!(snap.histograms[&full.key_for("pipeline.session.seconds")].count >= 1);
+        let distance = full.stage("distance").key_for("pipeline.stage.seconds");
+        assert!(snap.histograms[&distance].count >= 1);
         let spans = sys.tracer().records();
         assert!(spans.iter().any(|r| r.name == "verify"));
         assert!(spans.iter().any(|r| r.name == "speaker_id"));

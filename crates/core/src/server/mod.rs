@@ -247,7 +247,7 @@ impl VerificationServer {
     /// (worker panics, admission shed ratio) apply regardless.
     pub fn default_slos() -> Vec<SloSpec> {
         vec![
-            SloSpec::latency("verify-latency", "pipeline.verify.seconds", 0.5, 0.99),
+            SloSpec::latency("verify-latency", "pipeline.session.seconds", 0.5, 0.99),
             SloSpec::latency(
                 "stream-verdict-latency",
                 "server.stream.first_verdict.seconds",
@@ -305,7 +305,7 @@ impl VerificationServer {
     }
 
     /// The metrics registry (shared with the [`DefenseSystem`], so it
-    /// also carries the `pipeline.<stage>.seconds` histograms).
+    /// also carries the `pipeline.stage.seconds{stage,policy}` histograms).
     pub fn metrics(&self) -> &Registry {
         &self.shared.registry
     }
@@ -1057,10 +1057,11 @@ mod tests {
             .skipped_of(Component::SpeakerIdentity)
             .expect("speaker_id short-circuited");
         assert_eq!(sk.cause, Component::Loudspeaker);
-        assert_eq!(
-            srv.metrics().counter("pipeline.speaker_id.skipped").get(),
-            1
-        );
+        let asv_skipped = magshield_obs::labels::Labels::new()
+            .stage("speaker_id")
+            .policy(ExecutionPolicy::ShortCircuit.name())
+            .key_for("pipeline.stage.skipped");
+        assert_eq!(srv.metrics().snapshot().counters[&asv_skipped], 1);
         // An accepted session on the same server runs every stage (the
         // acceptance guard keeps this robust to per-platform RNG drift in
         // the simulated capture).
@@ -1142,7 +1143,10 @@ mod tests {
         client.verify(&session).expect("verdict");
         let (snap, exposition) = client.metrics().expect("metrics over the wire");
         assert!(snap.histograms.contains_key("server.compute.seconds"));
-        assert!(snap.histograms.contains_key("pipeline.verify.seconds"));
+        let session_seconds = magshield_obs::labels::Labels::new()
+            .policy(ServerConfig::default().policy.name())
+            .key_for("pipeline.session.seconds");
+        assert!(snap.histograms.contains_key(&session_seconds));
         assert!(snap.counters.keys().any(|k| k.starts_with("pipeline.")));
         assert!(exposition.starts_with("# magshield metrics v1"));
         assert!(exposition.contains("server.compute.seconds_count"));
@@ -1150,8 +1154,8 @@ mod tests {
         // counts (no verifications in between).
         let (snap2, _) = client.metrics().expect("second scrape");
         assert_eq!(
-            snap.histograms["pipeline.verify.seconds"].count,
-            snap2.histograms["pipeline.verify.seconds"].count
+            snap.histograms[&session_seconds].count,
+            snap2.histograms[&session_seconds].count
         );
         srv.shutdown();
     }
@@ -1173,6 +1177,49 @@ mod tests {
         srv.shutdown();
     }
 
+    /// A default SLO whose source family nothing records stays blind
+    /// yet reports `Healthy`: every one must see each served session or
+    /// stream.
+    #[test]
+    fn every_default_slo_reads_a_series_the_server_records() {
+        use crate::stream::chunk_session;
+        let (srv, user) = server();
+        let client = srv.client();
+        const VERIFIES: u64 = 3;
+        for seed in 0..VERIFIES {
+            let session = ScenarioBuilder::genuine(&user).capture(&SimRng::from_seed(590 + seed));
+            client.verify(&session).expect("verdict");
+        }
+        let session = ScenarioBuilder::genuine(&user).capture(&SimRng::from_seed(593));
+        let handle = client
+            .open_stream(
+                &StreamOpenInfo::for_session(&session),
+                StreamConfig::default(),
+            )
+            .expect("stream opens");
+        for chunk in chunk_session(&session, 9600) {
+            handle.send_chunk(&chunk).expect("chunk reply");
+        }
+        handle.close().expect("final verdict");
+        let snap = srv.metrics().snapshot();
+        // The finalized stream runs the cascade once more.
+        let expected = |name: &str| match name {
+            "verify-latency" => VERIFIES + 1,
+            "stream-verdict-latency" => 1,
+            other => panic!("default SLO {other} has no expected sample count"),
+        };
+        for spec in VerificationServer::default_slos() {
+            assert_eq!(
+                spec.totals(&snap).0,
+                expected(&spec.name),
+                "{} reads {:?}",
+                spec.name,
+                spec.source
+            );
+        }
+        srv.shutdown();
+    }
+
     #[test]
     fn server_metrics_include_pipeline_stages() {
         let (srv, user) = server();
@@ -1182,7 +1229,7 @@ mod tests {
         let snap = srv.metrics().snapshot();
         assert!(snap.histograms.contains_key("server.compute.seconds"));
         assert!(
-            snap.histograms.contains_key("pipeline.distance.seconds"),
+            snap.histogram_family_merged("pipeline.stage.seconds").count >= 1,
             "server registry must carry pipeline stage histograms"
         );
         srv.shutdown();

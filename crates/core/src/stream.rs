@@ -53,13 +53,11 @@ use crate::cascade::{Cascade, ExecutionPolicy};
 use crate::components::loudspeaker;
 use crate::config::DefenseConfig;
 use crate::pipeline::PipelineObs;
-use crate::registry::ModelSnapshot;
 use crate::session::SessionData;
-use crate::verdict::{Component, ComponentResult, DefenseVerdict, SkippedStage, StageOutcome};
+use crate::verdict::{Component, ComponentResult, DefenseVerdict};
 use magshield_obs::trace::PipelineTrace;
 use magshield_simkit::vec3::Vec3;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-stream policy knobs.
@@ -188,8 +186,9 @@ impl std::error::Error for StreamClosed {}
 /// One in-flight streaming verification, pinned to a registry
 /// generation (see the module docs for the decision-identity contract).
 pub struct StreamingVerification {
-    snapshot: Arc<ModelSnapshot>,
-    generation: u64,
+    /// The pinned cascade, under the stream's policy, that re-verifies
+    /// and finalizes the stream.
+    cascade: Cascade,
     /// Fed every magnetometer magnitude as it arrives; its bound is the
     /// only per-chunk statistic that can end a stream early.
     tracker: loudspeaker::StreamingRateTracker,
@@ -201,16 +200,10 @@ pub struct StreamingVerification {
 }
 
 impl StreamingVerification {
-    /// Opens a stream scored against `snapshot` (stamping `generation`
-    /// on every verdict). Prefer
-    /// [`DefenseSystem::open_stream`](crate::pipeline::DefenseSystem::open_stream),
-    /// which pins the currently served generation.
-    pub fn open(
-        snapshot: Arc<ModelSnapshot>,
-        generation: u64,
-        info: &StreamOpenInfo,
-        stream: StreamConfig,
-    ) -> Self {
+    /// Opens a stream scored by `cascade` under `stream.policy`
+    /// ([`DefenseSystem::open_stream`](crate::pipeline::DefenseSystem::open_stream)
+    /// pins it to the currently served generation).
+    pub(crate) fn open(cascade: Cascade, info: &StreamOpenInfo, stream: StreamConfig) -> Self {
         let data = SessionData {
             claimed_speaker: info.claimed_speaker,
             audio: Vec::new(),
@@ -225,8 +218,7 @@ impl StreamingVerification {
             earth_reference: info.earth_reference,
         };
         Self {
-            snapshot,
-            generation,
+            cascade: cascade.with_policy(stream.policy),
             // The one-shot detector's close-range segment starts here.
             tracker: loudspeaker::StreamingRateTracker::new(
                 info.imu_rate,
@@ -242,7 +234,7 @@ impl StreamingVerification {
 
     /// The registry generation this stream is pinned to.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.cascade.generation()
     }
 
     /// Chunks ingested so far.
@@ -322,7 +314,7 @@ impl StreamingVerification {
                 .chunks
                 .is_multiple_of(self.stream.reverify_every_chunks)
         {
-            let (verdict, _trace) = self.run_one_shot(config, obs);
+            let (verdict, _trace) = self.cascade.run(&self.data, config, obs);
             obs.registry
                 .counter("pipeline.stream.reverify.passes")
                 .inc();
@@ -363,7 +355,7 @@ impl StreamingVerification {
             return Err(StreamClosed);
         }
         self.terminated = true;
-        let (verdict, trace) = self.run_one_shot(config, obs);
+        let (verdict, trace) = self.cascade.run(&self.data, config, obs);
         obs.registry
             .histogram("pipeline.stream.first_verdict.seconds")
             .record_secs(self.opened.elapsed().as_secs_f64().max(1e-9));
@@ -374,28 +366,6 @@ impl StreamingVerification {
     /// A borrowed view of the accumulated session prefix.
     pub fn accumulated(&self) -> &SessionData {
         &self.data
-    }
-
-    /// The stock cascade over the pinned snapshot, under the stream's
-    /// policy.
-    fn cascade(&self) -> Cascade<'_> {
-        Cascade::standard(
-            &self.snapshot.sound_field,
-            &self.snapshot.engine,
-            &self.snapshot.speakers,
-        )
-        .with_policy(self.stream.policy)
-    }
-
-    /// Runs the stock one-shot cascade over the accumulated data,
-    /// stamping the pinned generation.
-    fn run_one_shot(
-        &self,
-        config: &DefenseConfig,
-        obs: &PipelineObs,
-    ) -> (DefenseVerdict, PipelineTrace) {
-        let (verdict, trace) = self.cascade().run(&self.data, config, obs);
-        (verdict.with_generation(self.generation), trace)
     }
 
     /// The early reject's verdict: the loudspeaker stage ran, scoring
@@ -410,23 +380,7 @@ impl StreamingVerification {
                 self.chunks
             ),
         };
-        let skipped = self
-            .cascade()
-            .applicable(&self.data)
-            .into_iter()
-            .filter(|&c| c != Component::Loudspeaker)
-            .map(|component| {
-                StageOutcome::Skipped(SkippedStage {
-                    component,
-                    cause: Component::Loudspeaker,
-                })
-            });
-        DefenseVerdict::from_stages(
-            std::iter::once(StageOutcome::Ran(loudspeaker))
-                .chain(skipped)
-                .collect(),
-        )
-        .with_generation(self.generation)
+        self.cascade.early_reject(&self.data, loudspeaker)
     }
 }
 

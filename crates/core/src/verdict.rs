@@ -39,8 +39,8 @@ impl Component {
     }
 
     /// Stable snake_case identifier — the single source of truth for
-    /// metric and span names (`pipeline.<name>.seconds`,
-    /// `pipeline.<name>.skipped`) and pipeline-trace component strings.
+    /// span names, the `stage` label of the `pipeline.stage.*` metric
+    /// families, and pipeline-trace component strings.
     pub fn name(&self) -> &'static str {
         match self {
             Component::Loudspeaker => "loudspeaker",
@@ -153,11 +153,10 @@ pub struct DefenseVerdict {
     pub invalid: Option<String>,
     /// The model-registry generation this session was scored against
     /// (`None` for verdicts built outside a registry-backed system).
-    /// Stamped by
-    /// [`CascadeSession`](crate::pipeline::CascadeSession): every verdict
-    /// — including each member of a batch — is attributable to exactly
-    /// one generation, even when an enrollment or bundle hot-swap lands
-    /// mid-flight.
+    /// Stamped by the pinned [`Cascade`](crate::cascade::Cascade): every
+    /// verdict — including each member of a batch — is attributable to
+    /// exactly one generation, even when an enrollment or bundle hot-swap
+    /// lands mid-flight.
     pub generation: Option<u64>,
 }
 

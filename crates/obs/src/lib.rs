@@ -52,7 +52,7 @@
 //! let registry = Registry::default();
 //! let collector = TraceCollector::default();
 //!
-//! let hist = registry.histogram("pipeline.verify.seconds");
+//! let hist = registry.histogram("pipeline.session.seconds");
 //! {
 //!     let mut span = Span::enter(&collector, "verify");
 //!     let mut child = span.child("distance");
@@ -62,7 +62,7 @@
 //! }
 //!
 //! let snap = registry.snapshot();
-//! assert_eq!(snap.histograms["pipeline.verify.seconds"].count, 1);
+//! assert_eq!(snap.histograms["pipeline.session.seconds"].count, 1);
 //! assert_eq!(collector.records().len(), 2);
 //! ```
 

@@ -2,10 +2,12 @@
 //! a trained system, then drive genuine sessions and the full attack
 //! taxonomy through the cascade and the client/server runtime.
 
+use magshield::core::cascade::ExecutionPolicy;
 use magshield::core::pipeline::{BootstrapConfig, DefenseSystem};
 use magshield::core::scenario::{bootstrap_with, ScenarioBuilder, SourceKind, UserContext};
 use magshield::core::server::VerificationServer;
 use magshield::core::verdict::Component;
+use magshield::obs::labels::Labels;
 use magshield::physics::acoustics::tube::SoundTube;
 use magshield::physics::magnetics::interference::EmfEnvironment;
 use magshield::simkit::rng::SimRng;
@@ -185,7 +187,6 @@ fn server_round_trip_matches_local_verdict() {
 
 #[test]
 fn short_circuit_skips_asv_but_agrees_with_full_evaluation() {
-    use magshield::core::cascade::ExecutionPolicy;
     let (system, user) = fixture();
     // Fresh registries so histogram counts below are owned by this test.
     let full_sys = system.with_fresh_obs();
@@ -214,29 +215,25 @@ fn short_circuit_skips_asv_but_agrees_with_full_evaluation() {
     assert_eq!(skipped.cause, Component::Loudspeaker);
     let t = trace.component("speaker_id").expect("trace entry");
     assert!(t.skipped && t.duration_s == 0.0);
-    assert_eq!(
-        short_sys
-            .metrics()
-            .histogram("pipeline.speaker_id.seconds")
-            .count(),
-        0,
+    let asv = |policy: ExecutionPolicy| Labels::new().stage("speaker_id").policy(policy.name());
+    let short_snap = short_sys.metrics().snapshot();
+    assert!(
+        !short_snap
+            .histograms
+            .contains_key(&asv(ExecutionPolicy::ShortCircuit).key_for("pipeline.stage.seconds")),
         "skipped stage must not contribute a latency sample"
     );
-    assert!(
-        short_sys
-            .metrics()
-            .counter("pipeline.speaker_id.skipped")
-            .get()
-            >= 1
+    assert_eq!(
+        short_snap.counters[&asv(ExecutionPolicy::ShortCircuit).key_for("pipeline.stage.skipped")],
+        1
     );
     // Full evaluation, by contrast, ran every stage.
     assert_eq!(full.skipped().count(), 0);
-    assert!(
-        full_sys
-            .metrics()
-            .histogram("pipeline.speaker_id.seconds")
-            .count()
-            >= 1
+    assert_eq!(
+        full_sys.metrics().snapshot().histograms
+            [&asv(ExecutionPolicy::FullEvaluation).key_for("pipeline.stage.seconds")]
+            .count,
+        1
     );
 }
 
@@ -284,16 +281,16 @@ fn traced_session_exports_complete_component_spans() {
         "no verify span with all cascade component children"
     );
 
-    // The shared registry must hold a latency histogram per stage.
+    // The shared registry must hold a latency series per stage.
+    let snap = system.metrics().snapshot();
     for stage in STAGES {
-        let h = system
-            .metrics()
-            .histogram(&format!("pipeline.{stage}.seconds"));
-        assert!(
-            h.count() >= 1,
-            "pipeline.{stage}.seconds should have samples"
-        );
-        assert!(h.snapshot().quantile(0.5) > 0.0);
+        let key = Labels::new()
+            .stage(stage)
+            .policy(ExecutionPolicy::FullEvaluation.name())
+            .key_for("pipeline.stage.seconds");
+        let h = &snap.histograms[&key];
+        assert!(h.count >= 1, "{key} should have samples");
+        assert!(h.quantile(0.5) > 0.0);
     }
 }
 
