@@ -261,24 +261,18 @@ impl IsvBackend {
         )
     }
 
-    /// Scores audio against a model on compensated features (exact,
-    /// reference scoring path).
+    /// Verification score of `audio` against `model` on compensated
+    /// features: exact scoring (no pruning) on the prepared kernel; see
+    /// [`Self::score_detailed_opts`] for the configurable path.
     pub fn score(&self, model: &SpeakerModel, audio: &[f64]) -> f64 {
-        let mut frames = self.ubm_backend.extractor.extract(audio);
-        self.subspace.compensate(&self.ubm_backend.ubm, &mut frames);
-        self.ubm_backend.score_frames(model, &frames)
+        self.score_detailed_opts(model, audio, 0, false).z
     }
 
     /// Scores audio on compensated features with top-C pruning and
     /// per-call accounting. Extraction and compensation still allocate
     /// (the supervector projection dominates the ISV path); only the
-    /// GMM scoring reuses the per-thread scratch.
-    pub fn score_detailed(&self, model: &SpeakerModel, audio: &[f64], top_c: usize) -> AsvScore {
-        self.score_detailed_opts(model, audio, top_c, false)
-    }
-
-    /// [`Self::score_detailed`] with an explicit quantized-model toggle:
-    /// when `quantized` is set, GMM scoring runs on the cached i16-mean
+    /// GMM scoring reuses the per-thread scratch. When `quantized` is set,
+    /// GMM scoring runs on the cached i16-mean
     /// [`magshield_ml::gmm::QuantizedGmm`] pair instead of the exact
     /// [`magshield_ml::gmm::PreparedGmm`] pair. Compensation always runs
     /// on the exact UBM (the subspace was trained against it).
@@ -544,6 +538,77 @@ mod tests {
         let rng = SimRng::from_seed(7);
         let groups = vec![(0u32, 0u32, session_frames(&rng, 0.0, 0.0, 30))];
         SessionSubspace::estimate(&toy_ubm(), &groups, 1);
+    }
+
+    /// ISV scores on the served prepared kernel: `score` is the exact
+    /// `score_detailed_opts` bit for bit, and agrees with the reference
+    /// `DiagonalGmm::llr_score` on the compensated frames to 1e-9.
+    #[test]
+    fn score_runs_the_prepared_kernel_on_compensated_frames() {
+        use crate::ubm::{train_ubm, UbmConfig};
+        use magshield_voice::corpus::{build_corpus, CorpusConfig};
+        use magshield_voice::synth::VOICE_SAMPLE_RATE;
+
+        let rng = SimRng::from_seed(23);
+        let corpus = build_corpus(
+            &CorpusConfig {
+                num_speakers: 4,
+                sessions_per_speaker: 2,
+                utterances_per_session: 2,
+                passphrase_len: 4,
+                session_strength: 0.6,
+                corpus_tilt_db_per_oct: 0.0,
+                first_speaker_id: 0,
+            },
+            &rng,
+        );
+        let fx = FeatureExtractor::new(VOICE_SAMPLE_RATE);
+        let utts: Vec<FrameMatrix> = corpus
+            .utterances
+            .iter()
+            .map(|u| fx.extract(&u.audio))
+            .collect();
+        let ubm = train_ubm(
+            &utts,
+            UbmConfig {
+                components: 16,
+                em_iters: 6,
+                max_frames: 6000,
+            },
+            &rng,
+        );
+        let groups: Vec<_> = corpus
+            .utterances
+            .iter()
+            .zip(&utts)
+            .map(|(u, f)| (u.speaker_id, u.session, f.clone()))
+            .collect();
+        let subspace = SessionSubspace::estimate(&ubm, &groups, 2);
+        let backend = IsvBackend::new(UbmBackend::new(fx, ubm).with_cohort(&utts), subspace);
+
+        let sp = corpus.speakers[0].id;
+        let enroll: Vec<&[f64]> = corpus.of_speaker(sp)[..2]
+            .iter()
+            .map(|u| u.audio.as_slice())
+            .collect();
+        let model = backend.enroll(sp, &enroll);
+        assert!(model.znorm.is_some(), "cohort attached → znorm computed");
+        for u in &corpus.utterances {
+            let score = backend.score(&model, &u.audio);
+            let detailed = backend.score_detailed_opts(&model, &u.audio, 0, false);
+            assert_eq!(score.to_bits(), detailed.z.to_bits());
+            let mut frames = backend.extractor().extract(&u.audio);
+            backend
+                .subspace
+                .compensate(&backend.ubm_backend.ubm, &mut frames);
+            let reference = model.normalize(model.gmm.llr_score(&backend.ubm_backend.ubm, &frames));
+            assert!(
+                (score - reference).abs() < 1e-9,
+                "speaker {}: prepared {score} vs reference {reference}",
+                u.speaker_id
+            );
+            assert_eq!(detailed.frames, frames.rows());
+        }
     }
 
     mod codec_round_trip {

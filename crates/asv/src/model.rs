@@ -17,7 +17,7 @@
 //! reuses those statistics.
 
 use crate::frontend::{FeatureExtractor, FrontendScratch};
-use magshield_dsp::frame::{FrameMatrix, FrameSource};
+use magshield_dsp::frame::FrameMatrix;
 use magshield_ml::codec::{self, BinaryCodec, ByteReader, ByteWriter, CodecError};
 use magshield_ml::gmm::{
     llr_score_prepared, llr_score_quantized, DiagonalGmm, PreparedGmm, QuantizedGmm,
@@ -120,7 +120,8 @@ pub struct CohortUtterance {
     pub ubm_mean_ll: f64,
 }
 
-/// Everything [`UbmBackend::score_detailed`] computed for one utterance.
+/// Everything [`UbmBackend::score_detailed_opts`] computed for one
+/// utterance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsvScore {
     /// Z-normalized verification score (higher = more likely genuine).
@@ -264,21 +265,16 @@ impl UbmBackend {
 
     /// Verification score of `audio` against `model`: Z-normalized average
     /// per-frame log-likelihood ratio (higher = more likely genuine).
-    /// Exact scoring (no pruning); see [`Self::score_detailed`] for the
-    /// configurable fast path.
+    /// Exact scoring (no pruning); see [`Self::score_detailed_opts`] for
+    /// the configurable fast path.
     pub fn score(&self, model: &SpeakerModel, audio: &[f64]) -> f64 {
-        self.score_detailed(model, audio, 0).z
+        self.score_detailed_opts(model, audio, 0, false).z
     }
 
     /// Scores `audio` on the zero-allocation fast path using this thread's
     /// scratch. `top_c` bounds the speaker-side Gaussian evaluations per
-    /// frame (`0` = exact, all components).
-    pub fn score_detailed(&self, model: &SpeakerModel, audio: &[f64], top_c: usize) -> AsvScore {
-        self.score_detailed_opts(model, audio, top_c, false)
-    }
-
-    /// [`Self::score_detailed`] with the scoring backend selectable:
-    /// `quantized` scores on the i16-mean [`QuantizedGmm`] pair (see
+    /// frame (`0` = exact, all components); `quantized` scores on the
+    /// i16-mean [`QuantizedGmm`] pair (see
     /// [`magshield_ml::gmm::llr_drift_bound`] for the drift guarantee).
     pub fn score_detailed_opts(
         &self,
@@ -326,12 +322,6 @@ impl UbmBackend {
             evaluated_components: b.evaluated_components,
             scratch_grew_bytes: (s.footprint_bytes() - before) as u64,
         }
-    }
-
-    /// Scores pre-extracted frames on the reference path (used by the ISV
-    /// backend after compensation, and as the exactness oracle in tests).
-    pub fn score_frames<F: FrameSource + ?Sized>(&self, model: &SpeakerModel, frames: &F) -> f64 {
-        model.normalize(model.gmm.llr_score(&self.ubm, frames))
     }
 }
 
@@ -762,8 +752,8 @@ mod tests {
         let model = backend.enroll(sp.id, &enroll);
         for u in utts {
             let frames = backend.extractor.extract(&u.audio);
-            let reference = backend.score_frames(&model, &frames);
-            let exact = backend.score_detailed(&model, &u.audio, 0);
+            let reference = model.normalize(model.gmm.llr_score(&backend.ubm, &frames));
+            let exact = backend.score_detailed_opts(&model, &u.audio, 0, false);
             assert!(
                 (exact.z - reference).abs() < 1e-9,
                 "fast {} vs reference {reference}",
@@ -773,7 +763,7 @@ mod tests {
             assert_eq!(exact.frames, frames.rows());
             // Pruned scoring never exceeds exact (subset log-sum) and
             // accounts for exactly (k − C) skips per frame.
-            let pruned = backend.score_detailed(&model, &u.audio, 4);
+            let pruned = backend.score_detailed_opts(&model, &u.audio, 4, false);
             let sigma = model.znorm.map_or(1.0, |(_, s)| s);
             assert!(pruned.z <= exact.z + 1e-9 / sigma);
             assert_eq!(pruned.pruned_components, (frames.rows() * (16 - 4)) as u64);

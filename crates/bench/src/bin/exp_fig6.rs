@@ -11,8 +11,8 @@
 
 use magshield_bench::{write_results, ResultRow, EXPERIMENT_SEED};
 use magshield_core::scenario::{ScenarioBuilder, UserContext};
+use magshield_dsp::fft::FftPlan;
 use magshield_dsp::phase::{phase_to_displacement, PhaseTracker};
-use magshield_dsp::stft::{Spectrogram, StftConfig};
 use magshield_dsp::window::WindowKind;
 use magshield_simkit::rng::SimRng;
 
@@ -21,27 +21,29 @@ fn main() {
     let user = UserContext::sample(&rng.fork("user"));
     let session = ScenarioBuilder::genuine(&user).capture(&rng.fork("session"));
 
-    // Spectrogram around the pilot.
-    let sg = Spectrogram::compute(
-        &session.audio,
-        session.audio_rate,
-        StftConfig {
-            frame_len: 2048,
-            hop: 1024,
-            window: WindowKind::Blackman,
-        },
-    );
-    let trace = sg.bin_trace(session.pilot_hz);
+    // The pilot row of a spectrogram: 2048-point Blackman frames every 1024
+    // samples, keeping the magnitude of the bin nearest the pilot.
+    let (frame_len, hop) = (2048, 1024);
+    let plan = FftPlan::new(frame_len);
+    let window = WindowKind::Blackman.generate(frame_len);
+    let pilot_bin = (session.pilot_hz * frame_len as f64 / session.audio_rate).round() as usize;
+    let (mut re, mut im) = (vec![0.0; frame_len], vec![0.0; frame_len]);
+    let mut trace = Vec::new();
+    for frame in session.audio.windows(frame_len).step_by(hop) {
+        plan.forward_windowed(frame, &window, &mut re, &mut im);
+        trace.push(re[pilot_bin].hypot(im[pilot_bin]));
+    }
     let peak = trace.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
     println!(
         "pilot {} Hz over a genuine approach; spectrogram {} frames × {} bins",
         session.pilot_hz,
-        sg.num_frames(),
-        sg.num_bins()
+        trace.len(),
+        frame_len / 2 + 1
     );
     println!("\npilot-band magnitude per frame (amplitude grows as the phone closes in):");
     let mut rows = Vec::new();
-    for (t, m) in sg.frame_times().iter().zip(&trace) {
+    for (i, m) in trace.iter().enumerate() {
+        let t = (i * hop) as f64 / session.audio_rate;
         let bars = "#".repeat(((m / peak) * 48.0) as usize);
         println!("  t={t:>5.2}s |{bars}");
         rows.push(ResultRow {

@@ -54,7 +54,8 @@ impl AsvEngine {
         }
     }
 
-    /// Raw verification score (average log-likelihood ratio), exact.
+    /// Z-normalized verification score, exact (no pruning, not
+    /// quantized): the [`AsvScore::z`] of [`Self::score_detailed_opts`].
     pub fn score(&self, model: &SpeakerModel, audio: &[f64]) -> f64 {
         match self {
             AsvEngine::Ubm(b) => b.score(model, audio),
@@ -63,13 +64,8 @@ impl AsvEngine {
     }
 
     /// Fast-path score with per-call accounting. `top_c` bounds the
-    /// speaker-side Gaussian evaluations per frame (`0` = exact).
-    pub fn score_detailed(&self, model: &SpeakerModel, audio: &[f64], top_c: usize) -> AsvScore {
-        self.score_detailed_opts(model, audio, top_c, false)
-    }
-
-    /// [`Self::score_detailed`] with an explicit quantized-model toggle
-    /// (`DefenseConfig::asv_quantized`): scoring runs on the cached
+    /// speaker-side Gaussian evaluations per frame (`0` = exact);
+    /// `quantized` (`DefenseConfig::asv_quantized`) scores on the cached
     /// i16-mean `QuantizedGmm` pair instead of the exact `PreparedGmm`
     /// pair.
     pub fn score_detailed_opts(

@@ -2,19 +2,16 @@
 //!
 //! Two implementations of one transform:
 //!
-//! * [`fft`] / [`rfft`] — the planless form, re-deriving twiddles per
-//!   block. It is the oracle, and corpus synthesis runs it (through
-//!   [`magnitude_spectrum`]), so it is never rewritten for speed.
-//! * [`FftPlan`] — the hot-loop form: precomputed bit-reversal and
-//!   twiddle tables, one bounds-free butterfly kernel over split real and
-//!   imaginary buffers, and a windowed load
-//!   ([`FftPlan::forward_windowed`]) that places a real frame straight
-//!   into bit-reversed order. It performs exactly [`fft`]'s float
-//!   operations, so its output is `to_bits`-identical for every input,
-//!   non-finite input included.
-//!
-//! [`RealFftPlan`] builds the half-size real-input transform on an inner
-//! [`FftPlan`]; it reorders operations and matches [`rfft`] to rounding.
+//! * [`fft`] / [`ifft`] / [`rfft`] — the planless form, re-deriving
+//!   twiddles per block. It is the oracle, so it is never rewritten for
+//!   speed; the MFCC reference path runs it through [`rfft`] and the
+//!   replay-detection baseline through [`magnitude_spectrum`].
+//! * [`FftPlan::forward_windowed`] — the one production kernel:
+//!   precomputed bit-reversal and twiddle tables, one bounds-free
+//!   butterfly kernel over split real and imaginary buffers, and a
+//!   windowed load that places a real frame straight into bit-reversed
+//!   order. It performs exactly [`fft`]'s float operations, so its output
+//!   is `to_bits`-identical for every input, non-finite input included.
 
 use crate::complex::Complex;
 
@@ -116,12 +113,10 @@ pub fn next_pow2(n: usize) -> usize {
 ///   Independent butterflies sit in adjacent `f64` lanes, which the
 ///   compiler packs into vector registers.
 ///
-/// Input reaches the kernel in bit-reversed order either through
-/// [`Self::forward`] (an interleaved buffer, scattered into split
-/// buffers and gathered back), or through [`Self::forward_windowed`],
-/// which writes `x[k]·w[k]` straight into slot `rev[k]` of a
-/// caller-owned `re` buffer and zero-fills the rest — the MFCC frame
-/// load in one scatter.
+/// Input reaches the kernel in bit-reversed order through
+/// [`Self::forward_windowed`], which writes `x[k]·w[k]` straight into
+/// slot `rev[k]` of a caller-owned `re` buffer and zero-fills the rest —
+/// the MFCC frame load in one scatter.
 ///
 /// **Contract:** every butterfly performs the same floating-point
 /// operations on the same values in the same order as [`fft`] — the
@@ -196,28 +191,6 @@ impl FftPlan {
     /// Whether the plan is for the degenerate length-0 transform.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// In-place forward FFT; bit-identical to [`fft`] on the same input.
-    ///
-    /// The buffer is scattered into two split buffers allocated per call
-    /// and gathered back after the kernel; hot loops hold their own split
-    /// buffers and call [`Self::forward_windowed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len()` differs from the planned size.
-    pub fn forward(&self, buf: &mut [Complex]) {
-        self.check_len(buf.len());
-        let (mut re, mut im) = (vec![0.0; self.n], vec![0.0; self.n]);
-        for (&r, z) in self.rev.iter().zip(buf.iter()) {
-            re[r as usize] = z.re;
-            im[r as usize] = z.im;
-        }
-        self.butterflies(&mut re, &mut im);
-        for (z, (&re, &im)) in buf.iter_mut().zip(re.iter().zip(&im)) {
-            *z = Complex::new(re, im);
-        }
     }
 
     /// Forward FFT of the windowed, zero-padded real frame `x[k]·w[k]`,
@@ -405,125 +378,16 @@ fn butterfly(u: Complex, b: Complex, w: Complex) -> (Complex, Complex) {
     (u + v, u - v)
 }
 
-/// Forward FFT plan specialized for **real** input of a fixed even
-/// power-of-two length `n`.
-///
-/// Uses the classic even/odd packing trick: the real frame is packed into
-/// an `n/2`-point complex buffer (`z[j] = x[2j] + i·x[2j+1]`), transformed
-/// with a half-size [`FftPlan`], and the one-sided spectrum `X[0..=n/2]`
-/// is recovered with one unpack pass:
-///
-/// ```text
-/// E[k] = (Z[k] + conj(Z[m−k])) / 2        (spectrum of even samples)
-/// O[k] = (Z[k] − conj(Z[m−k])) / 2        (i · spectrum of odd samples)
-/// X[k] = E[k] − i · e^(−2πik/n) · O[k],   m = n/2
-/// ```
-///
-/// Halving the transform size roughly halves the butterfly count — the
-/// dominant cost of the STFT, which only ever consumes the one-sided
-/// spectrum of real frames. Results agree with [`rfft`] to
-/// rounding error (the operation order differs, so equality is *not*
-/// bitwise; see the parity tests).
-#[derive(Debug, Clone)]
-pub struct RealFftPlan {
-    n: usize,
-    inner: FftPlan,
-    /// Unpack twiddles `e^(−2πik/n)` for `k = 0..n/2`.
-    twiddles: Vec<Complex>,
-}
-
-impl RealFftPlan {
-    /// Builds a plan for real transforms of length `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a power of two or is smaller than 2.
-    pub fn new(n: usize) -> Self {
-        assert!(
-            n.is_power_of_two() && n >= 2,
-            "real FFT length must be a power of two >= 2, got {n}"
-        );
-        let m = n / 2;
-        let twiddles = (0..m)
-            .map(|k| Complex::from_polar(1.0, -std::f64::consts::TAU * k as f64 / n as f64))
-            .collect();
-        Self {
-            n,
-            inner: FftPlan::new(m),
-            twiddles,
-        }
-    }
-
-    /// Real transform size the plan was built for.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Never true — the constructor rejects `n < 2`.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Length of the packed complex buffer (`n/2`).
-    pub fn packed_len(&self) -> usize {
-        self.n / 2
-    }
-
-    /// Transforms an already-packed buffer and writes the one-sided
-    /// spectrum `X[0..=n/2]` (`n/2 + 1` bins) into `out`. `packed` is
-    /// consumed as scratch (left holding the half-size transform).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packed.len() != n/2`.
-    pub fn spectrum_from_packed(&self, packed: &mut [Complex], out: &mut Vec<Complex>) {
-        let m = self.packed_len();
-        self.inner.forward(packed);
-        out.clear();
-        out.reserve(m + 1);
-        out.push(Complex::new(packed[0].re + packed[0].im, 0.0));
-        for k in 1..m {
-            out.push(self.unpack_bin(packed, k));
-        }
-        out.push(Complex::new(packed[0].re - packed[0].im, 0.0));
-    }
-
-    /// One unpacked spectrum bin `X[k]` for `0 < k < n/2` from the
-    /// half-size transform `z`.
-    #[inline]
-    fn unpack_bin(&self, z: &[Complex], k: usize) -> Complex {
-        let m = self.packed_len();
-        let a = z[k];
-        let b = z[m - k].conj();
-        let even = (a + b).scale(0.5);
-        let odd = (a - b).scale(0.5);
-        let t = self.twiddles[k] * odd;
-        // even − i·t: multiplying by −i maps (re, im) to (im, −re).
-        Complex::new(even.re + t.im, even.im - t.re)
-    }
-}
-
 /// Forward FFT of a real signal, zero-padded to a power of two.
 ///
 /// Returns the full complex spectrum of length `next_pow2(signal.len())`.
 pub fn rfft(signal: &[f64]) -> Vec<Complex> {
-    let mut buf = Vec::new();
-    rfft_into(signal, &mut buf);
-    buf
-}
-
-/// [`rfft`] into a caller-owned buffer, reusing its allocation.
-///
-/// The buffer is cleared and resized to `next_pow2(signal.len())`; after the
-/// first call at a given length no further allocation occurs.
-pub fn rfft_into(signal: &[f64], buf: &mut Vec<Complex>) {
-    let n = next_pow2(signal.len());
-    buf.clear();
-    buf.resize(n, Complex::ZERO);
+    let mut buf = vec![Complex::ZERO; next_pow2(signal.len())];
     for (slot, &x) in buf.iter_mut().zip(signal) {
         *slot = Complex::new(x, 0.0);
     }
-    fft(buf);
+    fft(&mut buf);
+    buf
 }
 
 /// Magnitude spectrum of a real signal: bins `0..=n/2` with their center
@@ -531,51 +395,34 @@ pub fn rfft_into(signal: &[f64], buf: &mut Vec<Complex>) {
 ///
 /// Returns `(frequencies_hz, magnitudes)`.
 pub fn magnitude_spectrum(signal: &[f64], sample_rate: f64) -> (Vec<f64>, Vec<f64>) {
-    let mut freqs = Vec::new();
-    let mut mags = Vec::new();
-    let mut work = Vec::new();
-    magnitude_spectrum_into(signal, sample_rate, &mut work, &mut freqs, &mut mags);
-    (freqs, mags)
-}
-
-/// [`magnitude_spectrum`] into caller-owned buffers, reusing allocations.
-///
-/// `work` is the complex FFT scratch; `freqs` and `mags` receive bins
-/// `0..=n/2`. All three are cleared and refilled.
-pub fn magnitude_spectrum_into(
-    signal: &[f64],
-    sample_rate: f64,
-    work: &mut Vec<Complex>,
-    freqs: &mut Vec<f64>,
-    mags: &mut Vec<f64>,
-) {
-    rfft_into(signal, work);
-    let n = work.len();
+    let spec = rfft(signal);
+    let n = spec.len();
     let half = n / 2 + 1;
-    freqs.clear();
-    freqs.extend((0..half).map(|k| k as f64 * sample_rate / n as f64));
-    mags.clear();
-    mags.extend(work[..half].iter().map(|z| z.abs()));
-}
-
-/// Reference O(n²) DFT used to validate the FFT in tests.
-pub fn naive_dft(signal: &[Complex]) -> Vec<Complex> {
-    let n = signal.len();
-    (0..n)
-        .map(|k| {
-            let mut acc = Complex::ZERO;
-            for (j, &x) in signal.iter().enumerate() {
-                let ang = -std::f64::consts::TAU * (k * j) as f64 / n as f64;
-                acc += x * Complex::from_polar(1.0, ang);
-            }
-            acc
-        })
-        .collect()
+    let freqs = (0..half)
+        .map(|k| k as f64 * sample_rate / n as f64)
+        .collect();
+    let mags = spec[..half].iter().map(|z| z.abs()).collect();
+    (freqs, mags)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference O(n²) DFT.
+    fn naive_dft(signal: &[Complex]) -> Vec<Complex> {
+        let n = signal.len();
+        (0..n)
+            .map(|k| {
+                let mut acc = Complex::ZERO;
+                for (j, &x) in signal.iter().enumerate() {
+                    let ang = -std::f64::consts::TAU * (k * j) as f64 / n as f64;
+                    acc += x * Complex::from_polar(1.0, ang);
+                }
+                acc
+            })
+            .collect()
+    }
 
     #[test]
     fn matches_naive_dft() {
@@ -593,20 +440,27 @@ mod tests {
     #[test]
     fn plan_is_bit_identical_to_fft() {
         for &n in &[1usize, 2, 4, 8, 64, 512, 1024] {
-            let signal: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.317).sin(), (i as f64 * 0.713).cos()))
+            // A frame shorter than the plan, so the zero-padded tail runs.
+            let x: Vec<f64> = (0..n - n / 4)
+                .map(|i| (i as f64 * 0.317).sin() + (i as f64 * 0.713).cos())
                 .collect();
-            let mut reference = signal.clone();
+            let window: Vec<f64> = (0..x.len())
+                .map(|i| 0.5 + (i as f64 * 0.05).sin())
+                .collect();
+            let mut reference = vec![Complex::ZERO; n];
+            for ((slot, &x), &w) in reference.iter_mut().zip(&x).zip(&window) {
+                *slot = Complex::new(x * w, 0.0);
+            }
             fft(&mut reference);
             let plan = FftPlan::new(n);
             assert_eq!(plan.len(), n);
-            let mut planned = signal;
-            plan.forward(&mut planned);
-            for (k, (r, p)) in reference.iter().zip(&planned).enumerate() {
+            let (mut re, mut im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            plan.forward_windowed(&x, &window, &mut re, &mut im);
+            for (k, (r, (&pr, &pi))) in reference.iter().zip(re.iter().zip(&im)).enumerate() {
                 assert_eq!(
                     (r.re.to_bits(), r.im.to_bits()),
-                    (p.re.to_bits(), p.im.to_bits()),
-                    "n={n} bin {k}: plan diverged from fft ({r:?} vs {p:?})"
+                    (pr.to_bits(), pi.to_bits()),
+                    "n={n} bin {k}: plan diverged from fft ({r:?} vs {pr} + {pi}i)"
                 );
             }
         }
@@ -616,8 +470,8 @@ mod tests {
     #[should_panic(expected = "does not match planned FFT size")]
     fn plan_rejects_mismatched_buffer() {
         let plan = FftPlan::new(8);
-        let mut buf = vec![Complex::ZERO; 4];
-        plan.forward(&mut buf);
+        let (mut re, mut im) = ([0.0; 4], [0.0; 8]);
+        plan.forward_windowed(&[1.0; 4], &[1.0; 4], &mut re, &mut im);
     }
 
     #[test]
@@ -683,75 +537,6 @@ mod tests {
     fn rejects_non_pow2() {
         let mut buf = vec![Complex::ZERO; 3];
         fft(&mut buf);
-    }
-
-    /// One-sided spectrum through the plan, packing the way the STFT
-    /// does: `packed[j] = x[2j] + i·x[2j+1]`, zero-padded to `n`.
-    fn packed_spectrum(plan: &RealFftPlan, signal: &[f64]) -> Vec<Complex> {
-        let mut packed = vec![Complex::ZERO; plan.packed_len()];
-        for (j, &x) in signal.iter().enumerate() {
-            if j % 2 == 0 {
-                packed[j / 2].re = x;
-            } else {
-                packed[j / 2].im = x;
-            }
-        }
-        let mut out = Vec::new();
-        plan.spectrum_from_packed(&mut packed, &mut out);
-        out
-    }
-
-    #[test]
-    fn real_plan_matches_rfft_spectrum() {
-        for &n in &[2usize, 4, 8, 64, 256, 512, 1024] {
-            let signal: Vec<f64> = (0..n)
-                .map(|i| (i as f64 * 0.173).sin() + 0.4 * (i as f64 * 0.059).cos())
-                .collect();
-            let full = rfft(&signal);
-            let plan = RealFftPlan::new(n);
-            assert_eq!(plan.len(), n);
-            assert_eq!(plan.packed_len(), n / 2);
-            let half = packed_spectrum(&plan, &signal);
-            assert_eq!(half.len(), n / 2 + 1);
-            let scale: f64 = full.iter().map(|z| z.abs()).fold(1.0, f64::max);
-            for (k, (h, f)) in half.iter().zip(&full).enumerate() {
-                assert!(
-                    (h.re - f.re).abs() < 1e-10 * scale && (h.im - f.im).abs() < 1e-10 * scale,
-                    "n={n} bin {k}: {h:?} vs {f:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn real_plan_handles_zero_padded_and_odd_signals() {
-        // A 400-sample frame in a 512-point transform (the MFCC geometry)
-        // and an odd-length signal exercising the lone-tail pack path.
-        for &len in &[400usize, 399, 1, 0] {
-            let n = 512;
-            let signal: Vec<f64> = (0..len)
-                .map(|i| ((i * 37 % 101) as f64) * 0.02 - 1.0)
-                .collect();
-            let full = rfft(&{
-                let mut padded = signal.clone();
-                padded.resize(n, 0.0);
-                padded
-            });
-            let plan = RealFftPlan::new(n);
-            let half = packed_spectrum(&plan, &signal);
-            for (k, (h, f)) in half.iter().zip(&full).enumerate() {
-                assert!(
-                    (h.re - f.re).abs() < 1e-9 && (h.im - f.im).abs() < 1e-9,
-                    "len={len} bin {k}: {h:?} vs {f:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two >= 2")]
-    fn real_plan_rejects_length_one() {
-        RealFftPlan::new(1);
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! scratch (no external DSP dependencies):
 //!
 //! * [`complex`] — a minimal complex number type;
-//! * [`fft`] — iterative radix-2 FFT/IFFT and a real-signal spectrum helper;
+//! * [`fft`] — iterative radix-2 FFT/IFFT, a real-signal spectrum helper
+//!   and the planned windowed FFT kernel behind MFCC extraction;
 //! * [`frame`] — flat [`frame::FrameMatrix`] feature storage plus the
 //!   reusable [`frame::ScratchPad`] behind the zero-allocation fast path;
 //! * [`window`] — Hann / Hamming / Blackman / rectangular analysis windows;
-//! * [`stft`] — short-time Fourier transform and spectrogram (Fig. 6 of the
-//!   paper shows the received pilot-tone spectrograph);
 //! * [`goertzel`] — single-bin DFT for pilot-tone amplitude/phase tracking;
 //! * [`filter`] — RBJ biquad filters, one-pole smoothers, moving averages;
 //! * [`phase`] — frame-wise phase extraction and unwrapping, the primitive
@@ -43,11 +42,9 @@ pub mod goertzel;
 pub mod level;
 pub mod mel;
 pub mod phase;
-pub mod stft;
 pub mod vad;
 pub mod window;
 
 pub use complex::Complex;
 pub use frame::{FrameMatrix, FrameSource, FrameSourceMut, ScratchPad};
 pub use mel::MfccExtractor;
-pub use stft::Spectrogram;

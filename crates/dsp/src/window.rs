@@ -5,7 +5,7 @@
 pub enum WindowKind {
     /// All-ones window.
     Rectangular,
-    /// Hann (raised cosine); the default for STFT work.
+    /// Hann (raised cosine); the default for spectral analysis.
     #[default]
     Hann,
     /// Hamming — the classic speech-analysis window, used for MFCC frames.

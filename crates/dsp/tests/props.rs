@@ -46,12 +46,6 @@ impl Mix {
     }
 }
 
-fn complex_bits(buf: &[Complex]) -> Vec<(u64, u64)> {
-    buf.iter()
-        .map(|z| (z.re.to_bits(), z.im.to_bits()))
-        .collect()
-}
-
 /// The first lane (`"k.re"` / `"k.im"`) where `got` and `want` differ,
 /// with both values' bits. Every value must match `to_bits` exactly,
 /// except that a NaN matches any NaN: Rust leaves the sign and payload
@@ -86,10 +80,10 @@ fn first_nan_equal_mismatch(got: &[f64], want: &[f64]) -> Option<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `FftPlan::forward` and `FftPlan::forward_windowed` are
-    /// `to_bits`-identical to the free `fft` at every power of two from 1
-    /// to 4096, on random input salted with NaN payloads, infinities,
-    /// signed zeros, subnormals and values that overflow mid-transform.
+    /// `FftPlan::forward_windowed` is `to_bits`-identical to the free
+    /// `fft` at every power of two from 1 to 4096, on random input salted
+    /// with NaN payloads, infinities, signed zeros, subnormals and values
+    /// that overflow mid-transform.
     #[test]
     fn fft_plan_is_bit_identical_to_fft(seed in 0u64..u64::MAX, density in 0usize..4) {
         let special_every = [u64::MAX, 509, 31, 2][density];
@@ -97,15 +91,6 @@ proptest! {
         for log_n in 0..=12 {
             let n = 1usize << log_n;
             let plan = FftPlan::new(n);
-            let input: Vec<Complex> = (0..n)
-                .map(|_| Complex::new(mix.sample(special_every), mix.sample(special_every)))
-                .collect();
-            let mut reference = input.clone();
-            fft(&mut reference);
-            let mut planned = input;
-            plan.forward(&mut planned);
-            prop_assert_eq!(complex_bits(&planned), complex_bits(&reference), "forward, n={}", n);
-
             let len = (mix.next() % (n as u64 + 1)) as usize;
             let x: Vec<f64> = (0..len).map(|_| mix.sample(special_every)).collect();
             let w: Vec<f64> = (0..len).map(|_| mix.sample(special_every)).collect();

@@ -382,11 +382,6 @@ impl<'a> ByteReader<'a> {
         self.take_array().map(f64::from_le_bytes)
     }
 
-    /// Reads a little-endian `i16`.
-    pub fn get_i16(&mut self) -> Result<i16, CodecError> {
-        self.take_array().map(i16::from_le_bytes)
-    }
-
     /// Reads a `bool` byte, rejecting anything but 0 or 1.
     pub fn get_bool(&mut self) -> Result<bool, CodecError> {
         match self.get_u8()? {

@@ -351,19 +351,6 @@ impl RotatingJsonlWriter {
         f.write_all(b"\n")?;
         f.flush()
     }
-
-    /// Appends many lines with one open/rotate check per line, so a
-    /// batch larger than the cap still rotates mid-batch instead of
-    /// blowing through it.
-    pub fn append_lines<'a>(
-        &self,
-        lines: impl IntoIterator<Item = &'a str>,
-    ) -> std::io::Result<()> {
-        for line in lines {
-            self.append_line(line)?;
-        }
-        Ok(())
-    }
 }
 
 /// A background thread flushing registry snapshots as JSONL on an

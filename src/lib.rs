@@ -19,7 +19,7 @@
 //! | [`sensors`] | smartphone sensor models (AK8975 magnetometer, IMU, mic) |
 //! | [`physics`] | magnetics (dipoles, shielding, EMF) and acoustics |
 //! | [`ml`] | GMM/EM, SVM, PCA, circle fit, FAR/FRR/EER metrics |
-//! | [`dsp`] | FFT, STFT, Goertzel, MFCC, filters, VAD |
+//! | [`dsp`] | FFT, Goertzel, MFCC, filters, VAD |
 //! | [`obs`] | metrics registry, span tracing, pipeline latency traces |
 //! | [`simkit`] | deterministic RNG, units, time series, noise |
 //!
