@@ -2,10 +2,10 @@
 //! execution policy, per-cell FAR/FRR/EER.
 //!
 //! Every cell runs its corpus through a
-//! [`magshield_core::batch::BatchEngine`] — the same
-//! admission-controlled path production traffic takes — so a perf or
-//! refactor PR that changes verdicts anywhere in the batch path moves a
-//! cell and trips the gate. The corpus is deterministic under
+//! [`magshield_core::server::VerificationServer`] client — the same wire
+//! path production traffic takes: encode, queue, decode, cascade — so a
+//! perf or refactor change that moves a verdict anywhere on that path
+//! moves a cell and trips the gate. The corpus is deterministic under
 //! [`EXPERIMENT_SEED`]: captures are pure functions of the seed, so two
 //! runs of the same build produce bit-identical tables.
 //!

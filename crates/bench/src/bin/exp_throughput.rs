@@ -1,19 +1,19 @@
-//! Throughput and tail latency of the batch verification engine under
-//! offered load.
+//! Throughput and tail latency of the verification server under offered
+//! load.
 //!
-//! Closed-loop load generation: `L` submitter threads each drive the
-//! shared [`BatchEngine`] with submit→wait calls over a pre-captured
-//! session pool (mixed genuine and replay-attack sessions, so
-//! short-circuit pruning has real work to do). For each offered load the
-//! run reports sessions/sec and client-observed p50/p95/p99 latency,
-//! keeping the best of [`SAMPLES`] short measurements so bursty host
-//! contention (which can only lower a sample) doesn't masquerade as a
-//! code regression.
+//! Closed-loop load generation: `L` client threads each drive one shared
+//! [`VerificationServer`] with verify round trips (encode → queue →
+//! decode → cascade → reply) over a pre-captured session pool (mixed
+//! genuine and replay-attack sessions, so short-circuit pruning has real
+//! work to do). For each offered load the run reports sessions/sec and
+//! client-observed p50/p95/p99 latency, keeping the best of [`SAMPLES`]
+//! short measurements so bursty host contention (which can only lower a
+//! sample) doesn't masquerade as a code regression.
 //!
-//! Before measuring anything, the binary asserts the engine's verdicts
-//! are bit-identical to sequential per-session runs under BOTH execution
-//! policies — a throughput number for a differently-deciding cascade
-//! would be meaningless.
+//! Before measuring anything, the binary asserts the server's wire
+//! verdicts are bit-identical to sequential per-session runs under BOTH
+//! execution policies — a throughput number for a differently-deciding
+//! cascade would be meaningless.
 //!
 //! After the sweep, the best operating point is re-run with Gaussian
 //! pruning disabled (`asv_top_c = 0`) so the artifact records what the
@@ -26,10 +26,10 @@
 //! the sweep for CI.
 
 use magshield_bench::{print_header, print_row, write_gate_json, Better, EXPERIMENT_SEED};
-use magshield_core::batch::{AdmissionPolicy, BatchConfig, BatchEngine, BatchOutcome};
 use magshield_core::cascade::ExecutionPolicy;
 use magshield_core::pipeline::{BootstrapConfig, DefenseSystem};
 use magshield_core::scenario::{bootstrap_with, ScenarioBuilder, UserContext};
+use magshield_core::server::VerificationServer;
 use magshield_core::session::SessionData;
 use magshield_core::verdict::DefenseVerdict;
 use magshield_obs::metrics::Histogram;
@@ -37,7 +37,6 @@ use magshield_simkit::rng::SimRng;
 use magshield_voice::attacks::AttackKind;
 use magshield_voice::devices::table_iv_catalog;
 use magshield_voice::profile::SpeakerProfile;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One measured operating point.
@@ -48,7 +47,6 @@ struct LoadPoint {
     p50_ms: f64,
     p95_ms: f64,
     p99_ms: f64,
-    shed: u64,
 }
 
 fn main() {
@@ -84,24 +82,18 @@ fn main() {
         .min(4);
     let pool = session_pool(&user, pool_size, &rng);
 
-    verify_batch_identity(&system, &pool);
+    verify_wire_identity(&system, &pool);
 
     print_header(
-        "Batch engine throughput (closed-loop)",
-        &["sess/s", "p50 ms", "p95 ms", "p99 ms", "shed"],
+        "Verification server throughput (closed-loop)",
+        &["sess/s", "p50 ms", "p95 ms", "p99 ms"],
     );
     let mut points = Vec::new();
     for &offered in loads {
         let p = run_load(&system, &pool, workers, offered);
         print_row(
             &format!("L={offered}"),
-            &[
-                p.sessions_per_sec,
-                p.p50_ms,
-                p.p95_ms,
-                p.p99_ms,
-                p.shed as f64,
-            ],
+            &[p.sessions_per_sec, p.p50_ms, p.p95_ms, p.p99_ms],
         );
         points.push(p);
     }
@@ -129,7 +121,6 @@ fn main() {
             exact.p50_ms,
             exact.p95_ms,
             exact.p99_ms,
-            exact.shed as f64,
         ],
     );
     println!(
@@ -165,8 +156,6 @@ fn main() {
                     .f64(p.p95_ms)
                     .key("p99_ms")
                     .f64(p.p99_ms)
-                    .key("shed")
-                    .u64(p.shed)
                     .end_object();
             }
             w.end_array()
@@ -209,9 +198,9 @@ fn session_pool(user: &UserContext, n: usize, rng: &SimRng) -> Vec<SessionData> 
         .collect()
 }
 
-/// Asserts the batch engine decides exactly like sequential runs, under
-/// both execution policies. Aborts the benchmark on any mismatch.
-fn verify_batch_identity(system: &DefenseSystem, pool: &[SessionData]) {
+/// Asserts the server's wire verdicts are exactly the sequential ones,
+/// under both execution policies. Aborts the benchmark on any mismatch.
+fn verify_wire_identity(system: &DefenseSystem, pool: &[SessionData]) {
     for policy in [
         ExecutionPolicy::FullEvaluation,
         ExecutionPolicy::ShortCircuit,
@@ -220,28 +209,22 @@ fn verify_batch_identity(system: &DefenseSystem, pool: &[SessionData]) {
             .iter()
             .map(|s| system.verify_with_policy(s, policy))
             .collect();
-        let engine = BatchEngine::spawn(
-            system.with_fresh_obs(),
-            BatchConfig {
-                workers: 4,
-                policy,
-                ..BatchConfig::default()
-            },
-        );
-        let outcomes = engine.verify_batch(pool.to_vec());
-        engine.shutdown();
-        assert_eq!(outcomes.len(), sequential.len());
-        for (i, (outcome, expected)) in outcomes.iter().zip(&sequential).enumerate() {
-            match outcome {
-                BatchOutcome::Verdict(v) => assert_eq!(
-                    v, expected,
-                    "session {i}: batch verdict diverged from sequential under {policy:?}"
-                ),
-                BatchOutcome::Shed(r) => panic!("session {i} unexpectedly shed: {r}"),
-            }
+        let server = VerificationServer::spawn_with_policy(system.with_fresh_obs(), 4, policy);
+        let client = server.client();
+        let pending: Vec<_> = pool
+            .iter()
+            .map(|s| client.submit(s).expect("server is running"))
+            .collect();
+        for (i, (p, expected)) in pending.into_iter().zip(&sequential).enumerate() {
+            assert_eq!(
+                &p.wait().expect("verdict"),
+                expected,
+                "session {i}: wire verdict diverged from sequential under {policy:?}"
+            );
         }
+        server.shutdown();
     }
-    eprintln!("(identity check passed: batch == sequential under both policies)");
+    eprintln!("(identity check passed: wire == sequential under both policies)");
 }
 
 /// Samples per operating point. Host contention can only *subtract*
@@ -252,9 +235,9 @@ fn verify_batch_identity(system: &DefenseSystem, pool: &[SessionData]) {
 /// cache/branch-predictor warm-up.
 const SAMPLES: usize = 3;
 
-/// Runs one closed-loop operating point: `offered` submitter threads in
-/// submit→wait lockstep against a shared engine. Measures [`SAMPLES`]
-/// times and returns the best sample.
+/// Runs one closed-loop operating point: `offered` client threads in
+/// verify round-trip lockstep against a shared server. Measures
+/// [`SAMPLES`] times and returns the best sample.
 fn run_load(
     system: &DefenseSystem,
     pool: &[SessionData],
@@ -267,7 +250,7 @@ fn run_load(
         .expect("SAMPLES > 0")
 }
 
-/// One timed pass over the pool: spawn a fresh engine, drive it, tear it
+/// One timed pass over the pool: spawn a fresh server, drive it, shut it
 /// down.
 fn measure_once(
     system: &DefenseSystem,
@@ -275,55 +258,31 @@ fn measure_once(
     workers: usize,
     offered: usize,
 ) -> LoadPoint {
-    let engine = Arc::new(BatchEngine::spawn(
+    let server = VerificationServer::spawn_with_policy(
         system.with_fresh_obs(),
-        BatchConfig {
-            workers,
-            queue_capacity: 256,
-            policy: ExecutionPolicy::ShortCircuit,
-            admission: AdmissionPolicy::Backpressure,
-        },
-    ));
+        workers,
+        ExecutionPolicy::ShortCircuit,
+    );
     let latency = Histogram::default();
     let sessions = pool.len();
-    // Materialize each submitter's slice of the pool before the clock
-    // starts: the engine queue takes `Arc<SessionData>`, so the deep copy
-    // happens once here and each timed submit enqueues a pointer clone.
-    let shares: Vec<Vec<Arc<SessionData>>> = (0..offered)
-        .map(|t| {
-            pool.iter()
-                .skip(t)
-                .step_by(offered)
-                .map(|s| Arc::new(s.clone()))
-                .collect()
-        })
-        .collect();
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for share in shares {
-            let engine = Arc::clone(&engine);
+        for t in 0..offered {
+            let client = server.client();
             let latency = latency.clone();
             scope.spawn(move || {
-                for s in share {
+                for s in pool.iter().skip(t).step_by(offered) {
                     let t0 = Instant::now();
-                    let outcome = engine
-                        .submit(s)
-                        .expect("backpressure admission never refuses")
-                        .wait();
+                    client
+                        .verify(s)
+                        .expect("a running server answers every verify");
                     latency.record(t0.elapsed());
-                    assert!(
-                        matches!(outcome, BatchOutcome::Verdict(_)),
-                        "an admitted session resolves to a verdict"
-                    );
                 }
             });
         }
     });
     let elapsed = start.elapsed().as_secs_f64();
-    let shed = engine
-        .metrics()
-        .snapshot()
-        .counter_family_total("batch.shed");
+    server.shutdown();
     let snap = latency.snapshot();
     LoadPoint {
         offered,
@@ -332,6 +291,5 @@ fn measure_once(
         p50_ms: snap.p50() * 1e3,
         p95_ms: snap.p95() * 1e3,
         p99_ms: snap.p99() * 1e3,
-        shed,
     }
 }

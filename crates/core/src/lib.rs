@@ -75,7 +75,7 @@
 pub mod adaptive;
 pub mod analysis;
 pub mod artifact;
-pub mod batch;
+mod batch;
 pub mod cascade;
 pub mod components;
 pub mod config;

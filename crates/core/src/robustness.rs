@@ -6,9 +6,9 @@
 //! a first-class taxonomy of attack *families* (each a deterministic
 //! scenario generator) and *environments* (EMF conditions from the
 //! paper's §VI evaluation), and runs the full
-//! `family × environment × execution-policy` matrix through the
-//! [`BatchEngine`] — the same admission-controlled path production
-//! traffic takes — producing a per-cell FAR/FRR/EER table.
+//! `family × environment × execution-policy` matrix through a
+//! [`VerificationServer`] — the same wire path production traffic
+//! takes — producing a per-cell FAR/FRR/EER table.
 //!
 //! The committed table (`results/robustness_matrix.jsonl`) plus the
 //! CI smoke slice (`scripts/security_gate.py` over
@@ -20,10 +20,10 @@
 //! corpus generation twice with the same seed is bit-identical (see
 //! `tests/robustness_corpus.rs`).
 
-use crate::batch::{BatchConfig, BatchEngine};
 use crate::cascade::ExecutionPolicy;
 use crate::pipeline::DefenseSystem;
 use crate::scenario::{ScenarioBuilder, SourceKind, UserContext};
+use crate::server::{Client, ServerConfig, VerificationServer};
 use crate::session::SessionData;
 use crate::verdict::DefenseVerdict;
 use magshield_ml::metrics::equal_error_rate;
@@ -315,23 +315,22 @@ pub fn attack_sessions(
         .collect()
 }
 
-/// Unwraps batch outcomes into verdicts, panicking on sheds — the matrix
-/// runs with no deadline and backpressure admission, so every session
-/// must resolve to a verdict.
-fn verdicts(outcomes: Vec<crate::batch::BatchOutcome>) -> Vec<DefenseVerdict> {
-    outcomes
+/// Verifies `sessions` over the wire, pipelined across the server's
+/// pool, in input order. The server runs until the matrix is done, so
+/// every session resolves to a verdict.
+fn verdicts(client: &Client, sessions: &[SessionData]) -> Vec<DefenseVerdict> {
+    let pending: Vec<_> = sessions
+        .iter()
+        .map(|s| client.submit(s).expect("server is running"))
+        .collect();
+    pending
         .into_iter()
-        .map(|o| match o {
-            crate::batch::BatchOutcome::Verdict(v) => v,
-            crate::batch::BatchOutcome::Shed(r) => {
-                panic!("robustness matrix session shed ({r}): engine misconfigured")
-            }
-        })
+        .map(|p| p.wait().expect("robustness matrix session verified"))
         .collect()
 }
 
-/// Runs the full matrix through batch engines (one per policy and
-/// environment) and returns one [`CellResult`] per
+/// Runs the full matrix through verification servers (one per policy
+/// and environment) and returns one [`CellResult`] per
 /// `family × environment × policy`, in spec order.
 ///
 /// Captures are shared across policies: each environment's corpus is
@@ -351,16 +350,15 @@ pub fn run_matrix(
             .map(|&f| (f, attack_sessions(user, f, env, spec.attacks_per_cell, rng)))
             .collect();
         for &policy in &spec.policies {
-            let engine = BatchEngine::spawn(
+            let server = VerificationServer::spawn_with_policy(
                 system.with_fresh_obs(),
-                BatchConfig {
-                    policy,
-                    ..BatchConfig::default()
-                },
+                ServerConfig::default().workers,
+                policy,
             );
-            let genuine_verdicts = verdicts(engine.verify_batch(genuine.clone()));
+            let client = server.client();
+            let genuine_verdicts = verdicts(&client, &genuine);
             for (family, sessions) in &attacks {
-                let attack_verdicts = verdicts(engine.verify_batch(sessions.clone()));
+                let attack_verdicts = verdicts(&client, sessions);
                 let (far, frr, eer) = rates(&genuine_verdicts, &attack_verdicts);
                 cells.push(CellResult {
                     family: family.name(),
@@ -373,7 +371,7 @@ pub fn run_matrix(
                     eer_pct: eer,
                 });
             }
-            engine.shutdown();
+            server.shutdown();
         }
     }
     cells

@@ -7,13 +7,14 @@
 //! (tagged, versioned frames with length-prefixed vectors and strings,
 //! written and read with the same `magshield_ml::codec` primitives as the
 //! model artifacts, bulk for sample vectors; a frame must decode
-//! exactly, with no bytes left over), and [`VerificationServer`] is a
-//! frame adapter over a [`BatchEngine`]: it owns no threads. Each client
-//! frame is one engine item, admitted under backpressure, then decoded,
-//! handled and answered on a pool thread; each request carries its own
-//! `std::sync::mpsc` reply channel. Shutdown drains: every admitted
-//! frame is answered, and later frames see
-//! [`ClientError::Disconnected`].
+//! exactly, with no bytes left over), and [`VerificationServer`] runs
+//! every frame on its worker pool, the only way work enters it. Each
+//! client frame is one pool job, admitted under backpressure (a client
+//! blocks while 256 frames wait), then decoded, handled and answered on
+//! a pool thread; each request carries its own `std::sync::mpsc` reply
+//! channel. Shutdown drains: every admitted frame is answered, and later
+//! frames see [`ClientError::Disconnected`] and count once in
+//! `batch.shed{policy,shed_reason="shutdown"}`.
 //!
 //! Protocol v3 added batch frames that carried many sessions in one
 //! frame to one worker. They are retired (tags 6 and 7 decode as
@@ -30,24 +31,23 @@
 //! verdict returns the registry generation that produced it.
 //!
 //! The server is instrumented against `magshield-obs` (DESIGN.md §7):
-//! its engine reports `server.queue.wait.seconds` (enqueue→pickup) and
+//! its pool reports `server.queue.wait.seconds` (enqueue→pickup) and
 //! `server.compute.seconds` (per verification) histograms, the
 //! `server.queue.depth` / `server.inflight` gauges (RAII admission slots,
 //! so a panicking job cannot leak them), the `server.worker.panics`
 //! counter and the `batch.verdicts{policy}` /
-//! `batch.shed{policy,shed_reason}` counters the health guards read; the
-//! server adds per-worker `server.worker.<i>.processed` counters and a
-//! `server.protocol.errors` counter, all sharing the [`DefenseSystem`]'s
-//! registry so one snapshot covers pipeline and server alike.
+//! `batch.shed{policy,shed_reason}` counters; the server adds per-worker
+//! `server.worker.<i>.processed` counters and a `server.protocol.errors`
+//! counter, all sharing the [`DefenseSystem`]'s registry so one snapshot
+//! covers pipeline and server alike.
 //!
 //! Protocol v5 adds the telemetry plane (DESIGN.md §12):
 //! [`Client::metrics`] scrapes the full labeled snapshot — every
 //! counter/gauge/histogram series with exemplars — plus its text
 //! exposition (`Message::MetricsRequest`), and [`Client::health`]
 //! fetches the verdict of an in-server [`SloEngine`] evaluating
-//! declarative [`SloSpec`]s by multi-window burn rate, with built-in
-//! guards on `server.worker.panics` and the admission shed ratio
-//! (`Message::HealthRequest`).
+//! declarative [`SloSpec`]s by multi-window burn rate, with a built-in
+//! guard on `server.worker.panics` (`Message::HealthRequest`).
 //!
 //! Protocol v6 adds streaming continuous verification (DESIGN.md §13):
 //! [`Client::open_stream`] opens a server-side
@@ -70,7 +70,7 @@
 pub mod protocol;
 
 use crate::artifact::ModelBundle;
-use crate::batch::{BatchConfig, BatchEngine, Intake, Worker};
+use crate::batch::{BatchEngine, Intake, Worker};
 use crate::cascade::ExecutionPolicy;
 use crate::pipeline::DefenseSystem;
 use crate::session::SessionData;
@@ -162,8 +162,8 @@ struct Shared {
     started: Instant,
 }
 
-/// A running verification server: wire frames served on a
-/// [`BatchEngine`]'s worker pool.
+/// A running verification server: wire frames served on its own worker
+/// pool.
 pub struct VerificationServer {
     engine: BatchEngine,
     shared: Arc<Shared>,
@@ -229,46 +229,16 @@ impl VerificationServer {
     }
 
     /// Spawns the server under a full [`ServerConfig`] (worker count,
-    /// execution policy, stream caps), guarding health
-    /// with [`VerificationServer::default_slos`].
+    /// execution policy, stream caps), guarding health with
+    /// [`VerificationServer::default_slos`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.workers == 0`.
-    pub fn spawn_with_config(system: DefenseSystem, cfg: ServerConfig) -> Self {
-        Self::spawn_with_slos(system, cfg, Self::default_slos())
-    }
-
-    /// The stock SLO objectives every server evaluates unless
-    /// [`VerificationServer::spawn_with_slos`] overrides them: 99% of
-    /// end-to-end verifications within 500 ms, and 99% of streaming
-    /// sessions reaching a terminal verdict within 500 ms of server
-    /// compute after their first chunk. The engine's built-in guards
-    /// (worker panics, admission shed ratio) apply regardless.
-    pub fn default_slos() -> Vec<SloSpec> {
-        vec![
-            SloSpec::latency("verify-latency", "pipeline.session.seconds", 0.5, 0.99),
-            SloSpec::latency(
-                "stream-verdict-latency",
-                "server.stream.first_verdict.seconds",
-                0.5,
-                0.99,
-            ),
-        ]
-    }
-
-    /// Spawns the server with explicit SLO objectives for the health
-    /// endpoint (`ServerConfig` stays `Copy`; objectives ride
-    /// separately).
-    ///
-    /// The pool is a [`BatchEngine`] with [`BatchConfig::default`]'s
-    /// queue capacity and backpressure admission: a client blocks while
+    /// The pool admits frames under backpressure: a client blocks while
     /// the queue is full, and no frame is refused before shutdown.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.workers == 0`.
-    pub fn spawn_with_slos(system: DefenseSystem, cfg: ServerConfig, slos: Vec<SloSpec>) -> Self {
+    pub fn spawn_with_config(system: DefenseSystem, cfg: ServerConfig) -> Self {
         let registry = system.metrics().clone();
         let shared = Arc::new(Shared {
             cfg,
@@ -279,20 +249,29 @@ impl VerificationServer {
             streams: Mutex::new(HashMap::new()),
             streams_open: registry.gauge("server.stream.open"),
             stream_first_verdict: registry.histogram("server.stream.first_verdict.seconds"),
-            slo: Mutex::new(SloEngine::new(slos)),
+            slo: Mutex::new(SloEngine::new(Self::default_slos())),
             started: Instant::now(),
             registry,
         });
-        let engine = BatchEngine::spawn_as(
-            system,
-            BatchConfig {
-                workers: cfg.workers,
-                policy: cfg.policy,
-                ..BatchConfig::default()
-            },
-            "server",
-        );
+        let engine = BatchEngine::spawn(system, cfg.workers, cfg.policy);
         Self { engine, shared }
+    }
+
+    /// The SLO objectives every server evaluates: 99% of end-to-end
+    /// verifications within 500 ms, and 99% of streaming sessions
+    /// reaching a terminal verdict within 500 ms of server compute after
+    /// their first chunk. The SLO engine's built-in worker-panic guard
+    /// applies besides.
+    pub fn default_slos() -> Vec<SloSpec> {
+        vec![
+            SloSpec::latency("verify-latency", "pipeline.session.seconds", 0.5, 0.99),
+            SloSpec::latency(
+                "stream-verdict-latency",
+                "server.stream.first_verdict.seconds",
+                0.5,
+                0.99,
+            ),
+        ]
     }
 
     /// A client handle for submitting sessions.
@@ -817,7 +796,7 @@ impl Client {
             .map_err(|_| ClientError::Disconnected)
     }
 
-    /// Queues a frame on the server's engine and returns the reply
+    /// Queues a frame on the server's pool and returns the reply
     /// channel without waiting for the reply (admission blocks while the
     /// queue is full).
     fn send_frame(&self, frame: Vec<u8>) -> Result<Receiver<Vec<u8>>, ClientError> {
@@ -960,6 +939,7 @@ impl PendingVerdict {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioBuilder;
+    use magshield_simkit::prop::prelude::*;
     use magshield_simkit::rng::SimRng;
     use magshield_simkit::vec3::Vec3;
 
@@ -1112,6 +1092,50 @@ mod tests {
         }
     }
 
+    proptest! {
+        // Each case runs the cascade over every session twice (wire +
+        // sequential); keep the case count low, the fixture is shared.
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Wire verdicts are identical — decisions, scores, skip records —
+        /// to sequential per-session verdicts, under both execution
+        /// policies.
+        #[test]
+        fn wire_verdicts_match_sequential(
+            seeds in prop::collection::vec(0u64..5000, 1..6),
+            attack_mask in 0u32..64,
+            short_circuit in 0u8..2,
+        ) {
+            let (system, user) = crate::test_support::shared_tiny_system();
+            let policy = if short_circuit == 1 {
+                ExecutionPolicy::ShortCircuit
+            } else {
+                ExecutionPolicy::FullEvaluation
+            };
+            let sessions: Vec<SessionData> = seeds
+                .iter()
+                .enumerate()
+                .map(|(i, &seed)| {
+                    if attack_mask & (1 << i) != 0 {
+                        replay_session(user, seed)
+                    } else {
+                        ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(seed))
+                    }
+                })
+                .collect();
+            let srv = VerificationServer::spawn_with_policy(system.with_fresh_obs(), 2, policy);
+            let client = srv.client();
+            let pending: Vec<_> = sessions
+                .iter()
+                .map(|s| client.submit(s).expect("submit"))
+                .collect();
+            for (p, s) in pending.into_iter().zip(&sessions) {
+                prop_assert_eq!(p.wait().expect("verdict"), system.verify_with_policy(s, policy));
+            }
+            srv.shutdown();
+        }
+    }
+
     #[test]
     fn retired_stats_tags_are_protocol_errors() {
         let (srv, _) = server();
@@ -1248,13 +1272,21 @@ mod tests {
         srv.shutdown();
     }
 
+    /// A frame refused at shutdown is answered `Disconnected` and counted
+    /// once, under the shutdown reason, in the shed family.
     #[test]
     fn shutdown_disconnects_clients() {
         let (srv, user) = server();
         let client = srv.client();
+        let registry = srv.metrics().clone();
         srv.shutdown();
         let session = ScenarioBuilder::genuine(&user).capture(&SimRng::from_seed(52));
         assert_eq!(client.verify(&session), Err(ClientError::Disconnected));
+        let shutdown = magshield_obs::labels::Labels::new()
+            .policy(ServerConfig::default().policy.name())
+            .shed_reason("shutdown");
+        assert_eq!(registry.counter_with("batch.shed", &shutdown).get(), 1);
+        assert_eq!(registry.snapshot().counter_family_total("batch.shed"), 1);
     }
 
     #[test]
@@ -1280,6 +1312,7 @@ mod tests {
             std::thread::spawn(move || done.send(pending.wait().map(|_| ())));
         }
         let processed = srv.metrics().counter("server.worker.0.processed");
+        let srv_inflight = srv.metrics().gauge("server.inflight");
         srv.shutdown();
         let outcomes: Vec<_> = (0..32 + 5)
             .map(|_| {
@@ -1294,6 +1327,7 @@ mod tests {
         );
         assert_eq!(processed.get(), 32 + 5);
         assert_eq!(depth.get(), 0, "drained frames release the depth gauge");
+        assert_eq!(srv_inflight.get(), 0, "and their in-flight claims");
     }
 
     /// A server over an isolated registry (fresh [`crate::registry::ModelRegistry`]

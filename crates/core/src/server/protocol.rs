@@ -1411,10 +1411,10 @@ mod tests {
         let registry = magshield_obs::metrics::Registry::default();
         registry.counter("batch.verdicts").add(12);
         registry
-            .counter_with("batch.shed", &Labels::new().shed_reason("queue_full"))
+            .counter_with("batch.shed", &Labels::new().shed_reason("shutdown"))
             .add(3);
         registry
-            .gauge_with("batch.queue.depth", &Labels::new().tenant("acme"))
+            .gauge_with("server.queue.depth", &Labels::new().policy("short_circuit"))
             .set(7);
         let hist = registry.histogram_with(
             "pipeline.stage.seconds",
@@ -1451,7 +1451,7 @@ mod tests {
                 // Labeled series keys survive verbatim…
                 assert!(snapshot
                     .counters
-                    .contains_key("batch.shed{shed_reason=\"queue_full\"}"));
+                    .contains_key("batch.shed{shed_reason=\"shutdown\"}"));
                 // …and so do the exemplars inside the histogram.
                 let hist = snapshot
                     .histograms

@@ -28,7 +28,7 @@ pub const DEFAULT_MAX_JSONL_BYTES: u64 = 8 * 1024 * 1024;
 ///
 /// ```text
 /// # magshield metrics v1
-/// batch.shed{shed_reason="queue_full"} 17
+/// batch.shed{shed_reason="shutdown"} 17
 /// server.queue.depth 3
 /// pipeline.verify.seconds_count 5120
 /// pipeline.verify.seconds_sum 12.75
@@ -440,7 +440,7 @@ mod tests {
     fn sample_snapshot() -> MetricsSnapshot {
         let r = Registry::default();
         r.counter_vec("batch.shed")
-            .with(&Labels::new().shed_reason("queue_full"))
+            .with(&Labels::new().shed_reason("shutdown"))
             .add(17);
         r.gauge("server.queue.depth").set(3);
         let h = r.histogram("pipeline.verify.seconds");
@@ -453,7 +453,7 @@ mod tests {
     fn text_exposition_lists_everything() {
         let text = render_text(&sample_snapshot());
         assert!(text.starts_with("# magshield metrics v1\n"));
-        assert!(text.contains("batch.shed{shed_reason=\"queue_full\"} 17\n"));
+        assert!(text.contains("batch.shed{shed_reason=\"shutdown\"} 17\n"));
         assert!(text.contains("server.queue.depth 3\n"));
         assert!(text.contains("pipeline.verify.seconds_count 2\n"));
         assert!(text.contains("pipeline.verify.seconds{quantile=\"0.99\"}"));
@@ -481,7 +481,7 @@ mod tests {
     fn jsonl_record_is_parseable_shape() {
         let rec = render_jsonl_record(&sample_snapshot(), 1_700_000_000.5);
         assert!(rec.starts_with("{\"ts\":1700000000.5,"));
-        assert!(rec.contains("\"batch.shed{shed_reason=\\\"queue_full\\\"}\":17"));
+        assert!(rec.contains("\"batch.shed{shed_reason=\\\"shutdown\\\"}\":17"));
         assert!(rec.contains("\"exemplars\":[{\"trace_id\":\"sess-41\""));
         assert!(!rec.contains('\n'));
         // Balanced braces: a cheap structural sanity check that holds

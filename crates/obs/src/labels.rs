@@ -1,8 +1,8 @@
 //! Low-cardinality metric labels with a canonical encoded form.
 //!
 //! A [`Labels`] value is a small, sorted set of `key="value"` pairs
-//! drawn from a fixed key vocabulary ([`LABEL_KEYS`]): `tenant`,
-//! `stage`, `generation`, `policy` and `shed_reason`. Restricting the
+//! drawn from a fixed key vocabulary ([`LABEL_KEYS`]): `stage`,
+//! `generation`, `policy` and `shed_reason`. Restricting the
 //! keys keeps the metric space enumerable; restricting per-family
 //! cardinality (see [`MAX_CARDINALITY`]) keeps it bounded even when a
 //! label value is derived from runtime data (e.g. a generation number
@@ -13,7 +13,7 @@
 
 /// The allowed label keys, sorted. Anything else is a programming error:
 /// label keys are part of the telemetry schema, not free-form data.
-pub const LABEL_KEYS: [&str; 5] = ["generation", "policy", "shed_reason", "stage", "tenant"];
+pub const LABEL_KEYS: [&str; 4] = ["generation", "policy", "shed_reason", "stage"];
 
 /// Maximum distinct label sets a single metric family will create.
 /// Beyond this, samples are routed to the [`OVERFLOW_VALUE`] series so
@@ -80,12 +80,6 @@ impl Labels {
             Err(i) => self.pairs.insert(i, (key, value)),
         }
         self
-    }
-
-    /// Shorthand for the `tenant` label.
-    #[must_use]
-    pub fn tenant(self, value: &str) -> Self {
-        self.and("tenant", value)
     }
 
     /// Shorthand for the `stage` label.
@@ -207,13 +201,13 @@ mod tests {
 
     #[test]
     fn labels_sort_dedupe_and_render() {
-        let l = Labels::new().tenant("acme").stage("sld").tenant("beta");
+        let l = Labels::new().stage("sld").policy("full").stage("asv");
         assert_eq!(l.len(), 2);
-        assert_eq!(l.get("tenant"), Some("beta"));
-        assert_eq!(l.render(), r#"{stage="sld",tenant="beta"}"#);
+        assert_eq!(l.get("stage"), Some("asv"));
+        assert_eq!(l.render(), r#"{policy="full",stage="asv"}"#);
         assert_eq!(
-            l.key_for("pipeline.verify.seconds"),
-            r#"pipeline.verify.seconds{stage="sld",tenant="beta"}"#
+            l.key_for("pipeline.stage.seconds"),
+            r#"pipeline.stage.seconds{policy="full",stage="asv"}"#
         );
         assert_eq!(Labels::new().render(), "");
         assert_eq!(Labels::new().key_for("x"), "x");
@@ -221,8 +215,8 @@ mod tests {
 
     #[test]
     fn values_are_sanitized() {
-        let l = Labels::of("tenant", "we\"ird té{na}nt");
-        assert_eq!(l.get("tenant"), Some("we_ird_t__na_nt"));
+        let l = Labels::of("stage", "we\"ird té{na}nt");
+        assert_eq!(l.get("stage"), Some("we_ird_t__na_nt"));
         assert!(!l.render().contains('{') || l.render().starts_with('{'));
     }
 

@@ -83,8 +83,6 @@ pub use metrics::{
     Counter, CounterVec, Exemplar, Gauge, Histogram, HistogramSnapshot, HistogramVec,
     MetricsSnapshot, Registry, MAX_EXEMPLARS,
 };
-pub use slo::{
-    BurnRate, GuardConfig, HealthReport, HealthState, Objective, SloEngine, SloSpec, SloStatus,
-};
+pub use slo::{BurnRate, HealthReport, HealthState, Objective, SloEngine, SloSpec, SloStatus};
 pub use span::{Span, SpanEvent, SpanRecord, TraceCollector};
 pub use trace::{ComponentTrace, PipelineTrace};

@@ -778,7 +778,7 @@ mod tests {
         let r = Registry::default();
         let vec_a = r.counter_vec("req.total");
         let vec_b = r.counter_vec("req.total");
-        let l = Labels::new().tenant("acme").stage("sld");
+        let l = Labels::new().policy("full").stage("sld");
         vec_a.with(&l).add(3);
         vec_b.with(&l).add(4);
         assert_eq!(
@@ -828,7 +828,7 @@ mod tests {
                 let hist = hist.clone();
                 std::thread::spawn(move || {
                     let labels = Labels::new()
-                        .tenant(if t % 2 == 0 { "even" } else { "odd" })
+                        .policy(if t % 2 == 0 { "full" } else { "short_circuit" })
                         .stage(&format!("s{}", t / 2));
                     let c = vec.with(&labels);
                     let h = hist.with(&labels);
@@ -845,7 +845,7 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter_family_total("conc.total"), 8_000);
         assert_eq!(snap.histogram_family_merged("conc.seconds").count, 8_000);
-        // 8 threads over 2 tenants × 4 stages = exactly 8 distinct series.
+        // 8 threads over 2 policies × 4 stages = exactly 8 distinct series.
         let series = snap
             .counters
             .keys()

@@ -13,9 +13,9 @@
 //! a brief spike (short high, long low) and a stale incident (long
 //! high, short recovered) neither page.
 //!
-//! The engine also ingests two built-in guards — worker panics and
-//! admission sheds — so a panicking worker pool or a shed-storm is
-//! visible as [`HealthState::Degraded`] (or worse) without any spec.
+//! The engine also ingests one built-in guard, [`PANIC_COUNTER`], so a
+//! panicking worker pool is visible as [`HealthState::Degraded`] (or
+//! worse) without any spec.
 //! Time is passed in explicitly (`now_s`), which makes the math
 //! deterministic and directly property-testable.
 
@@ -35,16 +35,21 @@ pub const TICKET_BURN: f64 = 6.0;
 /// Consecutive cleaner evaluations required before health improves
 /// (escalation is always immediate).
 pub const RECOVERY_EVALS: u32 = 3;
+/// Counter family of contained worker panics, the built-in guard's
+/// source: any panic within [`PANIC_WINDOW_S`] degrades health.
+pub const PANIC_COUNTER: &str = "server.worker.panics";
+/// The panic guard's window, seconds.
+pub const PANIC_WINDOW_S: f64 = SHORT_WINDOW_S;
 
 /// Overall health, ordered from best to worst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HealthState {
     /// All objectives within budget.
     Healthy,
-    /// An objective is burning budget at ticket rate, workers have
-    /// panicked recently, or admission is shedding.
+    /// An objective is burning budget at ticket rate, or workers have
+    /// panicked recently.
     Degraded,
-    /// An objective is burning budget at page rate (or sheds dominate).
+    /// An objective is burning budget at page rate.
     Unhealthy,
 }
 
@@ -252,38 +257,6 @@ impl Ring {
     }
 }
 
-/// Built-in health guards that need no [`SloSpec`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GuardConfig {
-    /// Counter family: contained worker panics.
-    pub panic_counter: String,
-    /// Counter family: admission sheds (all reasons).
-    pub shed_counter: String,
-    /// Counter family: requests actually served, the shed-rate
-    /// denominator's other half.
-    pub served_counter: String,
-    /// Shed fraction (sheds / (sheds + served)) over the window that
-    /// marks the plane `Degraded`.
-    pub shed_degraded_ratio: f64,
-    /// Shed fraction that marks the plane `Unhealthy`.
-    pub shed_unhealthy_ratio: f64,
-    /// Guard evaluation window, seconds.
-    pub window_s: f64,
-}
-
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            panic_counter: "server.worker.panics".to_string(),
-            shed_counter: "batch.shed".to_string(),
-            served_counter: "batch.verdicts".to_string(),
-            shed_degraded_ratio: 0.05,
-            shed_unhealthy_ratio: 0.50,
-            window_s: SHORT_WINDOW_S,
-        }
-    }
-}
-
 /// Per-spec evaluation result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloStatus {
@@ -302,38 +275,30 @@ pub struct HealthReport {
     pub state: HealthState,
     /// Per-spec statuses, spec order.
     pub statuses: Vec<SloStatus>,
-    /// Human-readable notes from the built-in guards.
+    /// Human-readable notes from the built-in guard.
     pub notes: Vec<String>,
 }
 
-/// Evaluates [`SloSpec`]s and guards against ingested snapshots.
+/// Evaluates [`SloSpec`]s and the panic guard against ingested
+/// snapshots.
 #[derive(Debug, Clone)]
 pub struct SloEngine {
     specs: Vec<SloSpec>,
-    guards: GuardConfig,
     rings: Vec<Ring>,
     panic_ring: Ring,
-    shed_ring: Ring,
     state: HealthState,
     candidate: HealthState,
     streak: u32,
 }
 
 impl SloEngine {
-    /// An engine over `specs` with default guards.
+    /// An engine over `specs` plus the panic guard.
     pub fn new(specs: Vec<SloSpec>) -> Self {
-        Self::with_guards(specs, GuardConfig::default())
-    }
-
-    /// An engine with explicit guard configuration.
-    pub fn with_guards(specs: Vec<SloSpec>, guards: GuardConfig) -> Self {
         let rings = vec![Ring::default(); specs.len()];
         SloEngine {
             specs,
-            guards,
             rings,
             panic_ring: Ring::default(),
-            shed_ring: Ring::default(),
             state: HealthState::Healthy,
             candidate: HealthState::Healthy,
             streak: 0,
@@ -345,26 +310,18 @@ impl SloEngine {
         &self.specs
     }
 
-    /// Records one cumulative sample per spec and guard from `snap`.
+    /// Records one cumulative sample per spec and for the guard from
+    /// `snap`.
     pub fn ingest(&mut self, now_s: f64, snap: &MetricsSnapshot) {
         for (spec, ring) in self.specs.iter().zip(&mut self.rings) {
             let (total, errors) = spec.totals(snap);
             ring.push(now_s, total, errors, LONG_WINDOW_S);
         }
-        let family = |name: &str| snap.counter_family_total(name);
-        self.panic_ring.push(
-            now_s,
-            family(&self.guards.panic_counter),
-            0,
-            self.guards.window_s,
-        );
-        let shed = family(&self.guards.shed_counter);
-        let served = family(&self.guards.served_counter);
-        self.shed_ring
-            .push(now_s, shed + served, shed, self.guards.window_s);
+        let panics = snap.counter_family_total(PANIC_COUNTER);
+        self.panic_ring.push(now_s, panics, 0, PANIC_WINDOW_S);
     }
 
-    /// Evaluates all specs and guards at `now_s`, advancing the state
+    /// Evaluates all specs and the guard at `now_s`, advancing the state
     /// machine. Escalation is immediate; recovery requires
     /// [`RECOVERY_EVALS`] consecutive cleaner evaluations so a
     /// flapping objective cannot oscillate the reported state.
@@ -389,29 +346,12 @@ impl SloEngine {
             });
         }
 
-        let (panics, _) = self.panic_ring.delta_over(now_s, self.guards.window_s);
+        let (panics, _) = self.panic_ring.delta_over(now_s, PANIC_WINDOW_S);
         if panics > 0 {
             worst = worst.max(HealthState::Degraded);
             notes.push(format!(
-                "{panics} worker panic(s) in the last {:.0}s",
-                self.guards.window_s
+                "{panics} worker panic(s) in the last {PANIC_WINDOW_S:.0}s"
             ));
-        }
-        let (shed_total, sheds) = self.shed_ring.delta_over(now_s, self.guards.window_s);
-        if shed_total > 0 && sheds > 0 {
-            let ratio = sheds as f64 / shed_total as f64;
-            if ratio >= self.guards.shed_unhealthy_ratio {
-                worst = HealthState::Unhealthy;
-            } else if ratio >= self.guards.shed_degraded_ratio {
-                worst = worst.max(HealthState::Degraded);
-            }
-            if ratio >= self.guards.shed_degraded_ratio {
-                notes.push(format!(
-                    "admission shedding {:.1}% of traffic in the last {:.0}s",
-                    ratio * 100.0,
-                    self.guards.window_s
-                ));
-            }
         }
 
         // Hysteresis: up immediately, down only on a sustained streak.
@@ -558,34 +498,10 @@ mod tests {
         let mut eng = SloEngine::new(vec![]);
         let mut report = eng.observe(0.0, &r.snapshot());
         assert_eq!(report.state, HealthState::Healthy);
-        r.counter("server.worker.panics").inc();
+        r.counter(PANIC_COUNTER).inc();
         report = eng.observe(60.0, &r.snapshot());
         assert_eq!(report.state, HealthState::Degraded);
         assert!(report.notes.iter().any(|n| n.contains("panic")));
-    }
-
-    #[test]
-    fn shed_storm_goes_unhealthy() {
-        let r = Registry::default();
-        let mut eng = SloEngine::new(vec![]);
-        eng.observe(0.0, &r.snapshot());
-        r.counter("batch.shed").add(900);
-        r.counter("batch.verdicts").add(100);
-        let report = eng.observe(60.0, &r.snapshot());
-        assert_eq!(report.state, HealthState::Unhealthy);
-        assert!(report.notes.iter().any(|n| n.contains("shedding")));
-    }
-
-    #[test]
-    fn mild_shed_ratio_is_degraded_not_unhealthy() {
-        let r = Registry::default();
-        let mut eng = SloEngine::new(vec![]);
-        eng.observe(0.0, &r.snapshot());
-        // 8% shed: past the 5% Degraded line, under the 50% page line.
-        r.counter("batch.shed").add(8);
-        r.counter("batch.verdicts").add(92);
-        let report = eng.observe(60.0, &r.snapshot());
-        assert_eq!(report.state, HealthState::Degraded);
     }
 
     #[test]

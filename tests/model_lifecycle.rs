@@ -2,11 +2,10 @@
 //! a trained [`ModelBundle`] round-trips through its binary codec into a
 //! serving [`DefenseSystem`] with bit-identical verdicts, online
 //! enrollment lands against a running server without a restart, and
-//! concurrent hot-swaps under batch load never yield a verdict that
+//! concurrent hot-swaps under server load never yield a verdict that
 //! mixes model generations.
 
 use magshield::core::artifact::{BundleMeta, ModelBundle};
-use magshield::core::batch::{AdmissionPolicy, BatchConfig, BatchEngine, BatchOutcome};
 use magshield::core::cascade::ExecutionPolicy;
 use magshield::core::pipeline::{BootstrapConfig, DefenseSystem};
 use magshield::core::registry::ModelRegistry;
@@ -132,25 +131,19 @@ fn online_enrollment_lands_without_restart() {
     server.shutdown();
 }
 
-/// Hot-swap under load: the batch engine verifies a steady stream while
-/// a background thread swaps whole bundle generations into the shared
-/// registry. Every verdict must be attributable to exactly one
-/// generation (its stamp), nothing may shed or stall, and the registry
-/// must land on the final generation.
+/// Hot-swap under load: a server verifies a steady stream of pipelined
+/// requests while a background thread swaps whole bundle generations
+/// into the registry the server shares. Every verdict must be
+/// attributable to exactly one generation (its stamp), every request
+/// must be answered, and the registry must land on the final
+/// generation.
 #[test]
 fn hot_swap_under_load_never_mixes_generations() {
     const SWAPS: u64 = 12;
     let system = isolated_system();
-    let control = system.clone(); // shares the registry with the engine
-    let engine = BatchEngine::spawn(
-        system,
-        BatchConfig {
-            workers: 2,
-            queue_capacity: 16,
-            policy: ExecutionPolicy::ShortCircuit,
-            admission: AdmissionPolicy::Backpressure,
-        },
-    );
+    let control = system.clone(); // shares the registry with the server
+    let server = VerificationServer::spawn_with_policy(system, 2, ExecutionPolicy::ShortCircuit);
+    let client = server.client();
     let (_, user) = fixture();
     let sessions: Vec<SessionData> = (0..48u64)
         .map(|i| ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(8300 + i)))
@@ -167,29 +160,27 @@ fn hot_swap_under_load_never_mixes_generations() {
         control.generation()
     });
 
-    let tickets: Vec<_> = sessions
-        .into_iter()
-        .map(|s| engine.submit(s).expect("backpressure never sheds"))
+    let pending: Vec<_> = sessions
+        .iter()
+        .map(|s| client.submit(s).expect("server is running"))
         .collect();
     let mut seen = BTreeSet::new();
-    for (i, t) in tickets.into_iter().enumerate() {
-        match t.wait() {
-            BatchOutcome::Verdict(v) => {
-                let g = v
-                    .generation
-                    .expect("every served verdict carries its generation");
-                assert!(
-                    (ModelRegistry::FIRST_GENERATION..=ModelRegistry::FIRST_GENERATION + SWAPS)
-                        .contains(&g),
-                    "session {i}: generation {g} was never published"
-                );
-                seen.insert(g);
-            }
-            BatchOutcome::Shed(r) => panic!("session {i} shed with {r} under backpressure"),
-        }
+    for (i, p) in pending.into_iter().enumerate() {
+        let v = p
+            .wait()
+            .unwrap_or_else(|e| panic!("session {i} not answered: {e}"));
+        let g = v
+            .generation
+            .expect("every served verdict carries its generation");
+        assert!(
+            (ModelRegistry::FIRST_GENERATION..=ModelRegistry::FIRST_GENERATION + SWAPS)
+                .contains(&g),
+            "session {i}: generation {g} was never published"
+        );
+        seen.insert(g);
     }
     let final_generation = swapper.join().expect("swapper lives");
     assert_eq!(final_generation, ModelRegistry::FIRST_GENERATION + SWAPS);
     assert!(!seen.is_empty(), "throughput stalled: no verdicts at all");
-    engine.shutdown();
+    server.shutdown();
 }
