@@ -17,7 +17,7 @@
 //! [`TimeSeries::lerp_sample`] at every output bit for bit.
 
 use crate::session::SessionData;
-use magshield_dsp::filter::Biquad;
+use magshield_dsp::filter::{Biquad, BiquadPair};
 use magshield_dsp::level::amplitude_to_dbfs;
 use magshield_simkit::series::TimeSeries;
 use std::cell::{OnceCell, RefCell};
@@ -219,13 +219,16 @@ struct LevelTracks {
 /// first ASV biquad run on the frame's samples while the second ASV
 /// biquad runs on the previous frame's first-stage output: independent
 /// recurrences interleave, where feeding the second biquad from the first
-/// in the same step would serialize them. Each recurrence still sees its
+/// in the same step would serialize them. The recurrences step in the
+/// two lanes of a [`BiquadPair`]: a dual-mic pass pairs the two level
+/// filters, and the first ASV biquad with the lagged second; a
+/// single-mic pass pairs the level filter with the first ASV biquad on
+/// the shared input, and runs the lagged second alone (paired with the
+/// first, it measured slower). Each lane runs exactly
+/// [`Biquad::process`]'s operations and each recurrence still sees its
 /// samples in order, so every output is bit-identical to its own serial
 /// pass, and each frame's level sums the same squares in the same order
 /// as [`level_track`](magshield_dsp::level::level_track).
-// The lagged stage is indexed alongside `current(j)`; an iterator form
-// measured slower.
-#[allow(clippy::needless_range_loop)]
 fn pass<const L1: bool, const L2: bool, const ASV: bool>(
     session: &SessionData,
     audio: &[f64],
@@ -236,8 +239,13 @@ fn pass<const L1: bool, const L2: bool, const ASV: bool>(
     let frame_s = 1.0 / session.imu_rate;
     let frame_len = ((rate * frame_s).round() as usize).max(1);
     let lowpass = |cutoff: f64| Biquad::lowpass(rate, cutoff.min(rate * 0.45), FRAC_1_SQRT_2);
-    let (mut level, mut level2) = (lowpass(LEVEL_CUTOFF_HZ), lowpass(LEVEL_CUTOFF_HZ));
-    let (mut asv1, mut asv2) = (lowpass(ASV_CUTOFF_HZ), lowpass(ASV_CUTOFF_HZ));
+    let (level, asv) = (lowpass(LEVEL_CUTOFF_HZ), lowpass(ASV_CUTOFF_HZ));
+    // The filters fed this frame's samples: (level, level2) on a dual-mic
+    // pass, (level, first ASV biquad) on a single-mic one.
+    let mut front = BiquadPair::new(level.clone(), if L2 { level } else { asv.clone() });
+    // The ASV chain: lane 0 is the first biquad on a dual-mic pass, lane
+    // 1 the lagged second biquad on every pass.
+    let mut chain = BiquadPair::new(asv.clone(), asv);
     let frames = audio.len().div_ceil(frame_len);
     let mut out = LevelTracks {
         primary: Vec::with_capacity(if L1 { frames } else { 0 }),
@@ -261,27 +269,39 @@ fn pass<const L1: bool, const L2: bool, const ASV: bool>(
             (&mut [], &mut [])
         };
         let (mut energy, mut energy2) = (0.0f64, 0.0f64);
-        let mut current = |j: usize| {
-            if L1 {
-                let v = level.process(x[j]);
-                energy += v * v;
-            }
+        // One sample `j` of this frame, and `lag`, the lagged second-stage
+        // sample stepped beside it (none once the previous frame's are
+        // spent).
+        let mut step = |j: usize, lag: Option<&mut f64>| {
             if L2 {
-                let v = level2.process(x2[j]);
-                energy2 += v * v;
+                let [v, v2] = front.process([x[j], x2[j]]);
+                energy += v * v;
+                energy2 += v2 * v2;
+            } else if L1 && ASV {
+                let [v, first] = front.process([x[j], x[j]]);
+                energy += v * v;
+                y[j] = first;
+            } else if L1 {
+                let v = front.process_lane(0, x[j]);
+                energy += v * v;
+            } else if ASV {
+                y[j] = front.process_lane(1, x[j]);
             }
-            if ASV {
-                y[j] = asv1.process(x[j]);
+            match lag {
+                Some(l) if L2 && ASV => [y[j], *l] = chain.process([x[j], *l]),
+                Some(l) => *l = chain.process_lane(1, *l),
+                None if L2 && ASV => y[j] = chain.process_lane(0, x[j]),
+                None => {}
             }
         };
         let common = len.min(lagged.len());
-        for j in 0..common {
-            current(j);
-            lagged[j] = asv2.process(lagged[j]);
+        let (paired, rest) = lagged.split_at_mut(common);
+        for (j, l) in paired.iter_mut().enumerate() {
+            step(j, Some(l));
         }
-        (common..len).for_each(&mut current);
-        for v in &mut lagged[common..] {
-            *v = asv2.process(*v);
+        (common..len).for_each(|j| step(j, None));
+        for v in rest {
+            *v = chain.process_lane(1, *v);
         }
         if L1 {
             out.primary.push(rms_db(energy, len));
@@ -295,7 +315,7 @@ fn pass<const L1: bool, const L2: bool, const ASV: bool>(
     if ASV {
         filtered[pending]
             .iter_mut()
-            .for_each(|v| *v = asv2.process(*v));
+            .for_each(|v| *v = chain.process_lane(1, *v));
     }
     out
 }

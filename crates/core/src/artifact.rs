@@ -116,13 +116,13 @@ impl ModelBundle {
     pub fn into_snapshot(self) -> ModelSnapshot {
         ModelSnapshot {
             config: self.config,
-            engine: self.engine,
+            engine: Arc::new(self.engine),
             speakers: self
                 .speakers
                 .into_iter()
                 .map(|m| (m.speaker_id, Arc::new(m)))
                 .collect(),
-            sound_field: self.sound_field,
+            sound_field: Arc::new(self.sound_field),
         }
     }
 
@@ -138,9 +138,9 @@ impl ModelBundle {
         Self {
             meta,
             config: snapshot.config,
-            engine: snapshot.engine.clone(),
+            engine: AsvEngine::clone(&snapshot.engine),
             speakers,
-            sound_field: snapshot.sound_field.clone(),
+            sound_field: SoundFieldModel::clone(&snapshot.sound_field),
         }
     }
 }

@@ -7,8 +7,9 @@
 //! models in place:
 //!
 //! * [`ModelRegistry::enroll`] publishes a copy-on-write snapshot with
-//!   one more speaker (the `Arc`-held models themselves are shared, only
-//!   the map is rebuilt);
+//!   one more speaker (the `Arc`-held models themselves — engine,
+//!   speakers and sound-field classifier — are shared, only the map is
+//!   rebuilt);
 //! * [`ModelRegistry::swap`] atomically replaces the whole snapshot —
 //!   hot-swapping a freshly trained
 //!   [`ModelBundle`](crate::artifact::ModelBundle) under live traffic.
@@ -47,13 +48,15 @@ pub struct ModelSnapshot {
     /// The thresholds this model set was validated against — what the
     /// producing [`ModelBundle`](crate::artifact::ModelBundle) shipped.
     pub config: DefenseConfig,
-    /// The ASV backend (UBM or ISV).
-    pub engine: AsvEngine,
+    /// The ASV backend (UBM or ISV). `Arc`-shared like every model here,
+    /// so a copy-on-write enrollment shares it with the snapshot it
+    /// copies.
+    pub engine: Arc<AsvEngine>,
     /// Enrolled speaker models by speaker id. Models are `Arc`-shared so
     /// copy-on-write enrollment only clones the map, not the GMMs.
     pub speakers: HashMap<u32, Arc<SpeakerModel>>,
-    /// The sound-field classifier.
-    pub sound_field: SoundFieldModel,
+    /// The sound-field classifier (`Arc`-shared, as `engine`).
+    pub sound_field: Arc<SoundFieldModel>,
 }
 
 /// One published registry state: a snapshot plus the generation it was
@@ -244,13 +247,16 @@ mod tests {
         // The pinned snapshot from before the enrollment is untouched.
         assert!(!before.speakers.contains_key(&4040));
         assert_eq!(before.speakers.len(), n);
-        // The surviving models are shared, not cloned.
+        // The surviving models are shared, not cloned: speakers, the ASV
+        // engine and the sound-field model.
         let after = reg.snapshot();
         let old_id = donor.speaker_id;
         assert!(Arc::ptr_eq(
             &before.speakers[&old_id],
             &after.speakers[&old_id]
         ));
+        assert!(Arc::ptr_eq(&before.engine, &after.engine));
+        assert!(Arc::ptr_eq(&before.sound_field, &after.sound_field));
     }
 
     #[test]

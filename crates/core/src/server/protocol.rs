@@ -1184,6 +1184,70 @@ mod tests {
         }
     }
 
+    /// Scalars that arrive raw off the wire (`get_session` for a verify
+    /// request, `StreamOpen` for a stream) and that `validate` must
+    /// refuse although every comparison with NaN is false: a NaN pilot, a
+    /// NaN sweep mark and a non-finite Earth-field reference.
+    #[test]
+    fn malformed_wire_scalars_come_back_rejected_invalid() {
+        use crate::scenario::ScenarioBuilder;
+        use crate::server::VerificationServer;
+        use crate::session::SessionError;
+        use crate::stream::chunk_session;
+        use magshield_simkit::rng::SimRng;
+
+        let (system, user) = crate::test_support::shared_tiny_system();
+        let srv = VerificationServer::spawn(system.with_fresh_obs(), 1);
+        let client = srv.client();
+        let genuine = ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(91));
+        type Spoil = fn(&mut SessionData);
+        let cases: [(Spoil, SessionError); 3] = [
+            (
+                |s| s.pilot_hz = f64::NAN,
+                SessionError::PilotTooLow(f64::NAN),
+            ),
+            (|s| s.sweep_start_s = f64::NAN, SessionError::BadSweepMark),
+            (
+                |s| s.earth_reference.y = f64::INFINITY,
+                SessionError::NonFiniteData,
+            ),
+        ];
+        for (spoil, error) in cases {
+            let mut session = genuine.clone();
+            spoil(&mut session);
+            let reason = error.to_string();
+            // The scalar crosses the wire as sent.
+            match decode_frame(&encode_request(1, &session)).unwrap() {
+                Message::VerifyRequest { session: got, .. } => {
+                    assert_eq!(got.pilot_hz.to_bits(), session.pilot_hz.to_bits());
+                    assert_eq!(got.sweep_start_s.to_bits(), session.sweep_start_s.to_bits());
+                    assert_eq!(got.earth_reference, session.earth_reference);
+                }
+                other => panic!("wrong message: {other:?}"),
+            }
+            let one_shot = client.verify(&session).expect("verdict");
+            assert_eq!(
+                one_shot.invalid.as_deref(),
+                Some(reason.as_str()),
+                "one-shot"
+            );
+            assert!(!one_shot.accepted(), "one-shot: {reason}");
+            let stream = client
+                .open_stream(
+                    &StreamOpenInfo::for_session(&session),
+                    StreamConfig::default(),
+                )
+                .expect("stream opens");
+            for chunk in chunk_session(&session, 48_000) {
+                stream.send_chunk(&chunk).expect("chunk reply");
+            }
+            let streamed = stream.close().expect("final verdict");
+            assert_eq!(streamed.invalid.as_deref(), Some(reason.as_str()), "stream");
+            assert!(!streamed.accepted(), "stream: {reason}");
+        }
+        srv.shutdown();
+    }
+
     #[test]
     fn response_rejects_truncation_everywhere() {
         let verdict = DefenseVerdict::from_stages(vec![

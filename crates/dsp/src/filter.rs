@@ -135,6 +135,78 @@ impl Biquad {
     }
 }
 
+/// Two independent [`Biquad`]s stepped together, one per lane.
+///
+/// Each lane runs exactly [`Biquad::process`]'s operations in its order
+/// (`b0·x + b1·x1 + b2·x2 − a1·y1 − a2·y2`, left to right, no fused
+/// multiply-add), so every output is bit-identical to the scalar filter
+/// the lane was built from fed the same samples. Stepping both lanes in
+/// one call lets the two recurrences share vector instructions: a
+/// biquad's latency chain is serial, two of them side by side are not.
+#[derive(Debug, Clone)]
+pub struct BiquadPair {
+    b0: [f64; 2],
+    b1: [f64; 2],
+    b2: [f64; 2],
+    a1: [f64; 2],
+    a2: [f64; 2],
+    x1: [f64; 2],
+    x2: [f64; 2],
+    y1: [f64; 2],
+    y2: [f64; 2],
+}
+
+impl BiquadPair {
+    /// Lane 0 continues `a`, lane 1 continues `b`, coefficients and state.
+    pub fn new(a: Biquad, b: Biquad) -> Self {
+        let lanes = |f: fn(&Biquad) -> f64| [f(&a), f(&b)];
+        Self {
+            b0: lanes(|q| q.b0),
+            b1: lanes(|q| q.b1),
+            b2: lanes(|q| q.b2),
+            a1: lanes(|q| q.a1),
+            a2: lanes(|q| q.a2),
+            x1: lanes(|q| q.x1),
+            x2: lanes(|q| q.x2),
+            y1: lanes(|q| q.y1),
+            y2: lanes(|q| q.y2),
+        }
+    }
+
+    /// Processes one sample on each lane.
+    #[inline]
+    pub fn process(&mut self, x: [f64; 2]) -> [f64; 2] {
+        let y: [f64; 2] = std::array::from_fn(|k| {
+            self.b0[k] * x[k] + self.b1[k] * self.x1[k] + self.b2[k] * self.x2[k]
+                - self.a1[k] * self.y1[k]
+                - self.a2[k] * self.y2[k]
+        });
+        self.x2 = self.x1;
+        self.x1 = x;
+        self.y2 = self.y1;
+        self.y1 = y;
+        y
+    }
+
+    /// Processes one sample on lane `k` alone, leaving the other lane as
+    /// it is — for a stretch where only one of the two filters has input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > 1`.
+    #[inline]
+    pub fn process_lane(&mut self, k: usize, x: f64) -> f64 {
+        let y = self.b0[k] * x + self.b1[k] * self.x1[k] + self.b2[k] * self.x2[k]
+            - self.a1[k] * self.y1[k]
+            - self.a2[k] * self.y2[k];
+        self.x2[k] = self.x1[k];
+        self.x1[k] = x;
+        self.y2[k] = self.y1[k];
+        self.y1[k] = y;
+        y
+    }
+}
+
 fn rbj_params(sample_rate: f64, freq_hz: f64, q: f64) -> (f64, f64) {
     assert!(
         freq_hz > 0.0 && freq_hz < sample_rate / 2.0,

@@ -2,7 +2,7 @@
 
 use magshield_dsp::complex::Complex;
 use magshield_dsp::fft::{fft, FftPlan};
-use magshield_dsp::filter::{moving_average, pre_emphasis, Biquad, OnePole};
+use magshield_dsp::filter::{moving_average, pre_emphasis, Biquad, BiquadPair, OnePole};
 use magshield_dsp::frame::{FrameMatrix, ScratchPad};
 use magshield_dsp::goertzel::{goertzel, tone_amplitude};
 use magshield_dsp::level::{amplitude_to_dbfs, rms};
@@ -43,6 +43,27 @@ impl Mix {
             4 => f64::from_bits(sign | payload.max(1)),
             _ => f64::from_bits(sign | 1e308f64.to_bits()) * (1.0 + (payload as f64) * 1e-16),
         }
+    }
+
+    /// A finite value uniform in `[lo, hi)`.
+    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+    }
+
+    /// A biquad with random coefficients (stable or not), warmed up on
+    /// a few samples so its state is not all zeros.
+    fn biquad(&mut self, special_every: u64) -> Biquad {
+        let mut f = Biquad::from_coefficients(
+            self.uniform(-2.0, 2.0),
+            self.uniform(-2.0, 2.0),
+            self.uniform(-2.0, 2.0),
+            self.uniform(-2.0, 2.0),
+            self.uniform(-1.0, 1.0),
+        );
+        for _ in 0..self.next() % 4 {
+            f.process(self.sample(special_every));
+        }
+        f
     }
 }
 
@@ -170,6 +191,42 @@ proptest! {
             .collect();
         let a = tone_amplitude(&sig, f, fs);
         prop_assert!((a - 1.0).abs() < 1e-6, "amp {a}");
+    }
+
+    /// Each lane of a `BiquadPair` is `to_bits`-identical to the scalar
+    /// `Biquad` it was built from, a NaN matching any NaN (Rust leaves an
+    /// arithmetic NaN's sign and payload unspecified), whether the lanes
+    /// step together (`process`) or one at a time (`process_lane`), on
+    /// random coefficients and input salted with NaN payloads,
+    /// infinities, signed zeros, subnormals and overflowing values.
+    #[test]
+    fn biquad_pair_lanes_are_bit_identical_to_biquad(seed in 0u64..u64::MAX, density in 0usize..4) {
+        let special_every = [u64::MAX, 509, 31, 2][density];
+        let mut mix = Mix(seed);
+        let mut scalar = [mix.biquad(special_every), mix.biquad(special_every)];
+        let mut pair = BiquadPair::new(scalar[0].clone(), scalar[1].clone());
+        for step in 0..512 {
+            let x = [mix.sample(special_every), mix.sample(special_every)];
+            let (got, want) = match mix.next() % 4 {
+                // Both lanes, mostly: the stretch the speech pass pairs.
+                0 | 1 => (
+                    pair.process(x).to_vec(),
+                    vec![scalar[0].process(x[0]), scalar[1].process(x[1])],
+                ),
+                lane => {
+                    let lane = (lane - 2) as usize;
+                    (vec![pair.process_lane(lane, x[lane])], vec![scalar[lane].process(x[lane])])
+                }
+            };
+            let diff = first_nan_equal_mismatch(&got, &want);
+            prop_assert!(
+                diff.is_none(),
+                "step {}: got {:x?}, want {:x?}",
+                step,
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 
     /// Biquad filters are BIBO stable on bounded input.

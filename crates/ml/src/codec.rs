@@ -211,20 +211,32 @@ impl ByteWriter {
         self.put_u32(u32::try_from(n).expect("collection too large for codec length prefix"));
     }
 
-    /// Appends `xs` raw, `W` bytes per element as produced by `to_le`:
-    /// the buffer grows once, then each element fills its own `W`-byte
-    /// chunk. The bulk primitive under every typed slice writer; callers
-    /// with composite elements (a 3-vector is three `f64`s) pass their
-    /// own `to_le`.
+    /// Appends `xs` raw, `W` bytes per element as produced by `to_le`.
+    /// The bulk primitive under every typed slice writer; callers with
+    /// composite elements (a 3-vector is three `f64`s) pass their own
+    /// `to_le`.
+    ///
+    /// The buffer is reserved once, then filled a stack block at a time:
+    /// each element's bytes land in the block, and each block is
+    /// appended whole, so every byte of the buffer is written once (no
+    /// zero fill ahead of the copy). An element wider than the 512-byte
+    /// block fails to compile.
     pub fn put_le_slice<T: Copy, const W: usize>(
         &mut self,
         xs: &[T],
         to_le: impl Fn(T) -> [u8; W],
     ) {
-        let start = self.buf.len();
-        self.buf.resize(start + xs.len() * W, 0);
-        for (dst, &x) in self.buf[start..].chunks_exact_mut(W).zip(xs) {
-            dst.copy_from_slice(&to_le(x));
+        const BLOCK: usize = 512;
+        const { assert!(W <= BLOCK, "element wider than the stack block") };
+        let per_block = BLOCK / W;
+        self.buf.reserve(xs.len() * W);
+        let mut block = [0u8; BLOCK];
+        for chunk in xs.chunks(per_block) {
+            let filled = &mut block[..chunk.len() * W];
+            for (dst, &x) in filled.chunks_exact_mut(W).zip(chunk) {
+                dst.copy_from_slice(&to_le(x));
+            }
+            self.buf.extend_from_slice(filled);
         }
     }
 

@@ -11,8 +11,17 @@
 //! A change that means to move a verdict says so by re-pinning the
 //! constant, as `artifact_compat` does for model bundles; the failure
 //! message prints the new value and the per-session table behind it.
+//!
+//! `attack_score` clamps the speaker-identity stage at 0, so a moved ASV
+//! score far above its threshold leaves every verdict bit alone.
+//! [`ANALYSIS_DIGEST`] covers what the verdicts cannot see: per corpus
+//! session, the bits of every speech-pass output (both level tracks and
+//! the ASV audio) and of the unclamped
+//! [`AsvScore::z`](magshield::asv::model::AsvScore::z).
 
+use magshield::core::analysis::{SessionAnalysis, SpeechParts};
 use magshield::core::cascade::ExecutionPolicy;
+use magshield::core::components::speaker_id;
 use magshield::core::pipeline::{BootstrapConfig, DefenseSystem};
 use magshield::core::robustness::{attack_sessions, AttackFamily, EnvKind};
 use magshield::core::scenario::{bootstrap_with, ScenarioBuilder};
@@ -24,6 +33,10 @@ use magshield::simkit::rng::SimRng;
 
 /// FNV-1a/64 of the corpus's verdict bytes (see [`encode_verdict`]).
 const VERDICT_DIGEST: u64 = 0x6c90_aa6b_2b6b_0be1;
+
+/// FNV-1a/64 of the corpus's speech-pass and ASV-score bytes (see
+/// [`encode_analysis`]).
+const ANALYSIS_DIGEST: u64 = 0xcafe_82d4_be8e_2a69;
 
 /// The labeled corpus: every attack family in the quiet environment,
 /// then the genuine single- and dual-microphone sessions.
@@ -113,6 +126,67 @@ fn verdicts_match_the_pinned_digest() {
         digest,
         VERDICT_DIGEST,
         "verdict digest moved to {digest:#018x}; re-pin VERDICT_DIGEST only for an intended verdict change:\n{}",
+        table.join("\n")
+    );
+}
+
+/// Appends one session's analysis bytes and returns its `z` for the
+/// failure table: the length and `to_bits` of the primary level track,
+/// a marker byte followed on a dual-mic session by the secondary track,
+/// the ASV audio, then a marker byte followed, when the claimed speaker
+/// is enrolled, by the bits of the speaker-identity stage's unclamped
+/// `z`.
+fn encode_analysis(system: &DefenseSystem, session: &SessionData, out: &mut Vec<u8>) -> String {
+    let put = |xs: &[f64], out: &mut Vec<u8>| {
+        out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
+        for x in xs {
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    };
+    let all = SpeechParts::BOTH_LEVELS.with(SpeechParts::ASV_AUDIO);
+    let analysis = SessionAnalysis::new(session, all);
+    put(analysis.levels(), out);
+    match analysis.secondary_levels() {
+        Some(levels) => {
+            out.push(1);
+            put(levels, out);
+        }
+        None => out.push(0),
+    }
+    put(analysis.asv_audio(), out);
+    let models = system.models();
+    match models.speakers.get(&session.claimed_speaker) {
+        Some(model) => {
+            let (_, score) = speaker_id::verify(&analysis, &models.engine, model, &system.config);
+            out.push(1);
+            out.extend_from_slice(&score.z.to_bits().to_le_bytes());
+            format!("z={:#018x}", score.z.to_bits())
+        }
+        None => {
+            out.push(0);
+            "z=unenrolled".to_string()
+        }
+    }
+}
+
+#[test]
+fn speech_pass_and_asv_scores_match_the_pinned_digest() {
+    let (system, sessions) = corpus();
+    let mut bytes = Vec::new();
+    let mut table = Vec::new();
+    for (label, session) in &sessions {
+        let start = bytes.len();
+        let z = encode_analysis(&system, session, &mut bytes);
+        table.push(format!(
+            "{label} {z} bytes={:#018x}",
+            fnv1a_64(&bytes[start..])
+        ));
+    }
+    let digest = fnv1a_64(&bytes);
+    assert_eq!(
+        digest,
+        ANALYSIS_DIGEST,
+        "analysis digest moved to {digest:#018x}; re-pin ANALYSIS_DIGEST only for an intended change to the speech pass or the ASV score:\n{}",
         table.join("\n")
     );
 }
