@@ -32,8 +32,8 @@ use std::time::Instant;
 
 fn main() {
     let (system, user, rng) = experiment_system();
-    // The clone shares the system's metrics registry and span collector,
-    // so locally traced sessions and server-side work land in one place.
+    // The clone shares the system's metrics registry, so locally traced
+    // sessions and server-side work land in one place.
     let local = system.clone();
     let round_trip = local.metrics().histogram("client.round_trip.seconds");
     let asv_frontend = local.metrics().histogram("bench.asv_frontend.seconds");

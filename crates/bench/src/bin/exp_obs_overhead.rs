@@ -8,8 +8,10 @@
 //! ran (`pipeline.stage.seconds`), one per session
 //! (`pipeline.session.seconds`) and the one flat verdict counter
 //! (`pipeline.accepts`) — and compared against the measured end-to-end
-//! verify latency. Absolute ns/op varies across machines, so
-//! the CI gate compares only **ratios** under the `"metrics"` key:
+//! verify latency. That sequence is the whole of a verification's
+//! telemetry: beside it, a run records only its verdict. Absolute ns/op
+//! varies across machines, so the CI gate compares only **ratios** under
+//! the `"metrics"` key:
 //!
 //! * `obs_overhead_pct` — per-session telemetry cost as a percentage
 //!   of verify latency. The headline number: the telemetry plane must

@@ -234,7 +234,7 @@ fn stream_one(
             }
         }
     }
-    let (verdict, _trace) = stream
+    let verdict = stream
         .finalize(&system.config, system.obs())
         .expect("stream is open");
     (verdict, false, total, total, t0.elapsed())

@@ -50,13 +50,13 @@
 //!
 //! The pipeline and server are instrumented against `magshield-obs`:
 //! [`pipeline::DefenseSystem::verify_traced`] returns a per-session
-//! trace of each component's decision and duration, each stage event
+//! trace line of each component's decision and duration, each stage event
 //! lands once in a labeled family (`pipeline.stage.seconds{stage,policy}`,
 //! `pipeline.stage.skipped{stage,policy}`,
 //! `pipeline.session.seconds{policy}`), and the server serves those and
 //! its queue/compute latency histograms over the wire
 //! (`server::protocol::Message::MetricsRequest`). See DESIGN.md §7 for
-//! the metric and span naming scheme.
+//! the metric naming scheme.
 //!
 //! # Quickstart
 //!

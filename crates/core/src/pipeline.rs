@@ -15,26 +15,26 @@
 //! pins the current registry generation into a [`Cascade`], which runs
 //! the five stages over that snapshot and stamps every verdict with the
 //! generation that produced it; [`DefenseSystem::open_stream`] hands a
-//! stream the same pinned type. Every verification is instrumented
-//! against `magshield-obs`: one span per stage that runs, one
+//! stream the same pinned type. Every verification records its verdict
+//! and, against `magshield-obs`, one
 //! `pipeline.stage.seconds{stage,policy}` sample per stage that runs,
 //! one `pipeline.stage.skipped{stage,policy}` count per short-circuited
-//! stage, one `pipeline.session.seconds{policy}` sample per session, and
-//! a per-session [`PipelineTrace`] carrying each stage's decision, score,
-//! threshold margin and duration (see DESIGN.md §7).
+//! stage and one `pipeline.session.seconds{policy}` sample per session.
+//! [`DefenseSystem::verify_traced`] alone also builds the session's
+//! [`PipelineTrace`] line: each stage's decision, score, threshold
+//! margin and duration (see DESIGN.md §7).
 
 use crate::artifact::ModelBundle;
-use crate::cascade::{Cascade, ExecutionPolicy};
+use crate::cascade::{trace_id, Cascade, ExecutionPolicy, StageTimings};
 use crate::config::{ConfigError, DefenseConfig};
 use crate::registry::{ModelRegistry, ModelSnapshot};
 use crate::scenario::UserContext;
 use crate::session::SessionData;
 use crate::store::{DurableStore, RecoveredState, StoreError, StoreMetrics};
 use crate::trainer::Trainer;
-use crate::verdict::DefenseVerdict;
+use crate::verdict::{DefenseVerdict, StageOutcome};
 use magshield_obs::metrics::{CounterVec, HistogramVec, Registry};
-use magshield_obs::span::TraceCollector;
-use magshield_obs::trace::PipelineTrace;
+use magshield_obs::trace::{ComponentTrace, PipelineTrace};
 use magshield_simkit::rng::SimRng;
 use std::path::Path;
 use std::sync::Arc;
@@ -44,16 +44,15 @@ pub use crate::trainer::BootstrapConfig;
 /// Observability handles shared by every verification this system runs.
 ///
 /// Cloning is shallow (`Arc`-backed): clones of a [`DefenseSystem`] —
-/// e.g. the copies held by server workers — feed the same registry and
-/// span collector, so one snapshot sees the whole fleet.
+/// e.g. the copies held by server workers — feed the same registry, so
+/// one snapshot sees the whole fleet. These metrics are the only
+/// telemetry a verification writes; its other record is the verdict.
 #[derive(Debug, Clone)]
 pub struct PipelineObs {
     /// Named metrics: the labeled families below plus the
     /// `pipeline.accepts` / `pipeline.rejects` / `pipeline.invalid`
     /// counters and the `registry.*` serving-state gauges.
     pub registry: Registry,
-    /// Finished verification spans (bounded ring, oldest evicted).
-    pub tracer: TraceCollector,
     /// Labeled per-stage latency: `pipeline.stage.seconds{stage,policy}`
     /// with the session's trace id as the slow-sample exemplar. The
     /// family handle lives here so its interning cache persists across
@@ -73,7 +72,6 @@ impl Default for PipelineObs {
             stage_seconds: registry.histogram_vec("pipeline.stage.seconds"),
             stage_skipped: registry.counter_vec("pipeline.stage.skipped"),
             verify_seconds: registry.histogram_vec("pipeline.session.seconds"),
-            tracer: TraceCollector::default(),
             registry,
         }
     }
@@ -281,14 +279,8 @@ impl DefenseSystem {
         &self.obs.registry
     }
 
-    /// The span collector receiving one `verify` span (with one child per
-    /// cascade component) per verification.
-    pub fn tracer(&self) -> &TraceCollector {
-        &self.obs.tracer
-    }
-
-    /// A clone of this system recording into a brand-new registry and
-    /// span collector. The trained models stay shared; only the
+    /// A clone of this system recording into a brand-new metrics
+    /// registry. The trained models stay shared; only the
     /// observability state is reset — useful for isolating measurement
     /// phases (or tests) that would otherwise pollute each other's
     /// counters through the shallow-shared [`PipelineObs`].
@@ -351,7 +343,7 @@ impl DefenseSystem {
 
     /// Runs the full cascade at the nominal thresholds.
     pub fn verify(&self, session: &SessionData) -> DefenseVerdict {
-        self.verify_traced(session).0
+        self.verify_with_config(session, &self.config)
     }
 
     /// Runs the cascade under explicit thresholds (adaptive thresholding
@@ -380,11 +372,54 @@ impl DefenseSystem {
     }
 
     /// Runs the full cascade at the nominal thresholds, returning the
-    /// verdict together with a [`PipelineTrace`] carrying each stage's
-    /// decision, attack score, threshold margin and duration. Also emits
-    /// one span per stage and updates the system's metrics registry.
+    /// verdict together with its [`PipelineTrace`] line: each stage's
+    /// decision, attack score, threshold margin and duration. Records the
+    /// same metrics as [`DefenseSystem::verify`]; the trace line is built
+    /// here, from the verdict and the run's [`StageTimings`], and nowhere
+    /// else.
     pub fn verify_traced(&self, session: &SessionData) -> (DefenseVerdict, PipelineTrace) {
-        self.cascade().run(session, &self.config, &self.obs)
+        let (verdict, timings) = self.cascade().run(session, &self.config, &self.obs);
+        let trace = trace_line(session, &verdict, &timings);
+        (verdict, trace)
+    }
+}
+
+/// The trace line of one cascade run: one [`ComponentTrace`] per stage
+/// outcome of `verdict`, in cascade order, timed by `timings`.
+fn trace_line(
+    session: &SessionData,
+    verdict: &DefenseVerdict,
+    timings: &StageTimings,
+) -> PipelineTrace {
+    let components = verdict
+        .stages
+        .iter()
+        .map(|outcome| match outcome {
+            StageOutcome::Ran(r) => ComponentTrace {
+                component: r.component.name().to_string(),
+                passed: r.passes_at(1.0),
+                attack_score: r.attack_score,
+                threshold_margin: 1.0 - r.attack_score,
+                duration_s: timings.stage_s[r.component.index()],
+                detail: r.detail.clone(),
+                skipped: false,
+            },
+            StageOutcome::Skipped(k) => ComponentTrace {
+                component: k.component.name().to_string(),
+                passed: false,
+                attack_score: 0.0,
+                threshold_margin: 0.0,
+                duration_s: 0.0,
+                detail: format!("short-circuited by {}", k.cause.name()),
+                skipped: true,
+            },
+        })
+        .collect();
+    PipelineTrace {
+        session: trace_id(session),
+        accepted: verdict.accepted(),
+        total_s: timings.total_s,
+        components,
     }
 }
 
@@ -604,16 +639,106 @@ mod tests {
         }
         let components_s: f64 = trace.components.iter().map(|c| c.duration_s).sum();
         assert!(trace.total_s >= components_s * 0.5);
-        // Metrics and spans landed too.
+        // Metrics landed too.
         let snap = sys.metrics().snapshot();
         let full =
             magshield_obs::labels::Labels::new().policy(ExecutionPolicy::FullEvaluation.name());
         assert!(snap.histograms[&full.key_for("pipeline.session.seconds")].count >= 1);
         let distance = full.stage("distance").key_for("pipeline.stage.seconds");
         assert!(snap.histograms[&distance].count >= 1);
-        let spans = sys.tracer().records();
-        assert!(spans.iter().any(|r| r.name == "verify"));
-        assert!(spans.iter().any(|r| r.name == "speaker_id"));
+    }
+
+    /// Asserts two verdicts are equal bit for bit: decision, invalid
+    /// reason, generation and every stage outcome, scores by `to_bits`.
+    fn assert_bit_equal(a: &DefenseVerdict, b: &DefenseVerdict) {
+        assert_eq!(a.decision, b.decision);
+        assert_eq!(a.invalid, b.invalid);
+        assert_eq!(a.generation, b.generation);
+        assert_eq!(a.stages.len(), b.stages.len());
+        for (x, y) in a.stages.iter().zip(&b.stages) {
+            match (x, y) {
+                (StageOutcome::Ran(x), StageOutcome::Ran(y)) => {
+                    assert_eq!(x.component, y.component);
+                    assert_eq!(x.attack_score.to_bits(), y.attack_score.to_bits());
+                    assert_eq!(x.detail, y.detail);
+                }
+                (StageOutcome::Skipped(x), StageOutcome::Skipped(y)) => assert_eq!(x, y),
+                _ => panic!("{x:?} against {y:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn trace_line_is_a_view_of_the_verdict() {
+        let (sys, user) = system();
+        let mut dual = user.clone();
+        dual.phone = magshield_sensors::phone::PhoneModel::Nexus4;
+        let attacker = SpeakerProfile::sample(7, &SimRng::from_seed(1));
+        let replay = ScenarioBuilder::machine_attack(
+            user,
+            AttackKind::Replay,
+            table_iv_catalog()[0].clone(),
+            attacker,
+        )
+        .at_distance(0.05)
+        .capture(&SimRng::from_seed(322));
+        let far = ScenarioBuilder::genuine(user)
+            .at_distance(0.14)
+            .capture(&SimRng::from_seed(2));
+        let sessions = [
+            ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(320)),
+            ScenarioBuilder::genuine(&dual).capture(&SimRng::from_seed(321)),
+            replay,
+            far,
+        ];
+        let mut skipped = 0;
+        for s in &sessions {
+            let (traced, _) = sys.verify_traced(s);
+            assert_bit_equal(&traced, &sys.verify(s));
+            for policy in [
+                ExecutionPolicy::FullEvaluation,
+                ExecutionPolicy::ShortCircuit,
+            ] {
+                let (v, timings) = sys
+                    .cascade()
+                    .with_policy(policy)
+                    .run(s, &sys.config, sys.obs());
+                let trace = trace_line(s, &v, &timings);
+                assert_eq!(trace.session, format!("speaker-{}", s.claimed_speaker));
+                assert_eq!(trace.accepted, v.accepted());
+                assert_eq!(trace.total_s.to_bits(), timings.total_s.to_bits());
+                assert_eq!(trace.components.len(), v.stages.len(), "{policy:?}");
+                for (c, outcome) in trace.components.iter().zip(&v.stages) {
+                    let component = outcome.component();
+                    assert_eq!(c.component, component.name());
+                    match outcome {
+                        StageOutcome::Ran(r) => {
+                            assert!(!c.skipped);
+                            assert_eq!(c.passed, r.passes_at(1.0));
+                            assert_eq!(c.attack_score.to_bits(), r.attack_score.to_bits());
+                            assert_eq!(c.detail, r.detail);
+                            let stage_s = timings.stage_s[component.index()];
+                            assert!(stage_s > 0.0);
+                            assert_eq!(c.duration_s.to_bits(), stage_s.to_bits());
+                        }
+                        StageOutcome::Skipped(k) => {
+                            skipped += 1;
+                            assert!(c.skipped && !c.passed);
+                            assert_eq!(c.attack_score.to_bits(), 0.0f64.to_bits());
+                            assert_eq!(c.detail, format!("short-circuited by {}", k.cause.name()));
+                            assert_eq!(c.duration_s, 0.0);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0, "the replay and the far session short-circuit");
+        let mut invalid = sessions[0].clone();
+        invalid.audio.clear();
+        let (v, trace) = sys.verify_traced(&invalid);
+        assert_bit_equal(&v, &sys.verify(&invalid));
+        assert!(v.invalid.is_some());
+        assert!(trace.components.is_empty());
     }
 
     #[test]

@@ -324,8 +324,8 @@ fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
             encode_response(request_id, &verdict)
         }
         Ok(Message::MetricsRequest { request_id }) => {
-            // Non-draining scrape: exemplar windows stay intact for the
-            // trace-log flusher (DESIGN.md §12).
+            // Non-draining scrape: exemplar windows stay intact, so every
+            // scrape sees the window's slowest sessions (DESIGN.md §12).
             let snap = shared.registry.snapshot();
             let exposition = render_text(&snap);
             protocol::encode_metrics_response(request_id, &snap, &exposition)
@@ -536,7 +536,7 @@ fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
             };
             let (chunks, age) = (verification.chunks(), verification.age());
             match verification.finalize(&system.config, system.obs()) {
-                Ok((verdict, _trace)) => {
+                Ok(verdict) => {
                     finish_stream(shared, w, stream_id, age, start.elapsed());
                     protocol::encode_stream_verdict(
                         request_id,

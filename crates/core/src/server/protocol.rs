@@ -166,7 +166,7 @@ pub enum Message {
     /// Server → client: every counter, gauge and histogram series —
     /// labeled keys included — plus the text exposition rendering of
     /// the same snapshot (added in v5). The scrape is non-draining:
-    /// exemplar windows are left intact for the trace-log flusher.
+    /// exemplar windows are left intact.
     MetricsResponse {
         /// Request correlation id.
         request_id: u64,
@@ -1186,8 +1186,10 @@ mod tests {
 
     /// Scalars that arrive raw off the wire (`get_session` for a verify
     /// request, `StreamOpen` for a stream) and that `validate` must
-    /// refuse although every comparison with NaN is false: a NaN pilot, a
-    /// NaN sweep mark and a non-finite Earth-field reference.
+    /// refuse: a NaN pilot (every comparison with NaN is false), a pilot
+    /// at or above the audio's Nyquist frequency (infinite, huge or just
+    /// at `audio_rate / 2`), a NaN sweep mark and a non-finite
+    /// Earth-field reference.
     #[test]
     fn malformed_wire_scalars_come_back_rejected_invalid() {
         use crate::scenario::ScenarioBuilder;
@@ -1201,10 +1203,20 @@ mod tests {
         let client = srv.client();
         let genuine = ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(91));
         type Spoil = fn(&mut SessionData);
-        let cases: [(Spoil, SessionError); 3] = [
+        let nyquist = genuine.audio_rate / 2.0;
+        let cases: [(Spoil, SessionError); 6] = [
             (
                 |s| s.pilot_hz = f64::NAN,
                 SessionError::PilotTooLow(f64::NAN),
+            ),
+            (
+                |s| s.pilot_hz = f64::INFINITY,
+                SessionError::PilotTooHigh(f64::INFINITY),
+            ),
+            (|s| s.pilot_hz = 1e300, SessionError::PilotTooHigh(1e300)),
+            (
+                |s| s.pilot_hz = s.audio_rate / 2.0,
+                SessionError::PilotTooHigh(nyquist),
             ),
             (|s| s.sweep_start_s = f64::NAN, SessionError::BadSweepMark),
             (

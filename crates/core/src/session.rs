@@ -60,8 +60,9 @@ impl SessionData {
     }
 
     /// Basic integrity check: non-empty streams, consistent rates, a
-    /// pilot above the inaudibility floor, a sweep mark inside the
-    /// session, and finite samples and calibration throughout.
+    /// pilot above the inaudibility floor and below the audio's Nyquist
+    /// frequency, a sweep mark inside the session, and finite samples
+    /// and calibration throughout.
     ///
     /// Every scalar comparison is written so that NaN fails it: the
     /// rates, `pilot_hz`, `sweep_start_s` and `earth_reference` all
@@ -82,6 +83,9 @@ impl SessionData {
         }
         if self.pilot_hz.is_nan() || self.pilot_hz <= 16_000.0 {
             return Err(SessionError::PilotTooLow(self.pilot_hz));
+        }
+        if self.pilot_hz >= self.audio_rate / 2.0 {
+            return Err(SessionError::PilotTooHigh(self.pilot_hz));
         }
         if !(0.0..=self.duration()).contains(&self.sweep_start_s) {
             return Err(SessionError::BadSweepMark);
@@ -145,6 +149,10 @@ pub enum SessionError {
     BadRate,
     /// Pilot below the paper's 16 kHz floor, or NaN.
     PilotTooLow(f64),
+    /// Pilot at or above the audio's Nyquist frequency
+    /// (`audio_rate / 2`), infinity included: no capture at that rate
+    /// can hold it.
+    PilotTooHigh(f64),
     /// Sweep marker outside the session, or NaN.
     BadSweepMark,
     /// NaN/inf in the samples or the Earth-field reference.
@@ -161,6 +169,12 @@ impl std::fmt::Display for SessionError {
             SessionError::BadRate => write!(f, "non-positive sample rate"),
             SessionError::PilotTooLow(hz) => {
                 write!(f, "pilot {hz} Hz is below the 16 kHz inaudibility floor")
+            }
+            SessionError::PilotTooHigh(hz) => {
+                write!(
+                    f,
+                    "pilot {hz} Hz is at or above the audio's Nyquist frequency"
+                )
             }
             SessionError::BadSweepMark => write!(f, "sweep marker outside the session"),
             SessionError::NonFiniteData => write!(f, "non-finite samples in session data"),
@@ -209,6 +223,24 @@ mod tests {
     fn rejects_low_pilot() {
         let mut s = minimal();
         s.pilot_hz = 12_000.0;
+        assert!(matches!(s.validate(), Err(SessionError::PilotTooLow(_))));
+    }
+
+    #[test]
+    fn rejects_pilot_at_or_above_nyquist() {
+        for hz in [24_000.0, 30_000.0, 1e300, f64::INFINITY] {
+            let mut s = minimal();
+            s.pilot_hz = hz;
+            assert_eq!(s.validate(), Err(SessionError::PilotTooHigh(hz)), "{hz}");
+            assert_eq!(validate_oracle(&s), s.validate(), "{hz}");
+        }
+        let mut s = minimal();
+        s.pilot_hz = 23_999.0;
+        assert!(s.validate().is_ok());
+        // The same pilot is above Nyquist at a lower audio rate.
+        s.audio_rate = 44_100.0;
+        assert_eq!(s.validate(), Err(SessionError::PilotTooHigh(23_999.0)));
+        s.pilot_hz = f64::NEG_INFINITY;
         assert!(matches!(s.validate(), Err(SessionError::PilotTooLow(_))));
     }
 
@@ -274,6 +306,9 @@ mod tests {
         }
         if s.pilot_hz <= 16_000.0 {
             return Err(SessionError::PilotTooLow(s.pilot_hz));
+        }
+        if s.pilot_hz >= s.audio_rate / 2.0 {
+            return Err(SessionError::PilotTooHigh(s.pilot_hz));
         }
         if s.sweep_start_s < 0.0 || s.sweep_start_s > s.duration() {
             return Err(SessionError::BadSweepMark);

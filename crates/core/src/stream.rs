@@ -55,7 +55,6 @@ use crate::config::DefenseConfig;
 use crate::pipeline::PipelineObs;
 use crate::session::SessionData;
 use crate::verdict::{Component, ComponentResult, DefenseVerdict};
-use magshield_obs::trace::PipelineTrace;
 use magshield_simkit::vec3::Vec3;
 use std::fmt;
 use std::time::Instant;
@@ -314,7 +313,7 @@ impl StreamingVerification {
                 .chunks
                 .is_multiple_of(self.stream.reverify_every_chunks)
         {
-            let (verdict, _trace) = self.cascade.run(&self.data, config, obs);
+            let (verdict, _) = self.cascade.run(&self.data, config, obs);
             obs.registry
                 .counter("pipeline.stream.reverify.passes")
                 .inc();
@@ -344,23 +343,23 @@ impl StreamingVerification {
 
     /// Closes the stream: runs the stock one-shot cascade over the
     /// complete accumulated session — the decision is identical to
-    /// verifying the same data in one shot — and returns the verdict
-    /// (stamped with the pinned generation) plus its trace.
+    /// verifying the same data in one shot — and returns the verdict,
+    /// stamped with the pinned generation.
     pub fn finalize(
         mut self,
         config: &DefenseConfig,
         obs: &PipelineObs,
-    ) -> Result<(DefenseVerdict, PipelineTrace), StreamClosed> {
+    ) -> Result<DefenseVerdict, StreamClosed> {
         if self.terminated {
             return Err(StreamClosed);
         }
         self.terminated = true;
-        let (verdict, trace) = self.cascade.run(&self.data, config, obs);
+        let (verdict, _) = self.cascade.run(&self.data, config, obs);
         obs.registry
             .histogram("pipeline.stream.first_verdict.seconds")
             .record_secs(self.opened.elapsed().as_secs_f64().max(1e-9));
         obs.registry.counter("pipeline.stream.completed").inc();
-        Ok((verdict, trace))
+        Ok(verdict)
     }
 
     /// A borrowed view of the accumulated session prefix.
@@ -472,7 +471,7 @@ mod tests {
                 }
             }
         }
-        (v.finalize(&sys.config, sys.obs()).unwrap().0, false)
+        (v.finalize(&sys.config, sys.obs()).unwrap(), false)
     }
 
     /// [`stream_to_verdict`] under an explicit config (the quantized
@@ -493,7 +492,7 @@ mod tests {
                 }
             }
         }
-        (v.finalize(config, sys.obs()).unwrap().0, false)
+        (v.finalize(config, sys.obs()).unwrap(), false)
     }
 
     #[test]
@@ -637,7 +636,7 @@ mod tests {
                 .get()
                 >= 2
         );
-        let (verdict, _) = v.finalize(&sys.config, sys.obs()).unwrap();
+        let verdict = v.finalize(&sys.config, sys.obs()).unwrap();
         assert_eq!(verdict.decision, sys.verify(&s).decision);
     }
 

@@ -2,8 +2,8 @@
 
 /// Which cascade stage produced a result.
 ///
-/// The variant is the stage's *stable identity*: metric names, span
-/// names, trace component strings and wire tags are all derived from
+/// The variant is the stage's *stable identity*: metric labels, trace
+/// component strings and wire tags are all derived from
 /// [`Component::name`], so there is exactly one source of truth for
 /// stage naming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,8 +39,8 @@ impl Component {
     }
 
     /// Stable snake_case identifier — the single source of truth for
-    /// span names, the `stage` label of the `pipeline.stage.*` metric
-    /// families, and pipeline-trace component strings.
+    /// the `stage` label of the `pipeline.stage.*` metric families and
+    /// pipeline-trace component strings.
     pub fn name(&self) -> &'static str {
         match self {
             Component::Loudspeaker => "loudspeaker",

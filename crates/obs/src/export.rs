@@ -1,25 +1,17 @@
-//! Metrics export: text exposition, JSONL flushing and size-capped
-//! rotation.
-//!
-//! Three pieces, all built on [`MetricsSnapshot`] so they need no lock
-//! on live metrics:
+//! Metrics export: text exposition, the workspace's JSON writer and
+//! size-capped JSONL rotation.
 //!
 //! * [`render_text`] — a flat, grep-able exposition format (one sample
-//!   per line, exemplars as annotated comment lines) served over the
-//!   wire by `MetricsResponse`.
-//! * [`render_jsonl_record`] — one self-contained JSON object per
-//!   scrape for offline analysis, written with [`JsonWriter`], the one
-//!   JSON writer every JSONL artifact of the workspace goes through.
-//! * [`RotatingJsonlWriter`] / [`MetricsFlusher`] — append JSONL under
-//!   a max-file-size cap (rotating `file` → `file.1`), and a background
-//!   thread that does so on an interval.
+//!   per line, exemplars as annotated comment lines) built on a
+//!   [`MetricsSnapshot`] and served over the wire by `MetricsResponse`.
+//! * [`JsonWriter`] — the one JSON writer every JSONL artifact of the
+//!   workspace goes through.
+//! * [`RotatingJsonlWriter`] — appends JSONL under a max-file-size cap
+//!   (rotating `file` → `file.1`).
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot, Registry};
+use crate::metrics::MetricsSnapshot;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// Default size cap for rotated JSONL exports (bytes).
 pub const DEFAULT_MAX_JSONL_BYTES: u64 = 8 * 1024 * 1024;
@@ -92,9 +84,9 @@ fn inject_label(metric_key: &str, key: &str, value: &str) -> String {
     }
 }
 
-/// The workspace's one JSON writer. Metrics JSONL records, pipeline
-/// traces, span records and the experiment result rows are all emitted
-/// through it, in the shapes `serde_json` gives the same data:
+/// The workspace's one JSON writer. Pipeline traces and the experiment
+/// result rows are all emitted through it, in the shapes `serde_json`
+/// gives the same data:
 ///
 /// * floats print as the shortest decimal that round-trips (positional,
 ///   never an exponent), with `.0` appended to integral values (`5.0`,
@@ -238,61 +230,6 @@ impl JsonWriter {
     }
 }
 
-fn histogram_json(w: &mut JsonWriter, h: &HistogramSnapshot) {
-    w.begin_object()
-        .key("count")
-        .u64(h.count)
-        .key("sum_ns")
-        .u64(h.sum_ns)
-        .key("max_ns")
-        .u64(h.max_ns)
-        .key("p50")
-        .f64(h.p50())
-        .key("p95")
-        .f64(h.p95())
-        .key("p99")
-        .f64(h.p99())
-        .key("exemplars")
-        .begin_array();
-    for e in &h.exemplars {
-        w.begin_object()
-            .key("trace_id")
-            .str(&e.trace_id)
-            .key("value_ns")
-            .u64(e.value_ns)
-            .key("bucket")
-            .u64(u64::from(e.bucket))
-            .end_object();
-    }
-    w.end_array().end_object();
-}
-
-/// Renders one flush record: a single JSON object (no trailing newline)
-/// with the scrape timestamp and every metric. Quantiles are
-/// pre-computed so offline consumers need no bucket math.
-pub fn render_jsonl_record(snap: &MetricsSnapshot, unix_ts_s: f64) -> String {
-    let mut w = JsonWriter::default();
-    w.begin_object()
-        .key("ts")
-        .f64(unix_ts_s)
-        .key("counters")
-        .begin_object();
-    for (k, v) in &snap.counters {
-        w.key(k).u64(*v);
-    }
-    w.end_object().key("gauges").begin_object();
-    for (k, v) in &snap.gauges {
-        w.key(k).i64(*v);
-    }
-    w.end_object().key("histograms").begin_object();
-    for (k, h) in &snap.histograms {
-        w.key(k);
-        histogram_json(&mut w, h);
-    }
-    w.end_object().end_object();
-    w.finish()
-}
-
 /// Appends lines to a JSONL file under a size cap. When an append
 /// would push the file past `max_bytes`, the file is renamed to
 /// `<path>.1` (replacing any previous `.1`) and a fresh file is
@@ -353,82 +290,10 @@ impl RotatingJsonlWriter {
     }
 }
 
-/// A background thread flushing registry snapshots as JSONL on an
-/// interval. Stops (with a final flush) on [`MetricsFlusher::stop`] or
-/// drop.
-#[derive(Debug)]
-pub struct MetricsFlusher {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MetricsFlusher {
-    /// Spawns a flusher writing `registry` snapshots to `path` every
-    /// `interval`, rotating at `max_bytes`.
-    pub fn spawn(
-        registry: Registry,
-        path: impl Into<PathBuf>,
-        interval: Duration,
-        max_bytes: u64,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let writer = RotatingJsonlWriter::new(path, max_bytes);
-        let handle = std::thread::spawn(move || {
-            let epoch = std::time::SystemTime::UNIX_EPOCH;
-            let flush = |writer: &RotatingJsonlWriter, registry: &Registry| {
-                let ts = std::time::SystemTime::now()
-                    .duration_since(epoch)
-                    .map(|d| d.as_secs_f64())
-                    .unwrap_or(0.0);
-                let record = render_jsonl_record(&registry.snapshot(), ts);
-                // Export must never take the serving path down with it.
-                let _ = writer.append_line(&record);
-            };
-            loop {
-                // Poll the stop flag at a finer grain than the interval
-                // so shutdown is prompt even with slow flush intervals.
-                let mut slept = Duration::ZERO;
-                while slept < interval {
-                    if stop_flag.load(Ordering::Relaxed) {
-                        flush(&writer, &registry);
-                        return;
-                    }
-                    let step = Duration::from_millis(20).min(interval - slept);
-                    std::thread::sleep(step);
-                    slept += step;
-                }
-                flush(&writer, &registry);
-            }
-        });
-        MetricsFlusher {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops the flusher after one final flush and joins the thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsFlusher {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Registry;
     use crate::Labels;
 
     fn test_dir(tag: &str) -> PathBuf {
@@ -475,23 +340,6 @@ mod tests {
             text.contains("lat.seconds{stage=\"sld\",quantile=\"0.5\"}"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn jsonl_record_is_parseable_shape() {
-        let rec = render_jsonl_record(&sample_snapshot(), 1_700_000_000.5);
-        assert!(rec.starts_with("{\"ts\":1700000000.5,"));
-        assert!(rec.contains("\"batch.shed{shed_reason=\\\"shutdown\\\"}\":17"));
-        assert!(rec.contains("\"exemplars\":[{\"trace_id\":\"sess-41\""));
-        assert!(!rec.contains('\n'));
-        // Balanced braces: a cheap structural sanity check that holds
-        // because every emitted string is escaped.
-        let depth = rec.chars().fold(0i64, |d, c| match c {
-            '{' => d + 1,
-            '}' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
     }
 
     fn json_of(f: impl FnOnce(&mut JsonWriter)) -> String {
@@ -581,26 +429,6 @@ mod tests {
         // The next line rotates the oversized file out.
         w.append_line("z").unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flusher_writes_and_stops() {
-        let dir = test_dir("flusher");
-        let path = dir.join("metrics.jsonl");
-        let r = Registry::default();
-        r.counter("flush.test").add(5);
-        let flusher = MetricsFlusher::spawn(
-            r.clone(),
-            &path,
-            Duration::from_millis(10),
-            DEFAULT_MAX_JSONL_BYTES,
-        );
-        std::thread::sleep(Duration::from_millis(60));
-        flusher.stop();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.lines().count() >= 2, "interval + final flush");
-        assert!(body.lines().all(|l| l.contains("\"flush.test\":5")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,7 +6,7 @@
 //! verdict's milliseconds go, how deep the server queue runs, and what
 //! each cascade component decided — as data, not log lines.
 //!
-//! Six pillars, all on std alone:
+//! Five pillars, all on std alone:
 //!
 //! 1. [`metrics`] — a lock-cheap [`metrics::Registry`] of named
 //!    [`metrics::Counter`]s, [`metrics::Gauge`]s and fixed-bucket
@@ -21,68 +21,58 @@
 //! 3. [`slo`] — declarative [`slo::SloSpec`] objectives evaluated by a
 //!    multi-window burn-rate [`slo::SloEngine`] driving a
 //!    [`slo::HealthState`] machine.
-//! 4. [`export`] — text exposition and JSONL rendering of snapshots,
-//!    with size-capped rotation and a background flusher; its
-//!    [`export::JsonWriter`] writes every JSON line the workspace emits.
-//! 5. [`span`] — an RAII [`span::Span`] timing API
-//!    (`Span::enter(collector, name) … drop`) with a bounded, thread-safe
-//!    [`span::TraceCollector`] recording nested stage timings and
-//!    structured key–value events, exportable as JSONL.
-//! 6. [`trace`] — the [`trace::PipelineTrace`] pipeline-event type:
-//!    per session, each cascade component's decision, attack score,
-//!    threshold margin and duration.
+//! 4. [`export`] — the text exposition of snapshots, size-capped JSONL
+//!    rotation, and [`export::JsonWriter`], which writes every JSON line
+//!    the workspace emits.
+//! 5. [`trace`] — the [`trace::PipelineTrace`] trace line: per session,
+//!    each cascade component's decision, attack score, threshold margin
+//!    and duration.
 //!
 //! [`sync`] holds the poison-recovering lock accessors every crate's
 //! shared state goes through.
 //!
+//! What a served verification records is its metric samples (with the
+//! session's trace id as the exemplar of a slow one) and its verdict;
+//! a trace line is built only where a caller asks for it.
+//!
 //! # Naming scheme
 //!
 //! Metric names are dot-separated `subsystem.object.unit` strings, e.g.
-//! `pipeline.distance.seconds`, `server.queue.depth`,
-//! `server.worker.3.processed`. Span names follow the cascade component
-//! identifiers: `verify` is the root, `distance`, `sld`, `sound_field`,
-//! `loudspeaker`, `speaker_id` its children. See DESIGN.md §7.
+//! `pipeline.session.seconds`, `server.queue.depth`,
+//! `server.worker.3.processed`; per-stage series carry the cascade
+//! component identifier (`distance`, `sld`, `sound_field`,
+//! `loudspeaker`, `speaker_id`) as their `stage` label. See DESIGN.md §7.
 //!
 //! # Example
 //!
 //! ```
+//! use magshield_obs::labels::Labels;
 //! use magshield_obs::metrics::Registry;
-//! use magshield_obs::span::{Span, TraceCollector};
 //!
 //! let registry = Registry::default();
-//! let collector = TraceCollector::default();
-//!
-//! let hist = registry.histogram("pipeline.session.seconds");
-//! {
-//!     let mut span = Span::enter(&collector, "verify");
-//!     let mut child = span.child("distance");
-//!     child.event("attack_score", "0.42");
-//!     drop(child);
-//!     hist.record_secs(span.elapsed().as_secs_f64());
-//! }
+//! let stage_seconds = registry.histogram_vec("pipeline.stage.seconds");
+//! stage_seconds
+//!     .with(&Labels::new().stage("distance").policy("full"))
+//!     .record_secs_with_exemplar(0.004, "speaker-1");
 //!
 //! let snap = registry.snapshot();
-//! assert_eq!(snap.histograms["pipeline.session.seconds"].count, 1);
-//! assert_eq!(collector.records().len(), 2);
+//! let merged = snap.histogram_family_merged("pipeline.stage.seconds");
+//! assert_eq!(merged.count, 1);
+//! assert_eq!(merged.exemplars[0].trace_id, "speaker-1");
 //! ```
 
 pub mod export;
 pub mod labels;
 pub mod metrics;
 pub mod slo;
-pub mod span;
 pub mod sync;
 pub mod trace;
 
-pub use export::{
-    render_jsonl_record, render_text, JsonWriter, MetricsFlusher, RotatingJsonlWriter,
-    DEFAULT_MAX_JSONL_BYTES,
-};
+pub use export::{render_text, JsonWriter, RotatingJsonlWriter, DEFAULT_MAX_JSONL_BYTES};
 pub use labels::{parse_metric_key, Labels, LABEL_KEYS, MAX_CARDINALITY};
 pub use metrics::{
     Counter, CounterVec, Exemplar, Gauge, Histogram, HistogramSnapshot, HistogramVec,
     MetricsSnapshot, Registry, MAX_EXEMPLARS,
 };
 pub use slo::{BurnRate, HealthReport, HealthState, Objective, SloEngine, SloSpec, SloStatus};
-pub use span::{Span, SpanEvent, SpanRecord, TraceCollector};
 pub use trace::{ComponentTrace, PipelineTrace};

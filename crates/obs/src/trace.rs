@@ -6,10 +6,11 @@
 //! attack score, threshold margin and duration. Traces serialize to JSON
 //! (one line per session → JSONL files under `results/logs/`), the format
 //! the paper-style latency experiments and MagLive-class liveness systems
-//! report as first-class output.
+//! report as first-class output. The serving path never builds one: a
+//! trace line is a view of a verdict plus the cascade's per-stage
+//! timings, assembled only by `DefenseSystem::verify_traced`.
 
 use crate::export::JsonWriter;
-use std::io::Write;
 use std::path::Path;
 
 /// One cascade component's contribution to a session trace.
@@ -90,26 +91,12 @@ impl PipelineTrace {
         w.finish()
     }
 
-    /// Writes traces as a JSONL file (one session per line), creating
-    /// parent directories as needed.
-    pub fn write_jsonl(path: &Path, traces: &[PipelineTrace]) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        for t in traces {
-            writeln!(f, "{}", t.to_json())?;
-        }
-        f.flush()
-    }
-
     /// Appends traces to a size-capped JSONL log: once `path` would
     /// exceed `max_bytes` it is rotated to `<path>.1` (replacing any
     /// previous rotation) and a fresh file is started — a long campaign
     /// keeps at most `2 × max_bytes` of the newest traces on disk
-    /// instead of growing without bound. Unlike
-    /// [`PipelineTrace::write_jsonl`], existing content is appended to,
-    /// not truncated.
+    /// instead of growing without bound. Existing content is appended
+    /// to, not truncated.
     pub fn append_jsonl_rotating(
         path: &Path,
         traces: &[PipelineTrace],
@@ -217,18 +204,6 @@ mod tests {
             2,
             "exactly current + one rotation, never an unbounded family"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn jsonl_file_writes_one_line_per_trace() {
-        let dir = std::env::temp_dir().join("magshield-obs-trace-test");
-        let path = dir.join("traces.jsonl");
-        let traces = vec![sample(), sample()];
-        PipelineTrace::write_jsonl(&path, &traces).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = body.lines().collect();
-        assert_eq!(lines, vec![traces[0].to_json(), traces[1].to_json()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,7 +20,7 @@
 //! | [`physics`] | magnetics (dipoles, shielding, EMF) and acoustics |
 //! | [`ml`] | GMM/EM, SVM, PCA, circle fit, FAR/FRR/EER metrics |
 //! | [`dsp`] | FFT, Goertzel, MFCC, filters, VAD |
-//! | [`obs`] | metrics registry, span tracing, pipeline latency traces |
+//! | [`obs`] | metrics registry, SLO health, per-session trace lines |
 //! | [`simkit`] | deterministic RNG, units, time series, noise |
 //!
 //! # Quickstart

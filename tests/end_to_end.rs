@@ -197,7 +197,7 @@ fn short_circuit_skips_asv_but_agrees_with_full_evaluation() {
         .capture(&SimRng::from_seed(9100));
 
     let full = full_sys.verify_with_policy(&s, ExecutionPolicy::FullEvaluation);
-    let (short, trace) = short_sys
+    let (short, timings) = short_sys
         .cascade()
         .with_policy(ExecutionPolicy::ShortCircuit)
         .run(&s, &short_sys.config, short_sys.obs());
@@ -207,14 +207,13 @@ fn short_circuit_skips_asv_but_agrees_with_full_evaluation() {
     assert_eq!(full.decision, short.decision);
 
     // The ASV back end was skipped, not run: the verdict carries a Skipped
-    // outcome naming the stage that short-circuited it, the trace has a
-    // matching skipped entry, and its latency histogram recorded nothing.
+    // outcome naming the stage that short-circuited it, the run timed
+    // nothing for it, and its latency histogram recorded nothing.
     let skipped = short
         .skipped_of(Component::SpeakerIdentity)
         .expect("speaker_id should be short-circuited");
     assert_eq!(skipped.cause, Component::Loudspeaker);
-    let t = trace.component("speaker_id").expect("trace entry");
-    assert!(t.skipped && t.duration_s == 0.0);
+    assert_eq!(timings.stage_s[Component::SpeakerIdentity.index()], 0.0);
     let asv = |policy: ExecutionPolicy| Labels::new().stage("speaker_id").policy(policy.name());
     let short_snap = short_sys.metrics().snapshot();
     assert!(
@@ -238,7 +237,7 @@ fn short_circuit_skips_asv_but_agrees_with_full_evaluation() {
 }
 
 #[test]
-fn traced_session_exports_complete_component_spans() {
+fn traced_session_exports_every_component() {
     let (system, user) = fixture();
     let session = ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(9000));
     let (verdict, trace) = system.verify_traced(&session);
@@ -260,26 +259,6 @@ fn traced_session_exports_complete_component_spans() {
             "{stage} margin should be 1 - attack_score"
         );
     }
-
-    // The span collector must hold a `verify` root whose children cover
-    // every cascade stage, each strictly positive. The fixture (and its
-    // collector) is shared across tests, so look for a satisfying root
-    // rather than assuming the collector holds only our records.
-    let records = system.tracer().records();
-    let complete_root = records
-        .iter()
-        .filter(|r| r.parent.is_none() && r.name == "verify")
-        .any(|root| {
-            STAGES.iter().all(|stage| {
-                records
-                    .iter()
-                    .any(|c| c.parent == Some(root.id) && c.name == *stage && c.duration_s > 0.0)
-            })
-        });
-    assert!(
-        complete_root,
-        "no verify span with all cascade component children"
-    );
 
     // The shared registry must hold a latency series per stage.
     let snap = system.metrics().snapshot();
