@@ -309,7 +309,6 @@ impl IsvBackend {
             frames: b.frames,
             pruned_components: b.pruned_components,
             evaluated_components: b.evaluated_components,
-            scratch_grew_bytes: 0,
         }
     }
 }

@@ -132,9 +132,6 @@ pub struct AsvScore {
     pub pruned_components: u64,
     /// Speaker-side Gaussian evaluations performed.
     pub evaluated_components: u64,
-    /// Bytes of scratch growth this call caused; zero once the
-    /// per-thread buffers have reached their high-water mark.
-    pub scratch_grew_bytes: u64,
 }
 
 /// Per-thread reusable state for the full extract-and-score path.
@@ -163,9 +160,9 @@ thread_local! {
     static SESSION_SCRATCH: RefCell<SessionScratch> = RefCell::new(SessionScratch::new());
 }
 
-/// Runs `f` with this thread's shared [`SessionScratch`]. The batch
-/// engine's workers are OS threads, so the sessions a worker runs share
-/// one scratch per worker. `f` must not call back into this function.
+/// Runs `f` with this thread's shared [`SessionScratch`]. The server's
+/// pool workers are OS threads, so the sessions a worker runs share one
+/// scratch per worker. `f` must not call back into this function.
 pub fn with_session_scratch<R>(f: impl FnOnce(&mut SessionScratch) -> R) -> R {
     SESSION_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
@@ -295,7 +292,6 @@ impl UbmBackend {
         quantized: bool,
         s: &mut SessionScratch,
     ) -> AsvScore {
-        let before = s.footprint_bytes();
         self.extractor
             .extract_into(audio, &mut s.frontend, &mut s.frames);
         let b = if quantized {
@@ -320,7 +316,6 @@ impl UbmBackend {
             frames: b.frames,
             pruned_components: b.pruned_components,
             evaluated_components: b.evaluated_components,
-            scratch_grew_bytes: (s.footprint_bytes() - before) as u64,
         }
     }
 }
@@ -778,16 +773,18 @@ mod tests {
         let enroll: Vec<&[f64]> = utts[..2].iter().map(|u| u.audio.as_slice()).collect();
         let model = backend.enroll(sp.id, &enroll);
         let mut s = SessionScratch::new();
-        let first = backend.score_detailed_opts_with(&model, &utts[0].audio, 4, false, &mut s);
-        assert!(first.scratch_grew_bytes > 0, "cold scratch must grow");
+        backend.score_detailed_opts_with(&model, &utts[0].audio, 4, false, &mut s);
+        assert!(s.footprint_bytes() > 0, "cold scratch must grow");
         for u in &utts {
             backend.score_detailed_opts_with(&model, &u.audio, 4, false, &mut s);
             // warm-up
         }
+        let warm = s.footprint_bytes();
         for u in &utts {
-            let again = backend.score_detailed_opts_with(&model, &u.audio, 4, false, &mut s);
+            backend.score_detailed_opts_with(&model, &u.audio, 4, false, &mut s);
             assert_eq!(
-                again.scratch_grew_bytes, 0,
+                s.footprint_bytes(),
+                warm,
                 "warm scratch regrew on an already-seen utterance"
             );
         }

@@ -50,7 +50,6 @@ use crate::session::SessionData;
 use crate::verdict::{Component, ComponentResult, DefenseVerdict, SkippedStage, StageOutcome};
 use magshield_asv::model::SpeakerModel;
 use magshield_obs::labels::Labels;
-use magshield_obs::metrics::Registry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -88,21 +87,6 @@ pub trait CascadeStage {
         analysis: &SessionAnalysis,
         config: &DefenseConfig,
     ) -> ComponentResult;
-
-    /// Like [`CascadeStage::evaluate`], but with access to the metrics
-    /// registry for stage-internal counters. The default ignores the
-    /// registry; stages with instrumented internals (the ASV fast path)
-    /// override this. The executor always calls this variant.
-    fn evaluate_observed(
-        &self,
-        session: &SessionData,
-        analysis: &SessionAnalysis,
-        config: &DefenseConfig,
-        registry: &Registry,
-    ) -> ComponentResult {
-        let _ = registry;
-        self.evaluate(session, analysis, config)
-    }
 
     /// Evaluates the session on its own, building only the analysis parts
     /// this stage reads. Bit-identical to the stage's result inside a
@@ -259,28 +243,6 @@ impl CascadeStage for SpeakerIdStage<'_> {
     ) -> ComponentResult {
         match self.speakers.get(&session.claimed_speaker) {
             Some(model) => speaker_id::verify(analysis, self.engine, model, config).0,
-            None => self.unknown_speaker(session),
-        }
-    }
-
-    fn evaluate_observed(
-        &self,
-        session: &SessionData,
-        analysis: &SessionAnalysis,
-        config: &DefenseConfig,
-        registry: &Registry,
-    ) -> ComponentResult {
-        match self.speakers.get(&session.claimed_speaker) {
-            Some(model) => {
-                let (result, score) = speaker_id::verify(analysis, self.engine, model, config);
-                registry
-                    .counter("asv.score.pruned_components")
-                    .add(score.pruned_components);
-                registry
-                    .counter("dsp.extract.alloc_bytes")
-                    .add(score.scratch_grew_bytes);
-                result
-            }
             None => self.unknown_speaker(session),
         }
     }
@@ -550,7 +512,7 @@ impl Cascade {
         // The first stage that reads speech-band audio pays for the
         // session's one speech pass.
         state.analysis.speech_pass(stage.speech_parts());
-        let mut r = stage.evaluate_observed(session, &state.analysis, config, &obs.registry);
+        let mut r = stage.evaluate(session, &state.analysis, config);
         r.attack_score /= config.stage_boundaries.get(component);
         // Clamped to 1 ns so "every stage took strictly positive
         // time" holds even on coarse-clock platforms.
@@ -827,34 +789,6 @@ mod tests {
             "score {raw} / boundary {} should be 0.5, got {scaled}",
             raw * 2.0
         );
-    }
-
-    #[test]
-    fn pruning_counters_surface_through_the_registry() {
-        let (sys, user) = crate::test_support::shared_tiny_system();
-        let sys = sys.with_fresh_obs();
-        let s = ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(77));
-        // Default top-C (8) equals the tiny system's component count, so
-        // nothing is pruned and the counter reads zero.
-        sys.verify(&s);
-        assert_eq!(
-            sys.metrics().counter("asv.score.pruned_components").get(),
-            0,
-            "C = k must be exact"
-        );
-        // C=4 of 8 prunes exactly 4 speaker-side evaluations per frame.
-        let pruned_cfg = DefenseConfig {
-            asv_top_c: 4,
-            ..sys.config
-        };
-        sys.verify_with_config(&s, &pruned_cfg);
-        let pruned = sys.metrics().counter("asv.score.pruned_components").get();
-        assert!(pruned > 0, "C < k must record pruned evaluations");
-        assert_eq!(pruned % 4, 0, "4 skips per scored frame");
-        // The allocation counter exists (warm scratch reads 0 growth, a
-        // cold thread records its warm-up), and the decision is unchanged.
-        let snap = sys.metrics().snapshot();
-        assert!(snap.counters.contains_key("dsp.extract.alloc_bytes"));
     }
 
     /// A genuine session on the fixture user's single-mic phone, one on a

@@ -129,9 +129,7 @@ pub fn asv_audio(session: &SessionData) -> Vec<f64> {
 
 /// Runs the component: scores the session's ASV audio against the
 /// claimed speaker's model. Also returns the scoring accounting
-/// ([`AsvScore`]) — what the cascade's speaker-identity stage feeds into
-/// the `asv.score.pruned_components` and `dsp.extract.alloc_bytes`
-/// counters.
+/// ([`AsvScore`]).
 pub fn verify(
     analysis: &SessionAnalysis,
     engine: &AsvEngine,

@@ -75,12 +75,10 @@
 pub mod adaptive;
 pub mod analysis;
 pub mod artifact;
-mod batch;
 pub mod cascade;
 pub mod components;
 pub mod config;
 pub mod pipeline;
-mod queue;
 pub mod registry;
 pub mod robustness;
 pub mod scenario;

@@ -8,13 +8,13 @@
 //! written and read with the same `magshield_ml::codec` primitives as the
 //! model artifacts, bulk for sample vectors; a frame must decode
 //! exactly, with no bytes left over), and [`VerificationServer`] runs
-//! every frame on its worker pool, the only way work enters it. Each
-//! client frame is one pool job, admitted under backpressure (a client
-//! blocks while 256 frames wait), then decoded, handled and answered on
-//! a pool thread; each request carries its own `std::sync::mpsc` reply
-//! channel. Shutdown drains: every admitted frame is answered, and later
-//! frames see [`ClientError::Disconnected`] and count once in
-//! `batch.shed{policy,shed_reason="shutdown"}`.
+//! every frame on its worker pool (`pool`), the only way work enters
+//! it. A client frame waits in one bounded FIFO beside its
+//! `std::sync::mpsc` reply sender (a client blocks while 256 frames
+//! wait), then a pool thread decodes, handles and answers it under the
+//! pool's one `catch_unwind`. Shutdown drains: every admitted frame is
+//! answered, and later frames see [`ClientError::Disconnected`] and
+//! count once in `batch.shed{policy,shed_reason="shutdown"}`.
 //!
 //! Protocol v3 added batch frames that carried many sessions in one
 //! frame to one worker. They are retired (tags 6 and 7 decode as
@@ -30,11 +30,12 @@
 //! in-flight verifications finish on the snapshot they pinned, and every
 //! verdict returns the registry generation that produced it.
 //!
-//! The server is instrumented against `magshield-obs` (DESIGN.md §7):
+//! The server is instrumented against `magshield-obs` (DESIGN.md §9):
 //! its pool reports `server.queue.wait.seconds` (enqueue→pickup) and
 //! `server.compute.seconds` (per verification) histograms, the
-//! `server.queue.depth` / `server.inflight` gauges (RAII admission slots,
-//! so a panicking job cannot leak them), the `server.worker.panics`
+//! `server.queue.depth` gauge (the queue length, set under the queue's
+//! lock) and `server.inflight` gauge (frames being served, counted
+//! around each frame, panics included), the `server.worker.panics`
 //! counter and the `batch.verdicts{policy}` /
 //! `batch.shed{policy,shed_reason}` counters; the server adds per-worker
 //! `server.worker.<i>.processed` counters and a `server.protocol.errors`
@@ -67,10 +68,10 @@
 //! `stream-verdict-latency` SLO in
 //! [`VerificationServer::default_slos`].
 
+mod pool;
 pub mod protocol;
 
 use crate::artifact::ModelBundle;
-use crate::batch::{BatchEngine, Intake, Worker};
 use crate::cascade::ExecutionPolicy;
 use crate::pipeline::DefenseSystem;
 use crate::session::SessionData;
@@ -81,14 +82,15 @@ use crate::stream::{
 use crate::verdict::DefenseVerdict;
 use magshield_ml::codec::BinaryCodec;
 use magshield_obs::export::render_text;
+use magshield_obs::labels::Labels;
 use magshield_obs::metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
-use magshield_obs::slo::{HealthReport, SloEngine, SloSpec};
+use magshield_obs::slo::{HealthReport, SloEngine, SloSpec, PANIC_COUNTER};
 use magshield_obs::sync::lock;
+use pool::{FrameQueue, Pool};
 use protocol::{decode_frame, encode_response, Message, StreamVerdictKind};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -139,10 +141,22 @@ impl Default for ServerConfig {
 /// whose terminal verdict is being produced by another worker.
 type StreamSlot = Arc<Mutex<Option<StreamingVerification>>>;
 
-/// State shared between frame jobs, clients and the server handle.
+/// State shared between the pool's workers and the server handle.
 struct Shared {
     cfg: ServerConfig,
-    registry: Registry,
+    /// The trained system every worker serves; its registry holds every
+    /// server metric.
+    system: DefenseSystem,
+    /// Enqueue → pickup (`server.queue.wait.seconds`).
+    queue_wait: Histogram,
+    /// Frames being served (`server.inflight`).
+    inflight: Gauge,
+    /// Panics the pool contained (`server.worker.panics`).
+    panics: Counter,
+    /// One sample per chunk or verification (`server.compute.seconds`).
+    compute: Histogram,
+    /// `batch.verdicts{policy}`.
+    verdicts: Counter,
     worker_processed: Vec<Counter>,
     /// Frames refused at the protocol layer (`server.protocol.errors`).
     protocol_errors: Counter,
@@ -165,7 +179,7 @@ struct Shared {
 /// A running verification server: wire frames served on its own worker
 /// pool.
 pub struct VerificationServer {
-    engine: BatchEngine,
+    pool: Pool,
     shared: Arc<Shared>,
 }
 
@@ -239,9 +253,16 @@ impl VerificationServer {
     ///
     /// Panics if `cfg.workers == 0`.
     pub fn spawn_with_config(system: DefenseSystem, cfg: ServerConfig) -> Self {
-        let registry = system.metrics().clone();
+        assert!(cfg.workers > 0, "need at least one worker");
+        let registry = system.metrics();
         let shared = Arc::new(Shared {
             cfg,
+            queue_wait: registry.histogram("server.queue.wait.seconds"),
+            inflight: registry.gauge("server.inflight"),
+            panics: registry.counter(PANIC_COUNTER),
+            compute: registry.histogram("server.compute.seconds"),
+            verdicts: registry
+                .counter_with("batch.verdicts", &Labels::new().policy(cfg.policy.name())),
             worker_processed: (0..cfg.workers)
                 .map(|i| registry.counter(&format!("server.worker.{i}.processed")))
                 .collect(),
@@ -251,10 +272,10 @@ impl VerificationServer {
             stream_first_verdict: registry.histogram("server.stream.first_verdict.seconds"),
             slo: Mutex::new(SloEngine::new(Self::default_slos())),
             started: Instant::now(),
-            registry,
+            system,
         });
-        let engine = BatchEngine::spawn(system, cfg.workers, cfg.policy);
-        Self { engine, shared }
+        let pool = Pool::spawn(&shared);
+        Self { pool, shared }
     }
 
     /// The SLO objectives every server evaluates: 99% of end-to-end
@@ -277,8 +298,7 @@ impl VerificationServer {
     /// A client handle for submitting sessions.
     pub fn client(&self) -> Client {
         Client {
-            intake: Arc::clone(self.engine.intake()),
-            shared: Arc::clone(&self.shared),
+            queue: Arc::clone(self.pool.queue()),
             next_id: Arc::new(AtomicU64::new(1)),
         }
     }
@@ -286,14 +306,14 @@ impl VerificationServer {
     /// The metrics registry (shared with the [`DefenseSystem`], so it
     /// also carries the `pipeline.stage.seconds{stage,policy}` histograms).
     pub fn metrics(&self) -> &Registry {
-        &self.shared.registry
+        self.shared.system.metrics()
     }
 
     /// Evaluates the SLO engine against the live registry in-process
     /// (the wire path is [`Client::health`]). Each call advances the
     /// engine's burn-window state.
     pub fn health(&self) -> HealthReport {
-        let snap = self.shared.registry.snapshot();
+        let snap = self.metrics().snapshot();
         let now_s = self.shared.started.elapsed().as_secs_f64();
         lock(&self.shared.slo).observe(now_s, &snap)
     }
@@ -302,36 +322,38 @@ impl VerificationServer {
     /// queued, and joins the pool. Later requests see
     /// [`ClientError::Disconnected`].
     pub fn shutdown(self) {
-        self.engine.shutdown();
+        drop(self.pool);
     }
 }
 
-/// Decodes and executes one frame on a pool thread, returning the reply
-/// frame. Runs inside the frame job's `catch_unwind`, so a panic
+/// Decodes and executes one frame on pool thread `worker`, returning the
+/// reply frame. Runs inside the pool's `catch_unwind`, so a panic
 /// anywhere in here is contained to the frame.
-fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
+fn serve_frame(frame: &[u8], shared: &Shared, worker: usize) -> Vec<u8> {
     if frame == PANIC_FRAME {
         panic!("injected worker panic");
     }
-    let (system, cfg) = (w.system, &shared.cfg);
+    let (system, cfg) = (&shared.system, &shared.cfg);
     match decode_frame(frame) {
         Ok(Message::VerifyRequest {
             request_id,
             session,
         }) => {
-            let verdict = w.verify(&session);
-            shared.worker_processed[w.id].inc();
+            let start = Instant::now();
+            let verdict = system.verify_with_policy(&session, cfg.policy);
+            shared.record_verdict(worker, start.elapsed());
             encode_response(request_id, &verdict)
         }
         Ok(Message::MetricsRequest { request_id }) => {
-            // Non-draining scrape: exemplar windows stay intact, so every
-            // scrape sees the window's slowest sessions (DESIGN.md §12).
-            let snap = shared.registry.snapshot();
+            // The scrape drains each exemplar window after copying it, so
+            // every scrape reports the slowest sessions since the last
+            // one (DESIGN.md §12).
+            let snap = system.metrics().scrape();
             let exposition = render_text(&snap);
             protocol::encode_metrics_response(request_id, &snap, &exposition)
         }
         Ok(Message::HealthRequest { request_id }) => {
-            let snap = shared.registry.snapshot();
+            let snap = system.metrics().snapshot();
             let now_s = shared.started.elapsed().as_secs_f64();
             let report = lock(&shared.slo).observe(now_s, &snap);
             protocol::encode_health_response(request_id, &report)
@@ -479,7 +501,7 @@ fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
             }
             match verification.ingest(&chunk, &system.config, system.obs()) {
                 Ok(StreamEvent::Progress(progress)) => {
-                    w.record_compute(start.elapsed());
+                    shared.compute.record(start.elapsed());
                     protocol::encode_stream_verdict(
                         request_id,
                         stream_id,
@@ -494,7 +516,7 @@ fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
                     let (chunks, age) = (verification.chunks(), verification.age());
                     *guard = None;
                     drop(guard);
-                    finish_stream(shared, w, stream_id, age, start.elapsed());
+                    finish_stream(shared, worker, stream_id, age, start.elapsed());
                     protocol::encode_stream_verdict(
                         request_id,
                         stream_id,
@@ -537,7 +559,7 @@ fn serve_frame(frame: &[u8], shared: &Shared, w: &Worker<'_>) -> Vec<u8> {
             let (chunks, age) = (verification.chunks(), verification.age());
             match verification.finalize(&system.config, system.obs()) {
                 Ok(verdict) => {
-                    finish_stream(shared, w, stream_id, age, start.elapsed());
+                    finish_stream(shared, worker, stream_id, age, start.elapsed());
                     protocol::encode_stream_verdict(
                         request_id,
                         stream_id,
@@ -577,24 +599,27 @@ fn remove_stream(shared: &Shared, stream_id: u64) {
 /// reject and close: the stream leaves the table, its first-chunk →
 /// verdict age feeds the streaming SLO series, and the finishing chunk's
 /// compute counts toward the worker like any one-shot verification.
-fn finish_stream(
-    shared: &Shared,
-    w: &Worker<'_>,
-    stream_id: u64,
-    age: Duration,
-    elapsed: Duration,
-) {
+fn finish_stream(shared: &Shared, worker: usize, stream_id: u64, age: Duration, elapsed: Duration) {
     remove_stream(shared, stream_id);
     shared.stream_first_verdict.record(age);
-    w.record_verdict(elapsed);
-    shared.worker_processed[w.id].inc();
+    shared.record_verdict(worker, elapsed);
+}
+
+impl Shared {
+    /// One verdict reached by `worker` after `compute`: one compute
+    /// sample, one count in `batch.verdicts` and in the worker's
+    /// `processed` counter.
+    fn record_verdict(&self, worker: usize, compute: Duration) {
+        self.compute.record(compute);
+        self.verdicts.inc();
+        self.worker_processed[worker].inc();
+    }
 }
 
 /// A client handle (cheaply cloneable).
 #[derive(Clone)]
 pub struct Client {
-    intake: Arc<Intake>,
-    shared: Arc<Shared>,
+    queue: Arc<FrameQueue>,
     next_id: Arc<AtomicU64>,
 }
 
@@ -701,8 +726,10 @@ impl Client {
 
     /// Scrapes the full labeled-metrics snapshot over the wire
     /// (`Message::MetricsRequest` → `Message::MetricsResponse`,
-    /// protocol v5): every series — labeled keys included, exemplars
-    /// intact — plus the text exposition of the same snapshot.
+    /// protocol v5): every series — labeled keys included, with each
+    /// histogram's exemplars since the previous scrape — plus the text
+    /// exposition of the same snapshot. The scrape drains the server's
+    /// exemplar windows; counts are never drained.
     pub fn metrics(&self) -> Result<(MetricsSnapshot, String), ClientError> {
         let id = self.next_id();
         let raw = self.send_raw(protocol::encode_metrics_request(id))?;
@@ -797,26 +824,10 @@ impl Client {
     }
 
     /// Queues a frame on the server's pool and returns the reply
-    /// channel without waiting for the reply (admission blocks while the
-    /// queue is full).
+    /// channel without waiting for the reply (blocks while the queue is
+    /// full).
     fn send_frame(&self, frame: Vec<u8>) -> Result<Receiver<Vec<u8>>, ClientError> {
-        let (tx, rx) = mpsc::channel();
-        let shared = Arc::clone(&self.shared);
-        self.intake
-            .submit(Box::new(move |w| {
-                // A panicking handler answers with an error frame instead
-                // of a dead connection, and is counted before that frame
-                // can reach the client.
-                let reply = catch_unwind(AssertUnwindSafe(|| serve_frame(&frame, &shared, w)))
-                    .unwrap_or_else(|_| {
-                        w.record_panic();
-                        protocol::encode_error(0, "internal error: worker panicked")
-                    });
-                // The client may have given up; ignore send errors.
-                let _ = tx.send(reply);
-            }))
-            .map_err(|_| ClientError::Disconnected)?;
-        Ok(rx)
+        self.queue.submit(frame)
     }
 }
 
@@ -942,6 +953,7 @@ mod tests {
     use magshield_simkit::prop::prelude::*;
     use magshield_simkit::rng::SimRng;
     use magshield_simkit::vec3::Vec3;
+    use std::sync::mpsc;
 
     /// Requests fully processed, summed over the per-worker counters.
     fn processed(srv: &VerificationServer) -> u64 {
@@ -1174,13 +1186,42 @@ mod tests {
         assert!(snap.counters.keys().any(|k| k.starts_with("pipeline.")));
         assert!(exposition.starts_with("# magshield metrics v1"));
         assert!(exposition.contains("server.compute.seconds_count"));
-        // The scrape is non-draining: a second scrape sees the same
-        // counts (no verifications in between).
+        // A scrape drains only the exemplar windows: a second scrape
+        // sees the same counts (no verifications in between).
         let (snap2, _) = client.metrics().expect("second scrape");
         assert_eq!(
             snap.histograms[&session_seconds].count,
             snap2.histograms[&session_seconds].count
         );
+        srv.shutdown();
+    }
+
+    /// A wire scrape reports the slowest samples since the previous
+    /// scrape, while health requests and in-process snapshots leave the
+    /// exemplar window as it is.
+    #[test]
+    fn metrics_scrape_rotates_exemplar_windows() {
+        let (srv, _) = server();
+        let client = srv.client();
+        let latency = srv.metrics().histogram("test.latency.seconds");
+        for i in 0..8 {
+            latency.record_secs_with_exemplar(0.010, &format!("slow-{i}"));
+        }
+        let first = |snap: &MetricsSnapshot| {
+            let h = &snap.histograms["test.latency.seconds"];
+            (h.exemplars.len(), h.exemplars[0].value_ns)
+        };
+        client.health().expect("health");
+        assert_eq!(first(&srv.metrics().snapshot()), (8, 10_000_000));
+        let (scraped, _) = client.metrics().expect("first scrape");
+        assert_eq!(first(&scraped), (8, 10_000_000));
+        latency.record_secs_with_exemplar(0.005, "fast");
+        let (scraped, _) = client.metrics().expect("second scrape");
+        let h = &scraped.histograms["test.latency.seconds"];
+        assert_eq!(h.count, 9, "counts are not drained");
+        assert_eq!(h.exemplars.len(), 1);
+        assert_eq!(h.exemplars[0].trace_id, "fast");
+        assert_eq!(h.exemplars[0].value_ns, 5_000_000);
         srv.shutdown();
     }
 
@@ -1287,6 +1328,72 @@ mod tests {
             .shed_reason("shutdown");
         assert_eq!(registry.counter_with("batch.shed", &shutdown).get(), 1);
         assert_eq!(registry.snapshot().counter_family_total("batch.shed"), 1);
+    }
+
+    /// Client threads keep submitting while shutdown runs at a varying
+    /// point: each frame is either answered exactly once or refused as
+    /// `Disconnected`, the shed family counts exactly the refusals, and
+    /// the queue gauges end at zero.
+    #[test]
+    fn shutdown_under_contention_answers_or_refuses_every_frame() {
+        use std::sync::atomic::AtomicUsize;
+        const CLIENTS: usize = 4;
+        const FRAMES: usize = 300;
+        let (system, _) = crate::test_support::shared_tiny_system();
+        for shutdown_after in [0, 10, 200, 600, CLIENTS * FRAMES] {
+            let srv = VerificationServer::spawn(system.with_fresh_obs(), 2);
+            let registry = srv.metrics().clone();
+            let admitted = Arc::new(AtomicUsize::new(0));
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    let (client, admitted) = (srv.client(), Arc::clone(&admitted));
+                    std::thread::spawn(move || {
+                        let mut replies = Vec::new();
+                        let mut refused = 0;
+                        for _ in 0..FRAMES {
+                            // Undecodable: answered with a protocol error.
+                            match client.send_frame(vec![0xAB; 8]) {
+                                Ok(rx) => {
+                                    admitted.fetch_add(1, Ordering::Relaxed);
+                                    replies.push(rx);
+                                }
+                                Err(e) => {
+                                    assert_eq!(e, ClientError::Disconnected);
+                                    refused += 1;
+                                }
+                            }
+                        }
+                        for rx in &replies {
+                            rx.recv_timeout(Duration::from_secs(10))
+                                .expect("an admitted frame is answered");
+                            assert!(rx.try_recv().is_err(), "and answered once");
+                        }
+                        (replies.len(), refused)
+                    })
+                })
+                .collect();
+            while admitted.load(Ordering::Relaxed) < shutdown_after
+                && !clients.iter().all(|c| c.is_finished())
+            {
+                std::thread::yield_now();
+            }
+            srv.shutdown();
+            let (mut answered, mut refused) = (0, 0);
+            for c in clients {
+                let (a, r) = c.join().expect("client thread");
+                answered += a;
+                refused += r;
+            }
+            let snap = registry.snapshot();
+            assert_eq!(answered + refused, CLIENTS * FRAMES);
+            assert_eq!(
+                snap.counters["server.protocol.errors"], answered as u64,
+                "every admitted frame is served once (shutdown after {shutdown_after})"
+            );
+            assert_eq!(snap.counter_family_total("batch.shed"), refused as u64);
+            assert_eq!(snap.gauges["server.queue.depth"], 0);
+            assert_eq!(snap.gauges["server.inflight"], 0);
+        }
     }
 
     #[test]

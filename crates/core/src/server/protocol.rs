@@ -165,8 +165,9 @@ pub enum Message {
     },
     /// Server → client: every counter, gauge and histogram series —
     /// labeled keys included — plus the text exposition rendering of
-    /// the same snapshot (added in v5). The scrape is non-draining:
-    /// exemplar windows are left intact.
+    /// the same snapshot (added in v5). The scrape drains each
+    /// histogram's exemplar window after copying it; counts are never
+    /// drained.
     MetricsResponse {
         /// Request correlation id.
         request_id: u64,

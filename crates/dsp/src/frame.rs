@@ -247,8 +247,7 @@ impl ScratchPad {
     /// Bytes currently reserved across all buffers (capacities).
     ///
     /// In steady state this is constant; growth between two calls measures
-    /// exactly the heap the fast path had to acquire, which the pipeline
-    /// reports as `dsp.extract.alloc_bytes`.
+    /// exactly the heap the fast path had to acquire.
     pub fn footprint_bytes(&self) -> usize {
         (self.fft_re.capacity()
             + self.fft_im.capacity()

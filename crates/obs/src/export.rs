@@ -11,7 +11,7 @@
 
 use crate::metrics::MetricsSnapshot;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Default size cap for rotated JSONL exports (bytes).
 pub const DEFAULT_MAX_JSONL_BYTES: u64 = 8 * 1024 * 1024;
@@ -101,8 +101,8 @@ fn inject_label(metric_key: &str, key: &str, value: &str) -> String {
 ///
 /// let mut w = JsonWriter::default();
 /// w.begin_object().key("n").f64(2.0).key("tags").begin_array();
-/// w.str("a\"b").null().end_array().end_object();
-/// assert_eq!(w.finish(), r#"{"n":2.0,"tags":["a\"b",null]}"#);
+/// w.str("a\"b").bool(true).end_array().end_object();
+/// assert_eq!(w.finish(), r#"{"n":2.0,"tags":["a\"b",true]}"#);
 /// ```
 #[derive(Debug, Default)]
 pub struct JsonWriter {
@@ -181,19 +181,9 @@ impl JsonWriter {
         self.raw(&v.to_string())
     }
 
-    /// A signed integer value.
-    pub fn i64(&mut self, v: i64) -> &mut Self {
-        self.raw(&v.to_string())
-    }
-
     /// A boolean value.
     pub fn bool(&mut self, v: bool) -> &mut Self {
         self.raw(if v { "true" } else { "false" })
-    }
-
-    /// A `null` value.
-    pub fn null(&mut self) -> &mut Self {
-        self.raw("null")
     }
 
     /// The JSON text written so far.
@@ -253,11 +243,6 @@ impl RotatingJsonlWriter {
             path: path.into(),
             max_bytes,
         }
-    }
-
-    /// The active file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// The rotated (previous) file path.
@@ -374,17 +359,12 @@ mod tests {
             ] {
                 w.f64(v);
             }
-            w.u64(u64::MAX)
-                .i64(-3)
-                .bool(true)
-                .bool(false)
-                .null()
-                .end_array();
+            w.u64(u64::MAX).bool(true).bool(false).end_array();
         });
         assert_eq!(
             out,
             "[5.0,-0.0,0.1,16.666666666666664,0.0000001,null,null,null,\
-             18446744073709551615,-3,true,false,null]"
+             18446744073709551615,true,false]"
         );
     }
 

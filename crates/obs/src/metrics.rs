@@ -216,7 +216,7 @@ impl Histogram {
     /// the exemplar lock; everything else adds a single relaxed load on
     /// top of [`Histogram::record_secs`]. The window keeps the
     /// [`MAX_EXEMPLARS`] slowest samples seen since the last
-    /// [`Histogram::take_exemplars`].
+    /// [`Histogram::scrape`].
     pub fn record_secs_with_exemplar(&self, secs: f64, trace_id: &str) {
         self.record_secs(secs);
         let secs = if secs.is_finite() && secs > 0.0 {
@@ -237,18 +237,6 @@ impl Histogram {
         }
     }
 
-    /// Drains the exemplar window, starting a fresh one. Scrapers call
-    /// this once per export so each window's slowest sessions are
-    /// reported exactly once.
-    pub fn take_exemplars(&self) -> Vec<Exemplar> {
-        let core = &*self.0;
-        let mut window = lock(&core.exemplars);
-        core.exemplar_floor_ns.store(0, Ordering::Relaxed);
-        let mut out = std::mem::take(&mut window.slots);
-        sort_exemplars(&mut out);
-        out
-    }
-
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
@@ -258,8 +246,27 @@ impl Histogram {
     /// one without a global lock; concurrent recording may skew a bucket
     /// by the few events that land mid-read, which reporting tolerates.)
     pub fn snapshot(&self) -> HistogramSnapshot {
+        self.copy(false)
+    }
+
+    /// [`Histogram::snapshot`] that also drains the exemplar window,
+    /// starting a fresh one, so each window's slowest samples are
+    /// reported by exactly one scrape. The counts are left as they are.
+    pub fn scrape(&self) -> HistogramSnapshot {
+        self.copy(true)
+    }
+
+    fn copy(&self, drain: bool) -> HistogramSnapshot {
         let core = &*self.0;
-        let mut exemplars = lock(&core.exemplars).slots.clone();
+        let mut exemplars = {
+            let mut window = lock(&core.exemplars);
+            if drain {
+                core.exemplar_floor_ns.store(0, Ordering::Relaxed);
+                std::mem::take(&mut window.slots)
+            } else {
+                window.slots.clone()
+            }
+        };
         sort_exemplars(&mut exemplars);
         HistogramSnapshot {
             buckets: core
@@ -542,8 +549,21 @@ impl Registry {
         overflow
     }
 
-    /// A serializable snapshot of every registered metric.
+    /// A serializable snapshot of every registered metric. Non-draining:
+    /// every exemplar window is left as it is.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        self.copy(Histogram::snapshot)
+    }
+
+    /// [`Registry::snapshot`] that drains each histogram's exemplar
+    /// window after copying it ([`Histogram::scrape`]): what a metrics
+    /// scrape reports, so each scrape's exemplars are the slowest
+    /// samples since the previous scrape.
+    pub fn scrape(&self) -> MetricsSnapshot {
+        self.copy(Histogram::scrape)
+    }
+
+    fn copy(&self, histogram: fn(&Histogram) -> HistogramSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: read(&self.inner.counters)
                 .iter()
@@ -555,7 +575,7 @@ impl Registry {
                 .collect(),
             histograms: read(&self.inner.histograms)
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .map(|(k, v)| (k.clone(), histogram(v)))
                 .collect(),
         }
     }
@@ -870,9 +890,9 @@ mod tests {
             "exemplars must be sorted slowest first: {slowest:?}"
         );
         assert!(slowest.iter().all(|&ns| ns >= 33_000_000));
-        // Draining resets the window; the histogram itself is untouched.
-        let drained = h.take_exemplars();
-        assert_eq!(drained.len(), MAX_EXEMPLARS);
+        // A scrape drains the window after copying it; the histogram
+        // itself is untouched.
+        assert_eq!(h.scrape(), snap);
         assert!(h.snapshot().exemplars.is_empty());
         assert_eq!(h.count(), 40);
         // The next window admits fast samples again after the drain.

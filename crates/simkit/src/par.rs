@@ -20,7 +20,7 @@
 //!
 //! The workers are scoped threads that live for one call; nothing is
 //! pooled or configured. Serving does not use this module: its one pool
-//! is the batch engine's.
+//! is the verification server's.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;

@@ -168,7 +168,7 @@ fn worker_panic_releases_queue_depth_and_pool_survives() {
     assert_eq!(
         server.metrics().gauge("server.queue.depth").get(),
         0,
-        "the RAII slot must restore the gauge even through a panic"
+        "a panicking frame must not leak the depth gauge"
     );
     // The pool survives: a normal request still gets a full verdict.
     let session = ScenarioBuilder::genuine(user).capture(&SimRng::from_seed(12));
