@@ -25,14 +25,6 @@ impl FrontendScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Bytes currently reserved across all buffers (capacities).
-    pub fn footprint_bytes(&self) -> usize {
-        self.dsp.footprint_bytes()
-            + self.vad.footprint_bytes()
-            + self.speech.capacity() * std::mem::size_of::<f64>()
-            + self.base.capacity_bytes()
-    }
 }
 
 /// Feature extraction configuration and machinery: 13 MFCCs with
@@ -307,17 +299,15 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_allocation_stable_and_identical() {
+    fn scratch_reuse_is_identical() {
         let fx = FeatureExtractor::new(16_000.0);
         let sig = speechy(16_000.0);
         let mut s = FrontendScratch::new();
         let mut out = FrameMatrix::default();
         fx.extract_into(&sig, &mut s, &mut out);
         let first = out.clone();
-        let footprint = s.footprint_bytes();
         fx.extract_into(&sig, &mut s, &mut out);
         assert_eq!(out, first);
-        assert_eq!(s.footprint_bytes(), footprint, "scratch regrew");
         assert_eq!(out, fx.extract(&sig), "one-shot path must agree");
     }
 }

@@ -21,14 +21,10 @@
 
 use crate::frontend::FeatureExtractor;
 use crate::model::{
-    enroll_frames, with_session_scratch, AsvScore, CohortUtterance, EnrollError, SpeakerModel,
-    UbmBackend,
+    enroll_frames, with_session_scratch, CohortUtterance, EnrollError, SpeakerModel, UbmBackend,
 };
 use magshield_dsp::frame::{FrameMatrix, FrameSource, FrameSourceMut};
-use magshield_ml::codec::{self, BinaryCodec, ByteReader, ByteWriter, CodecError};
-use magshield_ml::gmm::{
-    llr_score_prepared, llr_score_quantized, DiagonalGmm, Responsibilities, ScoreScratch,
-};
+use magshield_ml::gmm::{llr_score_prepared, DiagonalGmm, Responsibilities, ScoreScratch};
 use magshield_ml::pca::Pca;
 
 /// Relevance factor damping low-evidence components in the supervector.
@@ -103,6 +99,11 @@ impl SessionSubspace {
     /// training data had less session variation).
     pub fn rank(&self) -> usize {
         self.basis.len()
+    }
+
+    /// The orthonormal basis rows, each of length `k·d`.
+    pub fn basis(&self) -> &[Vec<f64>] {
+        &self.basis
     }
 
     /// Removes the session component of `frames` in place.
@@ -262,126 +263,24 @@ impl IsvBackend {
     }
 
     /// Verification score of `audio` against `model` on compensated
-    /// features: exact scoring (no pruning) on the prepared kernel; see
-    /// [`Self::score_detailed_opts`] for the configurable path.
+    /// features: the Z-normalized LLR, scored exactly (every component,
+    /// no pruning) on the prepared kernel. Extraction and compensation
+    /// allocate (the supervector projection dominates the ISV path); only
+    /// the GMM scoring reuses the per-thread scratch. Compensation runs
+    /// on the UBM the subspace was trained against.
     pub fn score(&self, model: &SpeakerModel, audio: &[f64]) -> f64 {
-        self.score_detailed_opts(model, audio, 0, false).z
-    }
-
-    /// Scores audio on compensated features with top-C pruning and
-    /// per-call accounting. Extraction and compensation still allocate
-    /// (the supervector projection dominates the ISV path); only the
-    /// GMM scoring reuses the per-thread scratch. When `quantized` is set,
-    /// GMM scoring runs on the cached i16-mean
-    /// [`magshield_ml::gmm::QuantizedGmm`] pair instead of the exact
-    /// [`magshield_ml::gmm::PreparedGmm`] pair. Compensation always runs
-    /// on the exact UBM (the subspace was trained against it).
-    pub fn score_detailed_opts(
-        &self,
-        model: &SpeakerModel,
-        audio: &[f64],
-        top_c: usize,
-        quantized: bool,
-    ) -> AsvScore {
         let mut frames = self.ubm_backend.extractor.extract(audio);
         self.subspace.compensate(&self.ubm_backend.ubm, &mut frames);
         let b = with_session_scratch(|s| {
-            if quantized {
-                llr_score_quantized(
-                    model.quantized(),
-                    self.ubm_backend.quantized_ubm(),
-                    &frames,
-                    top_c,
-                    &mut s.score,
-                )
-            } else {
-                llr_score_prepared(
-                    model.prepared(),
-                    self.ubm_backend.prepared_ubm(),
-                    &frames,
-                    top_c,
-                    &mut s.score,
-                )
-            }
+            llr_score_prepared(
+                model.prepared(),
+                self.ubm_backend.prepared_ubm(),
+                &frames,
+                0,
+                &mut s.score,
+            )
         });
-        AsvScore {
-            z: model.normalize(b.score),
-            frames: b.frames,
-            pruned_components: b.pruned_components,
-            evaluated_components: b.evaluated_components,
-        }
-    }
-}
-
-impl BinaryCodec for SessionSubspace {
-    const MAGIC: u32 = codec::magic(b"MSUB");
-    const VERSION: u8 = 1;
-    const NAME: &'static str = "SessionSubspace";
-
-    fn encode_payload(&self, w: &mut ByteWriter) {
-        w.put_len(self.num_components);
-        w.put_len(self.dim);
-        w.put_len(self.basis.len());
-        for b in &self.basis {
-            w.put_f64_slice(b);
-        }
-    }
-
-    fn decode_payload(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let invalid = |reason: String| CodecError::Invalid {
-            artifact: Self::NAME,
-            reason,
-        };
-        let num_components = r.get_len()?;
-        let dim = r.get_len()?;
-        if num_components == 0 || dim == 0 {
-            return Err(invalid("supervector shape must be positive".to_string()));
-        }
-        let flat = num_components
-            .checked_mul(dim)
-            .ok_or_else(|| invalid("supervector shape overflows".to_string()))?;
-        let rank = r.get_len()?;
-        let mut basis = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            let b = r.get_f64_vec(flat)?;
-            if !b.iter().all(|v| v.is_finite()) {
-                return Err(invalid("basis must be finite".to_string()));
-            }
-            basis.push(b);
-        }
-        Ok(Self {
-            basis,
-            num_components,
-            dim,
-        })
-    }
-}
-
-/// Only the UBM machinery and the subspace are serialized: the compensated
-/// Z-norm cohort is a deterministic function of both, so decoding rebuilds
-/// it through [`IsvBackend::new`] exactly as the trainer did.
-impl BinaryCodec for IsvBackend {
-    const MAGIC: u32 = codec::magic(b"MISV");
-    const VERSION: u8 = 1;
-    const NAME: &'static str = "IsvBackend";
-
-    fn encode_payload(&self, w: &mut ByteWriter) {
-        w.put_artifact(&self.ubm_backend);
-        w.put_artifact(&self.subspace);
-    }
-
-    fn decode_payload(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let ubm_backend = UbmBackend::from_bytes(r.get_nested()?)?;
-        let subspace = SessionSubspace::from_bytes(r.get_nested()?)?;
-        if subspace.num_components != ubm_backend.ubm.num_components()
-            || subspace.dim != ubm_backend.ubm.dim()
-        {
-            return Err(CodecError::Invalid {
-                artifact: Self::NAME,
-                reason: "subspace supervector layout does not match the UBM".to_string(),
-            });
-        }
-        Ok(Self::new(ubm_backend, subspace))
+        model.normalize(b.score)
     }
 }
 
@@ -539,9 +438,9 @@ mod tests {
         SessionSubspace::estimate(&toy_ubm(), &groups, 1);
     }
 
-    /// ISV scores on the served prepared kernel: `score` is the exact
-    /// `score_detailed_opts` bit for bit, and agrees with the reference
-    /// `DiagonalGmm::llr_score` on the compensated frames to 1e-9.
+    /// ISV scores on the prepared kernel: `score` agrees with the
+    /// reference `DiagonalGmm::llr_score` on the compensated frames to
+    /// 1e-9.
     #[test]
     fn score_runs_the_prepared_kernel_on_compensated_frames() {
         use crate::ubm::{train_ubm, UbmConfig};
@@ -594,8 +493,6 @@ mod tests {
         assert!(model.znorm.is_some(), "cohort attached → znorm computed");
         for u in &corpus.utterances {
             let score = backend.score(&model, &u.audio);
-            let detailed = backend.score_detailed_opts(&model, &u.audio, 0, false);
-            assert_eq!(score.to_bits(), detailed.z.to_bits());
             let mut frames = backend.extractor().extract(&u.audio);
             backend
                 .subspace
@@ -606,73 +503,6 @@ mod tests {
                 "speaker {}: prepared {score} vs reference {reference}",
                 u.speaker_id
             );
-            assert_eq!(detailed.frames, frames.rows());
-        }
-    }
-
-    mod codec_round_trip {
-        use super::*;
-        use magshield_ml::codec::{assert_hostile_input_fails, BinaryCodec, CodecError};
-
-        #[test]
-        fn subspace_round_trips_exactly() {
-            let rng = SimRng::from_seed(9);
-            let ubm = toy_ubm();
-            let sub = SessionSubspace::estimate(&ubm, &toy_groups(&rng), 2);
-            let back = SessionSubspace::from_bytes(&sub.to_bytes()).unwrap();
-            assert_eq!(back.basis, sub.basis);
-            assert_eq!(back.num_components, sub.num_components);
-            assert_eq!(back.dim, sub.dim);
-            // Compensation — the subspace's one job — is bit-identical.
-            let mut a = session_frames(&rng.fork("rt"), 1.0, 0.1, 30);
-            let mut b = a.clone();
-            sub.compensate(&ubm, &mut a);
-            back.compensate(&ubm, &mut b);
-            assert_eq!(a, b);
-        }
-
-        #[test]
-        fn isv_backend_round_trips_with_identical_cohort_rebuild() {
-            let rng = SimRng::from_seed(10);
-            let ubm = toy_ubm();
-            let sub = SessionSubspace::estimate(&ubm, &toy_groups(&rng), 1);
-            // A backend with a tiny synthetic "audio" cohort is enough to
-            // exercise the deterministic cohort recompensation.
-            let fx = crate::frontend::FeatureExtractor::new(16_000.0);
-            let backend = IsvBackend::new(UbmBackend::new(fx, ubm), sub);
-            let back = IsvBackend::from_bytes(&backend.to_bytes()).unwrap();
-            assert_eq!(back.ubm_backend.ubm, backend.ubm_backend.ubm);
-            assert_eq!(back.subspace.basis, backend.subspace.basis);
-            assert_eq!(back.cohort, backend.cohort);
-        }
-
-        #[test]
-        fn hostile_input_yields_typed_errors() {
-            let rng = SimRng::from_seed(11);
-            let sub = SessionSubspace::estimate(&toy_ubm(), &toy_groups(&rng), 1);
-            assert_hostile_input_fails::<SessionSubspace>(&sub.to_bytes());
-        }
-
-        #[test]
-        fn mismatched_subspace_layout_is_invalid() {
-            let rng = SimRng::from_seed(12);
-            let sub = SessionSubspace::estimate(&toy_ubm(), &toy_groups(&rng), 1);
-            // A 3-D UBM cannot host a subspace estimated over a 2-D one.
-            let other_ubm = DiagonalGmm::from_parameters(
-                vec![1.0],
-                vec![vec![0.0, 0.0, 0.0]],
-                vec![vec![1.0, 1.0, 1.0]],
-            );
-            let fx = crate::frontend::FeatureExtractor::new(16_000.0);
-            let mut w = magshield_ml::codec::ByteWriter::new();
-            w.put_artifact(&UbmBackend::new(fx, other_ubm));
-            w.put_artifact(&sub);
-            let payload = w.into_bytes();
-            let mut r = magshield_ml::codec::ByteReader::new(&payload);
-            assert!(matches!(
-                IsvBackend::decode_payload(&mut r),
-                Err(CodecError::Invalid { .. })
-            ));
         }
     }
 }

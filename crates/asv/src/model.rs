@@ -147,13 +147,6 @@ impl SessionScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Bytes currently reserved across all buffers (capacities).
-    pub fn footprint_bytes(&self) -> usize {
-        self.frontend.footprint_bytes()
-            + self.frames.capacity_bytes()
-            + self.score.footprint_bytes()
-    }
 }
 
 thread_local! {
@@ -280,37 +273,27 @@ impl UbmBackend {
         top_c: usize,
         quantized: bool,
     ) -> AsvScore {
-        with_session_scratch(|s| self.score_detailed_opts_with(model, audio, top_c, quantized, s))
-    }
-
-    /// [`Self::score_detailed_opts`] with an explicit scratch.
-    fn score_detailed_opts_with(
-        &self,
-        model: &SpeakerModel,
-        audio: &[f64],
-        top_c: usize,
-        quantized: bool,
-        s: &mut SessionScratch,
-    ) -> AsvScore {
-        self.extractor
-            .extract_into(audio, &mut s.frontend, &mut s.frames);
-        let b = if quantized {
-            llr_score_quantized(
-                model.quantized(),
-                self.quantized_ubm(),
-                &s.frames,
-                top_c,
-                &mut s.score,
-            )
-        } else {
-            llr_score_prepared(
-                model.prepared(),
-                self.prepared_ubm(),
-                &s.frames,
-                top_c,
-                &mut s.score,
-            )
-        };
+        let b = with_session_scratch(|s| {
+            self.extractor
+                .extract_into(audio, &mut s.frontend, &mut s.frames);
+            if quantized {
+                llr_score_quantized(
+                    model.quantized(),
+                    self.quantized_ubm(),
+                    &s.frames,
+                    top_c,
+                    &mut s.score,
+                )
+            } else {
+                llr_score_prepared(
+                    model.prepared(),
+                    self.prepared_ubm(),
+                    &s.frames,
+                    top_c,
+                    &mut s.score,
+                )
+            }
+        });
         AsvScore {
             z: model.normalize(b.score),
             frames: b.frames,
@@ -762,31 +745,6 @@ mod tests {
             let sigma = model.znorm.map_or(1.0, |(_, s)| s);
             assert!(pruned.z <= exact.z + 1e-9 / sigma);
             assert_eq!(pruned.pruned_components, (frames.rows() * (16 - 4)) as u64);
-        }
-    }
-
-    #[test]
-    fn session_scratch_stops_growing_after_warmup() {
-        let (backend, corpus) = small_setup();
-        let sp = &corpus.speakers[0];
-        let utts = corpus.of_speaker(sp.id);
-        let enroll: Vec<&[f64]> = utts[..2].iter().map(|u| u.audio.as_slice()).collect();
-        let model = backend.enroll(sp.id, &enroll);
-        let mut s = SessionScratch::new();
-        backend.score_detailed_opts_with(&model, &utts[0].audio, 4, false, &mut s);
-        assert!(s.footprint_bytes() > 0, "cold scratch must grow");
-        for u in &utts {
-            backend.score_detailed_opts_with(&model, &u.audio, 4, false, &mut s);
-            // warm-up
-        }
-        let warm = s.footprint_bytes();
-        for u in &utts {
-            backend.score_detailed_opts_with(&model, &u.audio, 4, false, &mut s);
-            assert_eq!(
-                s.footprint_bytes(),
-                warm,
-                "warm scratch regrew on an already-seen utterance"
-            );
         }
     }
 

@@ -1,13 +1,19 @@
-//! Proof that the extraction fast path is allocation-free in steady
-//! state: a counting global allocator is armed around a warmed-up
-//! `extract_into` call and must observe zero heap traffic.
+//! Proof that the extraction and scoring fast paths are allocation-free
+//! in steady state: a counting global allocator is armed around a
+//! warmed-up `extract_into` call and warmed-up `score_detailed_opts`
+//! calls (pruned and exact) and must observe zero heap traffic.
 //!
 //! The counter lives in its own integration-test binary (a
 //! `#[global_allocator]` is process-wide) with a single `#[test]` so no
 //! concurrent harness thread can pollute the armed window.
 
 use magshield_asv::frontend::{FeatureExtractor, FrontendScratch};
+use magshield_asv::model::UbmBackend;
+use magshield_asv::ubm::{train_ubm, UbmConfig};
 use magshield_dsp::frame::FrameMatrix;
+use magshield_simkit::rng::SimRng;
+use magshield_voice::corpus::voxforge_like;
+use magshield_voice::synth::VOICE_SAMPLE_RATE;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,27 +84,59 @@ fn speechy(fs: f64) -> Vec<f64> {
     v
 }
 
+/// A small trained backend, a speaker enrolled on it, and an utterance
+/// of that speaker to score.
+fn scoring_setup() -> (UbmBackend, magshield_asv::model::SpeakerModel, Vec<f64>) {
+    let rng = SimRng::from_seed(21);
+    let corpus = voxforge_like(3, &rng);
+    let fx = FeatureExtractor::new(VOICE_SAMPLE_RATE);
+    let frames: Vec<FrameMatrix> = corpus
+        .utterances
+        .iter()
+        .map(|u| fx.extract(&u.audio))
+        .collect();
+    let ubm = train_ubm(
+        &frames,
+        UbmConfig {
+            components: 16,
+            em_iters: 4,
+            max_frames: 6000,
+        },
+        &rng,
+    );
+    let backend = UbmBackend::new(fx, ubm).with_cohort(&frames);
+    let utts = corpus.of_speaker(corpus.speakers[0].id);
+    let model = backend.enroll(corpus.speakers[0].id, &[&utts[0].audio]);
+    let probe = utts[1].audio.clone();
+    (backend, model, probe)
+}
+
 #[test]
-fn steady_state_extraction_is_allocation_free() {
+fn steady_state_extraction_and_scoring_are_allocation_free() {
     let fx = FeatureExtractor::new(16_000.0);
     let sig = speechy(16_000.0);
     let mut scratch = FrontendScratch::new();
     let mut out = FrameMatrix::default();
+    let (backend, model, probe) = scoring_setup();
 
-    // Warm-up: every buffer grows to its high-water mark.
+    // Warm-up: every buffer grows to its high-water mark, the per-thread
+    // session scratch is registered and the prepared models are cached.
     fx.extract_into(&sig, &mut scratch, &mut out);
     let warm = out.clone();
+    let warm_scores = [4, 0].map(|c| backend.score_detailed_opts(&model, &probe, c, false));
 
     ARMED.with(|a| a.set(true));
     fx.extract_into(&sig, &mut scratch, &mut out);
+    let scores = [4, 0].map(|c| backend.score_detailed_opts(&model, &probe, c, false));
     ARMED.with(|a| a.set(false));
 
     let allocs = ALLOCS.load(Ordering::SeqCst);
     let bytes = BYTES.load(Ordering::SeqCst);
     assert_eq!(
         allocs, 0,
-        "warmed extract_into must not touch the heap: \
+        "warmed extract_into and score_detailed_opts must not touch the heap: \
          {allocs} allocations / {bytes} bytes observed"
     );
     assert_eq!(out, warm, "steady-state output must be identical");
+    assert_eq!(scores, warm_scores, "steady-state scores must be identical");
 }

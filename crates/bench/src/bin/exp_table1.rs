@@ -19,10 +19,9 @@
 use magshield_asv::eval::{TrialOutcome, VerificationReport};
 use magshield_asv::frontend::FeatureExtractor;
 use magshield_asv::isv::{IsvBackend, SessionSubspace};
-use magshield_asv::model::UbmBackend;
+use magshield_asv::model::{SpeakerModel, UbmBackend};
 use magshield_asv::ubm::{train_ubm, UbmConfig};
 use magshield_bench::{print_header, write_results, ResultRow, EXPERIMENT_SEED};
-use magshield_core::components::speaker_id::AsvEngine;
 use magshield_ml::metrics::ErrorRates;
 use magshield_simkit::par;
 use magshield_simkit::rng::SimRng;
@@ -30,7 +29,35 @@ use magshield_voice::attacks::{attack_audio, AttackKind};
 use magshield_voice::corpus::{arctic_like, test1_corpus, voxforge_like, Corpus};
 use magshield_voice::synth::VOICE_SAMPLE_RATE;
 
-fn build_engines(train: &Corpus, rng: &SimRng) -> (AsvEngine, AsvEngine) {
+/// The two systems of Table I, as its tests drive them: enroll a
+/// speaker, then score audio against the enrolled model (exactly, with
+/// no pruning).
+trait AsvSystem {
+    fn enroll(&self, speaker_id: u32, utterances: &[&[f64]]) -> SpeakerModel;
+    fn score(&self, model: &SpeakerModel, audio: &[f64]) -> f64;
+}
+
+impl AsvSystem for UbmBackend {
+    fn enroll(&self, speaker_id: u32, utterances: &[&[f64]]) -> SpeakerModel {
+        UbmBackend::enroll(self, speaker_id, utterances)
+    }
+    fn score(&self, model: &SpeakerModel, audio: &[f64]) -> f64 {
+        UbmBackend::score(self, model, audio)
+    }
+}
+
+impl AsvSystem for IsvBackend {
+    fn enroll(&self, speaker_id: u32, utterances: &[&[f64]]) -> SpeakerModel {
+        IsvBackend::enroll(self, speaker_id, utterances)
+    }
+    fn score(&self, model: &SpeakerModel, audio: &[f64]) -> f64 {
+        IsvBackend::score(self, model, audio)
+    }
+}
+
+/// Trains the UBM (with its Z-norm cohort) on `train`, then the rank-2
+/// session subspace the ISV system compensates with.
+fn build_engines(train: &Corpus, rng: &SimRng) -> (UbmBackend, IsvBackend) {
     let fx = FeatureExtractor::new(VOICE_SAMPLE_RATE);
     let frames = par::map(&train.utterances, |u| fx.extract(&u.audio));
     let ubm = train_ubm(
@@ -50,10 +77,7 @@ fn build_engines(train: &Corpus, rng: &SimRng) -> (AsvEngine, AsvEngine) {
         .map(|(u, f)| (u.speaker_id, u.session, f))
         .collect();
     let subspace = SessionSubspace::estimate(&backend.ubm, &groups, 2);
-    (
-        AsvEngine::Ubm(backend.clone()),
-        AsvEngine::Isv(IsvBackend::new(backend, subspace)),
-    )
+    (backend.clone(), IsvBackend::new(backend, subspace))
 }
 
 /// The deployment operating point: each trial is decided against the
@@ -80,7 +104,7 @@ impl CalibratedDecisions {
 /// Test 1: enroll each of the five speakers on 3 takes, test on the other
 /// 2 (genuine) and on every other speaker's mimicry of their passphrase
 /// (impostor).
-fn test1(engine: &AsvEngine, rng: &SimRng) -> (VerificationReport, ErrorRates) {
+fn test1(engine: &dyn AsvSystem, rng: &SimRng) -> (VerificationReport, ErrorRates) {
     // Three independent five-speaker panels pool their trials: the paper
     // ran one panel of humans; with synthetic speakers the extra panels
     // stabilize the small-sample rates.
@@ -94,7 +118,7 @@ fn test1(engine: &AsvEngine, rng: &SimRng) -> (VerificationReport, ErrorRates) {
 }
 
 fn test1_panel(
-    engine: &AsvEngine,
+    engine: &dyn AsvSystem,
     rng: &SimRng,
     trials: &mut Vec<TrialOutcome>,
     decisions: &mut CalibratedDecisions,
@@ -141,7 +165,7 @@ fn test1_panel(
 /// Test 2: UBM from the Voxforge stand-in, enrollment/trials on the
 /// Arctic stand-in (cross-corpus channel mismatch), impostors = other
 /// Arctic speakers.
-fn test2(engine: &AsvEngine, rng: &SimRng) -> (VerificationReport, ErrorRates) {
+fn test2(engine: &dyn AsvSystem, rng: &SimRng) -> (VerificationReport, ErrorRates) {
     let test = arctic_like(6, &rng.fork("t2-corpus"));
     let mut trials = Vec::new();
     let mut decisions = CalibratedDecisions::default();
@@ -196,7 +220,8 @@ fn main() {
         &["system", "T1 FAR%", "T1 FRR%", "T2 FAR%", "T2 FRR%"],
     );
     let mut rows = Vec::new();
-    for (name, engine) in [("UBM", &ubm_engine), ("ISV", &isv_engine)] {
+    let systems: [(&str, &dyn AsvSystem); 2] = [("UBM", &ubm_engine), ("ISV", &isv_engine)];
+    for (name, engine) in systems {
         let (r1, d1) = test1(engine, &rng);
         let (r2, d2) = test2(engine, &rng);
         let (far1, frr1) = d1.as_percent();
@@ -227,4 +252,50 @@ fn main() {
     write_results("table1", &rows);
     println!("\npaper: UBM 0.0 % / 0.5 %, ISV 0.0 % / 1.3 % — near-zero in-corpus FAR,");
     println!("       small nonzero FAR under cross-corpus channel mismatch.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use magshield_ml::codec::{fnv1a_64, BinaryCodec};
+
+    /// Pins what Table I's ISV training and enrollment produce, bit for
+    /// bit: the FNV-1a/64 of the session subspace's basis (every `f64`'s
+    /// bits, row by row), then of the first two Test 2 speakers' models
+    /// enrolled on session-compensated features. The UBM's EM, the
+    /// Z-norm cohort, the supervector PCA and MAP adaptation all feed
+    /// these bytes. The constants were captured while ISV could still be
+    /// served from a bundle. Training fans out over every CPU; CI reruns
+    /// this under `taskset -c 0` to check the sequential fallback.
+    #[test]
+    fn isv_training_and_enrollment_bytes_are_pinned() {
+        let rng = SimRng::from_seed(EXPERIMENT_SEED).fork("table1");
+        let train = voxforge_like(8, &rng.fork("train-corpus"));
+        let (_, isv) = build_engines(&train, &rng);
+        let basis: Vec<u8> = isv
+            .subspace
+            .basis()
+            .iter()
+            .flatten()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        let mut got = vec![fnv1a_64(&basis)];
+        let test = arctic_like(6, &rng.fork("t2-corpus"));
+        for sp in &test.speakers[..2] {
+            let enroll: Vec<&[f64]> = test
+                .of_speaker(sp.id)
+                .into_iter()
+                .filter(|u| u.session == 0)
+                .map(|u| u.audio.as_slice())
+                .collect();
+            got.push(fnv1a_64(&isv.enroll(sp.id, &enroll).to_bytes()));
+        }
+        let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
+        assert_eq!(
+            got,
+            [0x3551a468c69ed2a2, 0x5e9b3599af1df0ef, 0x6871e2a902350154],
+            "ISV subspace / enrolled model bytes moved: [{}]",
+            hex.join(", ")
+        );
+    }
 }

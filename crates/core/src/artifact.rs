@@ -1,7 +1,7 @@
 //! Versioned model artifacts: the training → serving hand-off format.
 //!
 //! A [`ModelBundle`] is everything a server needs to verify sessions —
-//! the ASV engine, the enrolled speaker models, the sound-field
+//! the GMM–UBM ASV backend, the enrolled speaker models, the sound-field
 //! classifier and the thresholds they were validated against — plus
 //! [`BundleMeta`] provenance describing how it was trained. Bundles are
 //! produced offline by [`Trainer::train`](crate::trainer::Trainer::train),
@@ -17,11 +17,11 @@
 //! all surface as typed errors, never as panics or silently wrong models.
 
 use crate::components::sound_field::SoundFieldModel;
-use crate::components::speaker_id::AsvEngine;
 use crate::config::{ConfigError, DefenseConfig};
 use crate::registry::ModelSnapshot;
-use magshield_asv::model::SpeakerModel;
+use magshield_asv::model::{SpeakerModel, UbmBackend};
 use magshield_ml::codec::{self, BinaryCodec, ByteReader, ByteWriter, CodecError};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Provenance of a trained bundle: who produced it and the training
@@ -40,7 +40,10 @@ pub struct BundleMeta {
     pub ubm_components: u32,
     /// EM iterations the UBM was trained for.
     pub em_iters: u32,
-    /// Whether the ISV backend was trained instead of plain GMM–UBM.
+    /// Provenance flag for an ISV-trained engine. Always `false`: the
+    /// served engine is GMM–UBM, and a bundle carrying an ISV engine is
+    /// refused at decode. The byte stays in the encoding so existing
+    /// bundles keep their bytes.
     pub use_isv: bool,
     /// Free-form notes (deployment labels, experiment ids).
     pub notes: String,
@@ -68,6 +71,45 @@ impl BundleMeta {
     }
 }
 
+/// The `MENG` envelope a bundle wraps its ASV backend in: a kind byte,
+/// then the nested backend artifact. Kind [`UBM_ENGINE`] is GMM–UBM, the
+/// one backend served. Kind [`ISV_ENGINE`] was the ISV backend, which
+/// bundles no longer carry; it is refused, never read as GMM–UBM.
+struct EngineFrame<'a>(Cow<'a, UbmBackend>);
+
+/// `MENG` kind byte of a GMM–UBM engine.
+const UBM_ENGINE: u8 = 0;
+/// `MENG` kind byte of an ISV engine (refused).
+const ISV_ENGINE: u8 = 1;
+
+impl BinaryCodec for EngineFrame<'_> {
+    const MAGIC: u32 = codec::magic(b"MENG");
+    const VERSION: u8 = 1;
+    const NAME: &'static str = "ASV engine";
+
+    fn encode_payload(&self, w: &mut ByteWriter) {
+        w.put_u8(UBM_ENGINE);
+        w.put_artifact(&*self.0);
+    }
+
+    fn decode_payload(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            UBM_ENGINE => Ok(Self(Cow::Owned(UbmBackend::from_bytes(r.get_nested()?)?))),
+            ISV_ENGINE => Err(CodecError::Invalid {
+                artifact: Self::NAME,
+                reason: ISV_NOT_SERVED.to_string(),
+            }),
+            found => Err(CodecError::BadTag {
+                what: "ASV engine kind",
+                found,
+            }),
+        }
+    }
+}
+
+/// Why a bundle carrying an ISV engine is refused.
+const ISV_NOT_SERVED: &str = "ISV engines are no longer served; retrain with GMM–UBM";
+
 /// A complete, immutable set of trained serving models.
 ///
 /// The unit of training, persistence and hot-swap: a bundle is produced
@@ -80,8 +122,8 @@ pub struct ModelBundle {
     pub meta: BundleMeta,
     /// The thresholds this model set was trained/validated against.
     pub config: DefenseConfig,
-    /// The ASV backend.
-    pub engine: AsvEngine,
+    /// The GMM–UBM ASV backend.
+    pub engine: UbmBackend,
     /// Enrolled speaker models. May be empty: a multi-tenant server can
     /// boot from a speaker-less bundle and enroll tenants online.
     pub speakers: Vec<SpeakerModel>,
@@ -138,7 +180,7 @@ impl ModelBundle {
         Self {
             meta,
             config: snapshot.config,
-            engine: AsvEngine::clone(&snapshot.engine),
+            engine: UbmBackend::clone(&snapshot.engine),
             speakers,
             sound_field: SoundFieldModel::clone(&snapshot.sound_field),
         }
@@ -153,7 +195,7 @@ impl BinaryCodec for ModelBundle {
     fn encode_payload(&self, w: &mut ByteWriter) {
         self.meta.encode(w);
         w.put_artifact(&self.config);
-        w.put_artifact(&self.engine);
+        w.put_artifact(&EngineFrame(Cow::Borrowed(&self.engine)));
         w.put_len(self.speakers.len());
         for m in &self.speakers {
             w.put_artifact(m);
@@ -164,7 +206,7 @@ impl BinaryCodec for ModelBundle {
     fn decode_payload(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let meta = BundleMeta::decode(r)?;
         let config = DefenseConfig::from_bytes(r.get_nested()?)?;
-        let engine = AsvEngine::from_bytes(r.get_nested()?)?;
+        let engine = EngineFrame::from_bytes(r.get_nested()?)?.0.into_owned();
         let n = r.get_len()?;
         let mut speakers = Vec::new();
         for _ in 0..n {
@@ -187,9 +229,32 @@ impl BinaryCodec for ModelBundle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::ConfigError;
+
+    /// `bundle` (encoded bundle bytes) with its `MENG` kind byte set to
+    /// `kind`, both checksums re-sealed so only the kind differs.
+    pub(crate) fn with_engine_kind(bundle: &[u8], kind: u8) -> Vec<u8> {
+        const HEADER: usize = 9;
+        const CHECKSUM: usize = 8;
+        let payload = &bundle[HEADER..bundle.len() - CHECKSUM];
+        let mut r = ByteReader::new(payload);
+        BundleMeta::decode(&mut r).unwrap();
+        r.get_nested().unwrap();
+        let engine_at = HEADER + payload.len() - r.remaining() + 4;
+        let engine_end = engine_at + r.get_len().unwrap();
+        let mut out = bundle.to_vec();
+        out[engine_at + HEADER] = kind;
+        let seal = |out: &mut Vec<u8>, start: usize, end: usize| {
+            let sum = codec::fnv1a_64(&out[start..end - CHECKSUM]);
+            out[end - CHECKSUM..end].copy_from_slice(&sum.to_le_bytes());
+        };
+        seal(&mut out, engine_at, engine_end);
+        let n = out.len();
+        seal(&mut out, 0, n);
+        out
+    }
 
     fn fixture_bundle() -> ModelBundle {
         let (sys, _) = crate::test_support::shared_tiny_system();
@@ -219,6 +284,24 @@ mod tests {
         // Encoding is deterministic, so re-encoding proves deep equality
         // even for types without PartialEq (the engine).
         assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn engine_kind_byte_gates_decode() {
+        let bytes = fixture_bundle().to_bytes();
+        // Kind 0 is what encoding writes: re-sealing it changes nothing.
+        assert_eq!(with_engine_kind(&bytes, 0), bytes);
+        assert!(matches!(
+            ModelBundle::from_bytes(&with_engine_kind(&bytes, 1)),
+            Err(CodecError::Invalid { artifact: "ASV engine", reason }) if reason == ISV_NOT_SERVED
+        ));
+        assert!(matches!(
+            ModelBundle::from_bytes(&with_engine_kind(&bytes, 7)),
+            Err(CodecError::BadTag {
+                what: "ASV engine kind",
+                found: 7
+            })
+        ));
     }
 
     #[test]

@@ -41,14 +41,13 @@
 
 use crate::analysis::{SessionAnalysis, SpeechParts};
 use crate::components::sound_field::SoundFieldModel;
-use crate::components::speaker_id::AsvEngine;
 use crate::components::{distance, loudspeaker, sld, sound_field, speaker_id};
 use crate::config::DefenseConfig;
 use crate::pipeline::PipelineObs;
 use crate::registry::ModelSnapshot;
 use crate::session::SessionData;
 use crate::verdict::{Component, ComponentResult, DefenseVerdict, SkippedStage, StageOutcome};
-use magshield_asv::model::SpeakerModel;
+use magshield_asv::model::{SpeakerModel, UbmBackend};
 use magshield_obs::labels::Labels;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -203,7 +202,7 @@ impl CascadeStage for SoundFieldStage<'_> {
 /// last.
 #[derive(Debug, Clone, Copy)]
 pub struct SpeakerIdStage<'a> {
-    engine: &'a AsvEngine,
+    engine: &'a UbmBackend,
     speakers: &'a HashMap<u32, Arc<SpeakerModel>>,
 }
 
@@ -211,7 +210,7 @@ impl<'a> SpeakerIdStage<'a> {
     /// A stage scoring against `engine` with the enrolled `speakers`
     /// (the `Arc`-held map a
     /// [`ModelSnapshot`](crate::registry) serves).
-    pub fn new(engine: &'a AsvEngine, speakers: &'a HashMap<u32, Arc<SpeakerModel>>) -> Self {
+    pub fn new(engine: &'a UbmBackend, speakers: &'a HashMap<u32, Arc<SpeakerModel>>) -> Self {
         Self { engine, speakers }
     }
 }

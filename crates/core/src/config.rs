@@ -23,6 +23,23 @@ pub enum ConfigError {
         /// The configured changing-rate threshold (µT/s).
         rate_ut_per_s: f64,
     },
+    /// A scalar threshold is NaN or infinite.
+    NonFiniteThreshold {
+        /// The `DefenseConfig` field holding it.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// A scale, slack or calibration threshold that only makes sense
+    /// positive (`distance_tolerance`, `min_approach_m`,
+    /// `pilot_ranging_gain_m`, `max_sweep_ripple_m`, `asv_scale`) is zero
+    /// or negative: it would disable its check or invert its score.
+    NonPositiveThreshold {
+        /// The `DefenseConfig` field holding it.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
     /// `sound_field_bins` is below the minimum of 4 angle bins.
     TooFewSoundFieldBins {
         /// The configured bin count.
@@ -66,6 +83,12 @@ impl fmt::Display for ConfigError {
                 "magnetometer thresholds must be positive (got Mt = {deviation_ut} µT, \
                  βt = {rate_ut_per_s} µT/s)"
             ),
+            Self::NonFiniteThreshold { field, value } => {
+                write!(f, "{field} must be finite (got {value})")
+            }
+            Self::NonPositiveThreshold { field, value } => {
+                write!(f, "{field} must be positive (got {value})")
+            }
             Self::TooFewSoundFieldBins { bins } => {
                 write!(f, "need at least 4 sound-field bins (got {bins})")
             }
@@ -231,8 +254,24 @@ impl DefenseConfig {
         self
     }
 
-    /// Sanity-checks threshold values.
+    /// Sanity-checks threshold values: every scalar threshold finite,
+    /// and every one that scales, slackens or calibrates a check strictly
+    /// positive.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let scalars = [
+            ("distance_threshold_m", self.distance_threshold_m),
+            ("distance_tolerance", self.distance_tolerance),
+            ("min_approach_m", self.min_approach_m),
+            ("pilot_ranging_gain_m", self.pilot_ranging_gain_m),
+            ("max_sweep_ripple_m", self.max_sweep_ripple_m),
+            ("mag_deviation_ut", self.mag_deviation_ut),
+            ("mag_rate_ut_per_s", self.mag_rate_ut_per_s),
+            ("asv_threshold", self.asv_threshold),
+            ("asv_scale", self.asv_scale),
+        ];
+        if let Some(&(field, value)) = scalars.iter().find(|(_, v)| !v.is_finite()) {
+            return Err(ConfigError::NonFiniteThreshold { field, value });
+        }
         if self.distance_threshold_m <= 0.0 {
             return Err(ConfigError::NonPositiveDistanceThreshold {
                 value: self.distance_threshold_m,
@@ -243,6 +282,16 @@ impl DefenseConfig {
                 deviation_ut: self.mag_deviation_ut,
                 rate_ut_per_s: self.mag_rate_ut_per_s,
             });
+        }
+        let positive = [
+            ("distance_tolerance", self.distance_tolerance),
+            ("min_approach_m", self.min_approach_m),
+            ("pilot_ranging_gain_m", self.pilot_ranging_gain_m),
+            ("max_sweep_ripple_m", self.max_sweep_ripple_m),
+            ("asv_scale", self.asv_scale),
+        ];
+        if let Some(&(field, value)) = positive.iter().find(|(_, v)| *v <= 0.0) {
+            return Err(ConfigError::NonPositiveThreshold { field, value });
         }
         if self.sound_field_bins < 4 {
             return Err(ConfigError::TooFewSoundFieldBins {
@@ -335,23 +384,6 @@ impl BinaryCodec for DefenseConfig {
             sound_field_bins,
             stage_boundaries,
         };
-        let scalars = [
-            cfg.distance_threshold_m,
-            cfg.distance_tolerance,
-            cfg.min_approach_m,
-            cfg.pilot_ranging_gain_m,
-            cfg.max_sweep_ripple_m,
-            cfg.mag_deviation_ut,
-            cfg.mag_rate_ut_per_s,
-            cfg.asv_threshold,
-            cfg.asv_scale,
-        ];
-        if scalars.iter().any(|v| !v.is_finite()) {
-            return Err(CodecError::Invalid {
-                artifact: Self::NAME,
-                reason: "all thresholds must be finite".to_string(),
-            });
-        }
         cfg.validate().map_err(|e| CodecError::Invalid {
             artifact: Self::NAME,
             reason: e.to_string(),
@@ -458,6 +490,69 @@ mod tests {
             c5.validate(),
             Err(ConfigError::NonPositiveMagThresholds { .. })
         ));
+    }
+
+    /// Every scalar threshold must be finite, and the five that scale,
+    /// slacken or calibrate a check must be positive: NaN, zero and
+    /// negative values are each refused with a typed error naming the
+    /// field.
+    #[test]
+    fn validation_refuses_non_finite_and_non_positive_thresholds() {
+        type Field = fn(&mut DefenseConfig) -> &mut f64;
+        let fields: [(&str, Field, bool); 9] = [
+            (
+                "distance_threshold_m",
+                |c| &mut c.distance_threshold_m,
+                true,
+            ),
+            ("distance_tolerance", |c| &mut c.distance_tolerance, true),
+            ("min_approach_m", |c| &mut c.min_approach_m, true),
+            (
+                "pilot_ranging_gain_m",
+                |c| &mut c.pilot_ranging_gain_m,
+                true,
+            ),
+            ("max_sweep_ripple_m", |c| &mut c.max_sweep_ripple_m, true),
+            ("mag_deviation_ut", |c| &mut c.mag_deviation_ut, true),
+            ("mag_rate_ut_per_s", |c| &mut c.mag_rate_ut_per_s, true),
+            ("asv_threshold", |c| &mut c.asv_threshold, false),
+            ("asv_scale", |c| &mut c.asv_scale, true),
+        ];
+        for (name, field, must_be_positive) in fields {
+            let with = |value: f64| {
+                let mut c = DefenseConfig::default();
+                *field(&mut c) = value;
+                c.validate()
+            };
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert!(
+                    matches!(with(value), Err(ConfigError::NonFiniteThreshold { field, .. }) if field == name),
+                    "{name} = {value}: {:?}",
+                    with(value)
+                );
+            }
+            for value in [0.0, -1.5] {
+                let got = with(value);
+                if must_be_positive {
+                    assert!(got.is_err(), "{name} = {value} accepted");
+                    let msg = got.unwrap_err().to_string();
+                    assert!(msg.contains("positive"), "{name} = {value}: {msg}");
+                } else {
+                    assert_eq!(got, Ok(()), "{name} = {value}");
+                }
+            }
+        }
+        assert_eq!(
+            DefenseConfig {
+                asv_scale: -1.5,
+                ..DefenseConfig::default()
+            }
+            .validate(),
+            Err(ConfigError::NonPositiveThreshold {
+                field: "asv_scale",
+                value: -1.5
+            })
+        );
     }
 
     #[test]

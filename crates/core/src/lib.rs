@@ -19,7 +19,7 @@
 //!    over (volume, rotation-angle) features rejects sources whose
 //!    aperture/geometry differs from a human mouth;
 //! 5. **speaker identity verification** ([`components::speaker_id`]) —
-//!    GMM–UBM / ISV ASV rejects human imitators.
+//!    GMM–UBM ASV rejects human imitators.
 //!
 //! The cascade is a first-class subsystem ([`cascade`]): each stage
 //! implements the [`cascade::CascadeStage`] trait, and one

@@ -587,6 +587,33 @@ mod tests {
         assert_eq!(sys.metrics().counter("registry.swap").get(), 1);
     }
 
+    /// A NaN `Mt` or `Dt` fails `NaN <= 0.0`; validation must still
+    /// refuse it in process, where no codec runs.
+    #[test]
+    fn non_finite_thresholds_are_refused_in_process() {
+        let sys = isolated_system();
+        let bundle = ModelBundle::from_snapshot(
+            BundleMeta {
+                producer: "nan-test".to_string(),
+                ubm_speakers: 3,
+                ubm_components: 8,
+                em_iters: 4,
+                use_isv: false,
+                notes: String::new(),
+            },
+            &sys.models(),
+        );
+        let mut nan_mt = bundle.clone();
+        nan_mt.config.mag_deviation_ut = f64::NAN;
+        let mut nan_dt = bundle;
+        nan_dt.config.distance_threshold_m = f64::NAN;
+        for bad in [nan_mt, nan_dt] {
+            assert!(DefenseSystem::from_bundle(bad.clone()).is_err());
+            assert!(sys.try_swap_bundle(bad).is_err());
+        }
+        assert_eq!(sys.generation(), ModelRegistry::FIRST_GENERATION);
+    }
+
     #[test]
     fn cascade_pins_a_generation() {
         let sys = isolated_system();

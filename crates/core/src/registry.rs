@@ -29,9 +29,8 @@
 //! [`DefenseSystem`]: crate::pipeline::DefenseSystem
 
 use crate::components::sound_field::SoundFieldModel;
-use crate::components::speaker_id::AsvEngine;
 use crate::config::DefenseConfig;
-use magshield_asv::model::SpeakerModel;
+use magshield_asv::model::{SpeakerModel, UbmBackend};
 use magshield_obs::sync::{read, write};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -48,10 +47,10 @@ pub struct ModelSnapshot {
     /// The thresholds this model set was validated against — what the
     /// producing [`ModelBundle`](crate::artifact::ModelBundle) shipped.
     pub config: DefenseConfig,
-    /// The ASV backend (UBM or ISV). `Arc`-shared like every model here,
+    /// The GMM–UBM ASV backend. `Arc`-shared like every model here,
     /// so a copy-on-write enrollment shares it with the snapshot it
     /// copies.
-    pub engine: Arc<AsvEngine>,
+    pub engine: Arc<UbmBackend>,
     /// Enrolled speaker models by speaker id. Models are `Arc`-shared so
     /// copy-on-write enrollment only clones the map, not the GMMs.
     pub speakers: HashMap<u32, Arc<SpeakerModel>>,

@@ -1543,6 +1543,57 @@ mod tests {
         srv.shutdown();
     }
 
+    /// A bundle that decodes but must not serve is refused over the
+    /// wire, and the served generation stays where it was: an inverted
+    /// ASV scale (`1 − (z − t)/scale` would reject the genuine speaker
+    /// and pass impostors), and an ISV engine (kind byte 1 in `MENG`).
+    #[test]
+    fn unservable_swap_bundles_are_refused() {
+        use crate::artifact::BundleMeta;
+        use crate::registry::ModelRegistry;
+
+        let (srv, user) = isolated_server();
+        let client = srv.client();
+        let (system, _) = crate::test_support::shared_tiny_system();
+        let mut bundle = ModelBundle::from_snapshot(
+            BundleMeta {
+                producer: "swap-test".to_string(),
+                ubm_speakers: 3,
+                ubm_components: 8,
+                em_iters: 4,
+                use_isv: false,
+                notes: String::new(),
+            },
+            &system.models(),
+        );
+        let isv = crate::artifact::tests::with_engine_kind(&bundle.to_bytes(), 1);
+        bundle.config.asv_scale = -1.5;
+        match client.swap_bundle(&bundle) {
+            Err(ClientError::Server(message)) => {
+                assert!(
+                    message.contains("asv_scale must be positive"),
+                    "got: {message}"
+                )
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        let raw = client
+            .send_raw(protocol::encode_swap_bundle(7, &isv))
+            .expect("reply");
+        match decode_frame(&raw) {
+            Ok(Message::Error { message, .. }) => assert!(
+                message.contains("ISV engines are no longer served"),
+                "got: {message}"
+            ),
+            other => panic!("expected error reply, got {other:?}"),
+        }
+        assert_eq!(protocol_errors(&srv), 2);
+        let session = ScenarioBuilder::genuine(&user).capture(&SimRng::from_seed(504));
+        let verdict = client.verify(&session).expect("verdict");
+        assert_eq!(verdict.generation, Some(ModelRegistry::FIRST_GENERATION));
+        srv.shutdown();
+    }
+
     fn replay_session(user: &crate::scenario::UserContext, seed: u64) -> SessionData {
         use magshield_voice::attacks::AttackKind;
         use magshield_voice::devices::table_iv_catalog;

@@ -245,7 +245,7 @@ impl DurableStore {
         let mut state = lock(&self.state);
         let generation = Self::next_generation(&state, registry)?;
         let serving = registry.snapshot();
-        let op = match DeltaSpeakerRecord::encode(serving.engine.ubm(), &model) {
+        let op = match DeltaSpeakerRecord::encode(&serving.engine.ubm, &model) {
             Ok(delta) => WalOp::EnrollDelta(delta),
             Err(_) => WalOp::EnrollFull(Box::new(model.clone())),
         };
@@ -369,7 +369,7 @@ fn apply(
 ) -> Result<(), StoreError> {
     match op {
         WalOp::EnrollDelta(record) => {
-            let model = record.reconstruct(snapshot.engine.ubm())?;
+            let model = record.reconstruct(&snapshot.engine.ubm)?;
             snapshot.speakers.insert(model.speaker_id, Arc::new(model));
         }
         WalOp::EnrollFull(model) => {

@@ -385,7 +385,7 @@ mod tests {
         let bundle = fixture_bundle();
         let model = bundle.speakers[0].clone();
         let delta =
-            magshield_asv::delta::DeltaSpeakerRecord::encode(bundle.engine.ubm(), &model).unwrap();
+            magshield_asv::delta::DeltaSpeakerRecord::encode(&bundle.engine.ubm, &model).unwrap();
         WalRecord {
             generation,
             op: WalOp::EnrollDelta(delta),

@@ -3,7 +3,7 @@
 //! This is the training half of the training/serving split. A [`Trainer`]
 //! owns the training sizing ([`BootstrapConfig`]) and the thresholds the
 //! resulting models should ship with; [`Trainer::train`] runs the full
-//! pipeline of the paper — UBM (optionally ISV) on a background corpus,
+//! pipeline of the paper — the GMM–UBM backend on a background corpus,
 //! MAP-adapted speaker model from the user's enrollment captures, and the
 //! sound-field SVM from the same captures plus synthetic machine-source
 //! negatives — and returns an immutable, serializable [`ModelBundle`].
@@ -17,11 +17,10 @@
 
 use crate::artifact::{BundleMeta, ModelBundle};
 use crate::components::sound_field::{feature_vector, SoundFieldModel};
-use crate::components::speaker_id::{self, AsvEngine};
+use crate::components::speaker_id;
 use crate::config::DefenseConfig;
 use crate::scenario::{ScenarioBuilder, SourceKind, UserContext};
 use magshield_asv::frontend::FeatureExtractor;
-use magshield_asv::isv::{IsvBackend, SessionSubspace};
 use magshield_asv::model::UbmBackend;
 use magshield_asv::ubm::{train_ubm, UbmConfig};
 use magshield_physics::acoustics::tube::SoundTube;
@@ -41,10 +40,6 @@ pub struct BootstrapConfig {
     pub ubm_components: usize,
     /// EM iterations.
     pub em_iters: usize,
-    /// Use the ISV backend instead of plain GMM–UBM.
-    pub use_isv: bool,
-    /// Session-subspace rank for ISV.
-    pub isv_rank: usize,
     /// Genuine sessions captured for sound-field training.
     pub sound_field_positives: usize,
     /// Enrollment utterances for the user's speaker model.
@@ -57,8 +52,6 @@ impl Default for BootstrapConfig {
             ubm_speakers: 6,
             ubm_components: 32,
             em_iters: 8,
-            use_isv: false,
-            isv_rank: 2,
             sound_field_positives: 10,
             enrollment_utterances: 3,
         }
@@ -72,8 +65,6 @@ impl BootstrapConfig {
             ubm_speakers: 3,
             ubm_components: 8,
             em_iters: 4,
-            use_isv: false,
-            isv_rank: 2,
             sound_field_positives: 6,
             enrollment_utterances: 2,
         }
@@ -118,7 +109,8 @@ impl Trainer {
 
     /// Trains a complete bundle for `user`:
     ///
-    /// 1. a UBM (and optionally an ISV subspace) on a background corpus;
+    /// 1. a GMM–UBM backend (UBM plus Z-norm cohort) on a background
+    ///    corpus;
     /// 2. the user's MAP-adapted speaker model from enrollment utterances;
     /// 3. the sound-field SVM from genuine enrollment sessions (positive)
     ///    and synthetic machine-source sessions (negative) — the negative
@@ -137,8 +129,8 @@ impl Trainer {
         let extractor = FeatureExtractor::new(VOICE_SAMPLE_RATE);
         let corpus =
             magshield_voice::corpus::voxforge_like(cfg.ubm_speakers, &rng.fork("ubm-corpus"));
-        // One extraction per corpus utterance feeds the UBM, the Z-norm
-        // cohort and the ISV session groups.
+        // One extraction per corpus utterance feeds the UBM and the Z-norm
+        // cohort.
         let frames = par::map(&corpus.utterances, |u| extractor.extract(&u.audio));
         let ubm = train_ubm(
             &frames,
@@ -149,19 +141,7 @@ impl Trainer {
             },
             &rng.fork("ubm-train"),
         );
-        let ubm_backend = UbmBackend::new(extractor, ubm).with_cohort(&frames);
-        let engine = if cfg.use_isv {
-            let groups: Vec<_> = corpus
-                .utterances
-                .iter()
-                .zip(frames)
-                .map(|(u, f)| (u.speaker_id, u.session, f))
-                .collect();
-            let subspace = SessionSubspace::estimate(&ubm_backend.ubm, &groups, cfg.isv_rank);
-            AsvEngine::Isv(IsvBackend::new(ubm_backend, subspace))
-        } else {
-            AsvEngine::Ubm(ubm_backend)
-        };
+        let engine = UbmBackend::new(extractor, ubm).with_cohort(&frames);
 
         // --- enrollment and attack sessions ---
         // The genuine enrollment captures serve double duty, exactly as in
@@ -208,7 +188,7 @@ impl Trainer {
                 ubm_speakers: cfg.ubm_speakers as u32,
                 ubm_components: cfg.ubm_components as u32,
                 em_iters: cfg.em_iters as u32,
-                use_isv: cfg.use_isv,
+                use_isv: false,
                 notes: self.notes.clone(),
             },
             config,
@@ -322,8 +302,6 @@ mod tests {
             ubm_speakers: 2,
             ubm_components: 4,
             em_iters: 2,
-            use_isv: false,
-            isv_rank: 2,
             sound_field_positives: 6,
             enrollment_utterances: 1,
         });
@@ -342,8 +320,6 @@ mod tests {
             ubm_speakers: 2,
             ubm_components: 4,
             em_iters: 2,
-            use_isv: false,
-            isv_rank: 2,
             sound_field_positives: 6,
             enrollment_utterances: 1,
         })

@@ -135,11 +135,6 @@ impl FrameMatrix {
         assert_eq!(self.cols, other.cols, "row width mismatch");
         self.data.extend_from_slice(&other.data);
     }
-
-    /// Bytes currently reserved by the backing buffer (capacity, not len).
-    pub fn capacity_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<f64>()
-    }
 }
 
 /// Read access to a sequence of equal-width feature frames, independent of
@@ -243,19 +238,6 @@ impl ScratchPad {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Bytes currently reserved across all buffers (capacities).
-    ///
-    /// In steady state this is constant; growth between two calls measures
-    /// exactly the heap the fast path had to acquire.
-    pub fn footprint_bytes(&self) -> usize {
-        (self.fft_re.capacity()
-            + self.fft_im.capacity()
-            + self.power.capacity()
-            + self.mel.capacity()
-            + self.emphasized.capacity())
-            * std::mem::size_of::<f64>()
-    }
 }
 
 #[cfg(test)]
@@ -280,18 +262,6 @@ mod tests {
         assert_eq!(m.to_rows(), rows);
         assert_eq!(m.num_frames(), 3);
         assert_eq!(m.frame(2), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn reset_keeps_capacity() {
-        let mut m = FrameMatrix::with_capacity(4, 8);
-        for _ in 0..8 {
-            m.push_row(&[0.0; 4]);
-        }
-        let cap = m.capacity_bytes();
-        m.reset(4);
-        assert_eq!(m.rows(), 0);
-        assert_eq!(m.capacity_bytes(), cap);
     }
 
     #[test]
@@ -329,13 +299,5 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut m = FrameMatrix::new(2);
         m.push_row(&[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn scratch_footprint_tracks_capacity() {
-        let mut pad = ScratchPad::new();
-        assert_eq!(pad.footprint_bytes(), 0);
-        pad.power.resize(128, 0.0);
-        assert!(pad.footprint_bytes() >= 128 * 8);
     }
 }
