@@ -11,7 +11,7 @@
 
 use magshield_bench::{write_results, ResultRow, EXPERIMENT_SEED};
 use magshield_core::scenario::{ScenarioBuilder, UserContext};
-use magshield_dsp::fft::FftPlan;
+use magshield_dsp::fft::RealFftPlan;
 use magshield_dsp::phase::{phase_to_displacement, PhaseTracker};
 use magshield_dsp::window::WindowKind;
 use magshield_simkit::rng::SimRng;
@@ -24,13 +24,13 @@ fn main() {
     // The pilot row of a spectrogram: 2048-point Blackman frames every 1024
     // samples, keeping the magnitude of the bin nearest the pilot.
     let (frame_len, hop) = (2048, 1024);
-    let plan = FftPlan::new(frame_len);
+    let plan = RealFftPlan::new(frame_len);
     let window = WindowKind::Blackman.generate(frame_len);
     let pilot_bin = (session.pilot_hz * frame_len as f64 / session.audio_rate).round() as usize;
-    let (mut re, mut im) = (vec![0.0; frame_len], vec![0.0; frame_len]);
+    let (mut re, mut im) = (vec![0.0; plan.bins()], vec![0.0; plan.bins()]);
     let mut trace = Vec::new();
     for frame in session.audio.windows(frame_len).step_by(hop) {
-        plan.forward_windowed(frame, &window, &mut re, &mut im);
+        plan.spectrum(frame, &window, &mut re, &mut im);
         trace.push(re[pilot_bin].hypot(im[pilot_bin]));
     }
     let peak = trace.iter().cloned().fold(0.0f64, f64::max).max(1e-12);

@@ -191,8 +191,9 @@ fn main() {
             }
             w.end_object();
         },
-        // The production front end against its bit-identical oracle: the
-        // planned FFT kernel and windowed load are most of the gap.
+        // The production front end against its oracle (equal up to the
+        // real-input FFT's stated rounding bound): the packed half-size
+        // FFT and its windowed load are most of the gap.
         // Frame-major batched scoring vs the retained sequential scorer on
         // identical exhaustive work (the pruned path's speaker side is
         // per-frame in both kernels, so exact-vs-exact is the like-for-like
@@ -302,7 +303,8 @@ fn extract_reference<'a>(fx: &'a FeatureExtractor, audio: &'a [f64]) -> Kernel<'
 }
 
 /// The production front end: scratch and output buffers reused across
-/// calls, and the planned FFT fed by its bit-reversed windowed load.
+/// calls, and the real-input FFT plan fed by its packed, bit-reversed
+/// windowed load.
 fn extract_fast<'a>(fx: &'a FeatureExtractor, audio: &'a [f64]) -> Kernel<'a> {
     let mut scratch = FrontendScratch::new();
     let mut out = FrameMatrix::new(0);

@@ -264,8 +264,9 @@ mod tests {
     /// bits, row by row), then of the first two Test 2 speakers' models
     /// enrolled on session-compensated features. The UBM's EM, the
     /// Z-norm cohort, the supervector PCA and MAP adaptation all feed
-    /// these bytes. The constants were captured while ISV could still be
-    /// served from a bundle. Training fans out over every CPU; CI reruns
+    /// these bytes. The constants were re-taken when the MFCC front end
+    /// moved to the real-input FFT, whose rounding moves every feature
+    /// bit. Training fans out over every CPU; CI reruns
     /// this under `taskset -c 0` to check the sequential fallback.
     #[test]
     fn isv_training_and_enrollment_bytes_are_pinned() {
@@ -293,7 +294,7 @@ mod tests {
         let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
         assert_eq!(
             got,
-            [0x3551a468c69ed2a2, 0x5e9b3599af1df0ef, 0x6871e2a902350154],
+            [0x9290009f55be1ae4, 0x7d4952ef4d99a48f, 0x69ffb271dce4a7a1],
             "ISV subspace / enrolled model bytes moved: [{}]",
             hex.join(", ")
         );

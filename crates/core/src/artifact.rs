@@ -41,9 +41,9 @@ pub struct BundleMeta {
     /// EM iterations the UBM was trained for.
     pub em_iters: u32,
     /// Provenance flag for an ISV-trained engine. Always `false`: the
-    /// served engine is GMM–UBM, and a bundle carrying an ISV engine is
-    /// refused at decode. The byte stays in the encoding so existing
-    /// bundles keep their bytes.
+    /// served engine is GMM–UBM, so a bundle that sets the flag (like one
+    /// carrying an ISV engine) is refused at decode. The byte stays in
+    /// the encoding so existing bundles keep their bytes.
     pub use_isv: bool,
     /// Free-form notes (deployment labels, experiment ids).
     pub notes: String,
@@ -60,14 +60,21 @@ impl BundleMeta {
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
+        let meta = Self {
             producer: r.get_string()?,
             ubm_speakers: r.get_u32()?,
             ubm_components: r.get_u32()?,
             em_iters: r.get_u32()?,
             use_isv: r.get_bool()?,
             notes: r.get_string()?,
-        })
+        };
+        if meta.use_isv {
+            return Err(CodecError::Invalid {
+                artifact: ModelBundle::NAME,
+                reason: ISV_PROVENANCE.to_string(),
+            });
+        }
+        Ok(meta)
     }
 }
 
@@ -109,6 +116,10 @@ impl BinaryCodec for EngineFrame<'_> {
 
 /// Why a bundle carrying an ISV engine is refused.
 const ISV_NOT_SERVED: &str = "ISV engines are no longer served; retrain with GMM–UBM";
+
+/// Why a bundle whose `BundleMeta::use_isv` is set is refused.
+const ISV_PROVENANCE: &str =
+    "BundleMeta::use_isv is set, but only GMM–UBM engines are served; retrain with GMM–UBM";
 
 /// A complete, immutable set of trained serving models.
 ///
@@ -301,6 +312,16 @@ pub(crate) mod tests {
                 what: "ASV engine kind",
                 found: 7
             })
+        ));
+    }
+
+    #[test]
+    fn isv_provenance_is_refused_at_decode() {
+        let mut bundle = fixture_bundle();
+        bundle.meta.use_isv = true;
+        assert!(matches!(
+            ModelBundle::from_bytes(&bundle.to_bytes()),
+            Err(CodecError::Invalid { artifact: "ModelBundle", reason }) if reason == ISV_PROVENANCE
         ));
     }
 

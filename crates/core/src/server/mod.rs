@@ -1594,6 +1594,38 @@ mod tests {
         srv.shutdown();
     }
 
+    #[test]
+    fn isv_provenance_swap_bundles_are_refused() {
+        use crate::artifact::BundleMeta;
+        use crate::registry::ModelRegistry;
+
+        let (srv, user) = isolated_server();
+        let client = srv.client();
+        let (system, _) = crate::test_support::shared_tiny_system();
+        let bundle = ModelBundle::from_snapshot(
+            BundleMeta {
+                producer: "swap-test".to_string(),
+                ubm_speakers: 3,
+                ubm_components: 8,
+                em_iters: 4,
+                use_isv: true,
+                notes: String::new(),
+            },
+            &system.models(),
+        );
+        match client.swap_bundle(&bundle) {
+            Err(ClientError::Server(message)) => {
+                assert!(message.contains("use_isv is set"), "got: {message}")
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(protocol_errors(&srv), 1);
+        let session = ScenarioBuilder::genuine(&user).capture(&SimRng::from_seed(505));
+        let verdict = client.verify(&session).expect("verdict");
+        assert_eq!(verdict.generation, Some(ModelRegistry::FIRST_GENERATION));
+        srv.shutdown();
+    }
+
     fn replay_session(user: &crate::scenario::UserContext, seed: u64) -> SessionData {
         use magshield_voice::attacks::AttackKind;
         use magshield_voice::devices::table_iv_catalog;

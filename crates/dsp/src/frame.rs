@@ -220,8 +220,8 @@ impl FrameSourceMut for Vec<Vec<f64>> {
 /// workers keep one pad per thread.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchPad {
-    /// Real half of the split FFT work buffer (zero-padded frame,
-    /// transformed in place).
+    /// Real half of the split FFT work buffer: the packed frame, then
+    /// the one-sided spectrum, transformed in place.
     pub fft_re: Vec<f64>,
     /// Imaginary half of the split FFT work buffer.
     pub fft_im: Vec<f64>,

@@ -7,7 +7,7 @@
 //!
 //! * [`complex`] — a minimal complex number type;
 //! * [`fft`] — iterative radix-2 FFT/IFFT, a real-signal spectrum helper
-//!   and the planned windowed FFT kernel behind MFCC extraction;
+//!   and the planned real-input FFT kernel behind MFCC extraction;
 //! * [`frame`] — flat [`frame::FrameMatrix`] feature storage plus the
 //!   reusable [`frame::ScratchPad`] behind the zero-allocation fast path;
 //! * [`window`] — Hann / Hamming / Blackman / rectangular analysis windows;

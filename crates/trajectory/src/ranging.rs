@@ -23,8 +23,6 @@ pub struct RangingAnalysis {
     pub approach_displacement_m: f64,
     /// Peak-to-peak distance ripple during the sweep segment (m).
     pub sweep_ripple_m: f64,
-    /// Mean pilot amplitude over the session (confidence proxy).
-    pub pilot_amplitude: f64,
     /// Median pilot amplitude over the sweep segment. Because the phone
     /// emits the pilot at a factory-known level through its own mic chain,
     /// this amplitude is an *absolute* range measurement: `d ≈ K / amp`
@@ -53,7 +51,6 @@ pub fn analyze(
         return RangingAnalysis {
             approach_displacement_m: 0.0,
             sweep_ripple_m: 0.0,
-            pilot_amplitude: 0.0,
             sweep_amplitude: 0.0,
         };
     }
@@ -90,11 +87,6 @@ pub fn analyze(
         0.0
     };
 
-    let pilot_amplitude = if track.amplitude.is_empty() {
-        0.0
-    } else {
-        track.amplitude.iter().sum::<f64>() / track.amplitude.len() as f64
-    };
     let sweep_amplitude = if split < track.amplitude.len() {
         // The median element: selecting it under the total order gives the
         // bits a full sort would put there, in linear time.
@@ -108,7 +100,6 @@ pub fn analyze(
     RangingAnalysis {
         approach_displacement_m,
         sweep_ripple_m,
-        pilot_amplitude,
         sweep_amplitude,
     }
 }
@@ -205,7 +196,8 @@ mod tests {
     #[test]
     fn silence_yields_neutral_analysis() {
         let a = analyze(&vec![0.0; 4800], FS, PILOT, 0.05);
-        assert!(a.pilot_amplitude < 1e-3);
+        assert!(a.sweep_amplitude < 1e-3);
+        assert!(a.approach_displacement_m.abs() < 1e-3);
     }
 
     #[test]
