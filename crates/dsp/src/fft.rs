@@ -105,11 +105,11 @@ pub fn next_pow2(n: usize) -> usize {
 }
 
 /// Unit roundoff of `f64`.
-const U: f64 = f64::EPSILON / 2.0;
+pub(crate) const U: f64 = f64::EPSILON / 2.0;
 
 /// Higham's `γ_k = k·u / (1 − k·u)`: the relative error bound of `k`
 /// chained roundings.
-fn gamma(k: f64) -> f64 {
+pub(crate) fn gamma(k: f64) -> f64 {
     k * U / (1.0 - k * U)
 }
 

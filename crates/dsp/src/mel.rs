@@ -31,7 +31,7 @@
 //! [`RealFftPlan::error_bound`] through the power, filterbank, log and
 //! DCT steps (DESIGN.md, "Admitting a change that moves bits").
 
-use crate::fft::{rfft, RealFftPlan};
+use crate::fft::{gamma, rfft, RealFftPlan, U};
 use crate::filter::{pre_emphasis, pre_emphasis_into};
 use crate::frame::{FrameMatrix, ScratchPad};
 use crate::window::WindowKind;
@@ -364,8 +364,6 @@ impl MfccExtractor {
     /// A frame with a non-finite windowed sample, or one large enough to
     /// overflow, gets `f64::INFINITY`: no bound.
     pub fn reference_error_bounds(&self, signal: &[f64]) -> Vec<f64> {
-        const U: f64 = f64::EPSILON / 2.0;
-        let gamma = |k: f64| k * U / (1.0 - k * U);
         let n = self.fft_plan.len() as f64;
         let band_rounding = gamma(self.fft_plan.bins() as f64 + 3.0);
         let scale = self.dct_scale.iter().copied().fold(0.0, f64::max);
